@@ -207,6 +207,77 @@ def invariant_energy(
     return h if model is ModelKind.M0 else -h
 
 
+def point_rhs(
+    model: ModelKind,
+    y,
+    fld: VacuumField,
+    rest_mass: float | None = None,
+    soft: bool = False,
+) -> list[float]:
+    """Fused canonical right-hand side on plain floats: [r, mom, t] -> [rdot, momdot, dt/dtau].
+
+    y holds 7 floats.  For M0 the derivatives are with respect to lab time and
+    the rate is 1.  One field evaluation (VacuumField.point_state) is shared by
+    all pieces; this is the integrator hot path.  soft=True clamps the
+    square-root guards instead of raising; the adaptive driver uses it for
+    trial stages only, with a terminal guard event deciding where the reported
+    trajectory actually stops.
+    """
+    x, yy, z, px, py, pz, t = y
+    w, (gx, gy, gz), a, adot, jac = fld.point_state(x, yy, z, t)
+    q = fld.q_test
+    root = _soft_root if soft else guarded_root
+    if model is ModelKind.M0:
+        m0 = _require_rest_mass(rest_mass)
+        if not soft:
+            _hard_w(w)
+        ekin = math.sqrt(m0 * m0 + (px * px + py * py + pz * pz))
+        ux, uy, uz = px / ekin, py / ekin, pz / ekin
+        (_j00, j01, j02), (j10, _j11, j12), (j20, j21, _j22) = jac
+        bx, by, bz = j21 - j12, j02 - j20, j10 - j01
+        adx, ady, adz = adot
+        return [
+            ux, uy, uz,
+            (-gx - q * adx) + q * (uy * bz - uz * by),
+            (-gy - q * ady) + q * (uz * bx - ux * bz),
+            (-gz - q * adz) + q * (ux * by - uy * bx),
+            1.0,
+        ]
+    w = _soft_w(w) if soft else _hard_w(w)
+    if model is ModelKind.M1:
+        g = root(w * w - (px * px + py * py + pz * pz))
+        c = w / g
+        return [px / g, py / g, pz / g, c * gx, c * gy, c * gz, -w / g]
+
+    ax, ay, az = a
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac
+    if model is ModelKind.M3:
+        kx, ky, kz = px - q * ax, py - q * ay, pz - q * az
+        g = root(w * w - (kx * kx + ky * ky + kz * kz))
+        return [
+            kx / g, ky / g, kz / g,
+            (w * gx + q * (j00 * kx + j10 * ky + j20 * kz)) / g,
+            (w * gy + q * (j01 * kx + j11 * ky + j21 * kz)) / g,
+            (w * gz + q * (j02 * kx + j12 * ky + j22 * kz)) / g,
+            -w / g,
+        ]
+
+    # M2: exact gradients of H = -G - q<A,P>/G
+    p2 = px * px + py * py + pz * pz
+    g = root(w * w - p2)
+    kappa = 1.0 - q * (ax * px + ay * py + az * pz) / (g * g)
+    kw = kappa * w
+    return [
+        (kappa * px - q * ax) / g,
+        (kappa * py - q * ay) / g,
+        (kappa * pz - q * az) / g,
+        (kw * gx + q * (j00 * px + j10 * py + j20 * pz)) / g,
+        (kw * gy + q * (j01 * px + j11 * py + j21 * pz)) / g,
+        (kw * gz + q * (j02 * px + j12 * py + j22 * pz)) / g,
+        math.sqrt(1.0 + p2 * kappa * kappa / (g * g)),
+    ]
+
+
 def model_rhs(
     model: ModelKind,
     r: np.ndarray,
@@ -214,53 +285,11 @@ def model_rhs(
     t: float,
     fld: VacuumField,
     rest_mass: float | None = None,
-    soft: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Fused canonical right-hand side: (rdot, momdot, dt/dtau).
-
-    For M0 the derivatives are with respect to lab time and the rate is 1.
-    This shares one field evaluation across all pieces (integrator hot path).
-    soft=True clamps the square-root guards instead of raising; the adaptive
-    driver uses it for trial stages only, with a terminal guard event deciding
-    where the reported trajectory actually stops.
-    """
-    root = _soft_root if soft else guarded_root
-    w_ok = _soft_w if soft else _hard_w
-
-    q = fld.q_test
-    if model is ModelKind.M0:
-        m0 = _require_rest_mass(rest_mass)
-        w, gw, _a, adot, jac = fld.local_state(r, t)
-        w_ok(w)
-        ekin = math.sqrt(m0 * m0 + float(mom @ mom))
-        u = mom / ekin
-        qe = -gw - q * adot
-        b = np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])
-        return u, qe + q * np.cross(u, b), 1.0
-
-    if model is ModelKind.M1:
-        w, gw, _a, _adot, _jac = fld.local_state(r, t)
-        w = w_ok(w)
-        g = root(w * w - float(mom @ mom))
-        return mom / g, (w / g) * gw, -w / g
-
-    w, gw, a, _adot, jac = fld.local_state(r, t)
-    w = w_ok(w)
-    if model is ModelKind.M3:
-        pk = mom - q * a
-        g = root(w * w - float(pk @ pk))
-        rdot = pk / g
-        momdot = (w * gw + q * (jac.T @ pk)) / g
-        return rdot, momdot, -w / g
-
-    # M2: exact gradients of H = -G - q<A,P>/G
-    p2 = float(mom @ mom)
-    g = root(w * w - p2)
-    kappa = 1.0 - q * float(a @ mom) / (g * g)
-    rdot = (kappa * mom - q * a) / g
-    momdot = (kappa * w * gw + q * (jac.T @ mom)) / g
-    rate = math.sqrt(1.0 + p2 * kappa * kappa / (g * g))
-    return rdot, momdot, rate
+    """point_rhs with array arguments and results: (rdot, momdot, dt/dtau)."""
+    y = [*map(float, r), *map(float, mom), float(t)]
+    out = point_rhs(model, y, fld, rest_mass)
+    return np.array(out[0:3]), np.array(out[3:6]), out[6]
 
 
 def vector_field(

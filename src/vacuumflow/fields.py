@@ -8,8 +8,12 @@ not attributable to any mover); optional static uniform terms a_uniform and
 uniform magnetic field.  E and B are assembled from the analytic gradient,
 time derivative and Jacobian of the potentials.
 
-All evaluators broadcast over leading axes of r (shape (..., 3)) and are pure;
-VacuumField instances are immutable after construction.
+The batched evaluators (w, grad_w, coulomb, a, a_dot) broadcast over leading
+axes of r (shape (..., 3)); a_jac and e_b take a single probe.  point_state is
+the fused single-probe kernel of the integrator hot path: it works on plain
+floats and returns W, grad W, A, dA/dt and the Jacobian of A in one pass over
+the sources.  All evaluators are pure; VacuumField instances are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -54,9 +58,6 @@ class FieldSource:
             raise ConfigError(f"source softening eps must be > 0, got {self.eps}")
         if float(np.linalg.norm(self.uf)) >= 1.0:
             raise ConfigError(f"source speed |uf| must be < 1, got {np.linalg.norm(self.uf)}")
-        object.__setattr__(self, "_static", bool(np.all(self.uf == 0.0)))
-        object.__setattr__(self, "_k", self.qs / FOUR_PI)
-        object.__setattr__(self, "_eps2", self.eps * self.eps)
 
     def position(self, t: float) -> np.ndarray:
         return self.r0 + self.uf * t
@@ -83,7 +84,15 @@ class VacuumField:
         object.__setattr__(self, "b_uniform", as_vec3(self.b_uniform))
         object.__setattr__(self, "_b_jac", _skew_half(self.b_uniform))
         object.__setattr__(self, "_has_b", bool(np.any(self.b_uniform != 0.0)))
-        object.__setattr__(self, "_half_b", 0.5 * self.b_uniform)
+        # plain-float copies for point_state; a source with uf = 0 is static
+        object.__setattr__(self, "_src", tuple(
+            (*s.r0.tolist(), *s.uf.tolist(), float(s.qs / FOUR_PI), float(s.eps * s.eps),
+             bool(np.any(s.uf != 0.0)))
+            for s in self.sources
+        ))
+        object.__setattr__(self, "_a0", tuple(self.a_uniform.tolist()))
+        object.__setattr__(self, "_hb", tuple((0.5 * self.b_uniform).tolist()))
+        object.__setattr__(self, "_jac0", tuple(map(tuple, self._b_jac.tolist())))
 
     # -- scalar potential -------------------------------------------------
 
@@ -160,35 +169,69 @@ class VacuumField:
         b = np.array([j[2, 1] - j[1, 2], j[0, 2] - j[2, 0], j[1, 0] - j[0, 1]])
         return e, b
 
-    def local_state(self, r: np.ndarray, t: float):
-        """Fused single-probe evaluation: (w, grad_w, a, a_dot, a_jac).
+    def point_state(self, x: float, y: float, z: float, t: float):
+        """Fused single-probe kernel on plain floats: (w, grad_w, a, a_dot, jac).
 
-        One pass over the sources; this is the integrator hot path, so static
-        sources skip the vector-potential work entirely.
+        One pass over the sources; grad_w, a and a_dot are 3-tuples and jac is
+        a tuple of three rows with jac[i][j] = dA_i/dr_j.  This is the
+        integrator hot path, so static sources skip the vector-potential work
+        and no numpy call is made.
         """
+        q = self.q_test
         w = self.w_inf
-        gw = np.zeros(3)
+        gx = gy = gz = 0.0
+        ax, ay, az = self._a0
         if self._has_b:
-            a = self.a_uniform + np.cross(self._half_b, r)
-        else:
-            a = self.a_uniform.copy()
-        adot = np.zeros(3)
-        jac = self._b_jac.copy()
-        for s in self.sources:
-            if s._static:
-                d = r - s.r0
+            hx, hy, hz = self._hb
+            ax += hy * z - hz * y
+            ay += hz * x - hx * z
+            az += hx * y - hy * x
+        adx = ady = adz = 0.0
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = self._jac0
+        for x0, y0, z0, ux, uy, uz, k, eps2, is_moving in self._src:
+            if is_moving:
+                dx = x - x0 - ux * t
+                dy = y - y0 - uy * t
+                dz = z - z0 - uz * t
             else:
-                d = r - s.r0 - s.uf * t
-            s2 = float(d @ d) + s._eps2
+                dx = x - x0
+                dy = y - y0
+                dz = z - z0
+            s2 = dx * dx + dy * dy + dz * dz + eps2
             root = math.sqrt(s2)
-            inv3 = s._k / (s2 * root)
-            w += self.q_test * s._k / root
-            gw -= (self.q_test * inv3) * d
-            if not s._static:
-                a += (s._k / root) * s.uf
-                adot += (inv3 * float(d @ s.uf)) * s.uf
-                jac -= np.outer(s.uf, inv3 * d)
-        return w, gw, a, adot, jac
+            inv3 = k / (s2 * root)
+            w += q * k / root
+            c = q * inv3
+            gx -= c * dx
+            gy -= c * dy
+            gz -= c * dz
+            if is_moving:
+                kr = k / root
+                ax += kr * ux
+                ay += kr * uy
+                az += kr * uz
+                p = inv3 * (dx * ux + dy * uy + dz * uz)
+                adx += p * ux
+                ady += p * uy
+                adz += p * uz
+                cx, cy, cz = inv3 * dx, inv3 * dy, inv3 * dz
+                j00 -= ux * cx
+                j01 -= ux * cy
+                j02 -= ux * cz
+                j10 -= uy * cx
+                j11 -= uy * cy
+                j12 -= uy * cz
+                j20 -= uz * cx
+                j21 -= uz * cy
+                j22 -= uz * cz
+        jac = ((j00, j01, j02), (j10, j11, j12), (j20, j21, j22))
+        return w, (gx, gy, gz), (ax, ay, az), (adx, ady, adz), jac
+
+    def local_state(self, r, t: float):
+        """point_state at a 3-vector probe, with array results: (w, grad_w, a, a_dot, a_jac)."""
+        x, y, z = (float(v) for v in r)
+        w, gw, a, adot, jac = self.point_state(x, y, z, float(t))
+        return w, np.array(gw), np.array(a), np.array(adot), np.array(jac)
 
     # -- identity ----------------------------------------------------------
 

@@ -13,9 +13,9 @@ the fixed-step explicit alternative; RK45 wraps scipy's adaptive solver.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
+from operator import sub
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -29,7 +29,7 @@ from .core import (
     emergent_rest_mass,
     init_phase,
 )
-from .dynamics import model_rhs
+from .dynamics import point_rhs
 from .errors import NoConvergence, NonNegativeField, NoOverlap, SubluminalViolation
 from .fields import VacuumField, as_vec3
 
@@ -92,19 +92,15 @@ class TrajectoryRecord:
 
     CSV_COLUMNS = ("tau", "t", "rx", "ry", "rz", "px", "py", "pz", "energy", "w", "ux", "uy", "uz")
 
+    #: one CSV row: 17 significant digits, csv.writer's default line end
+    _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\r\n"
+
     def to_csv(self, path) -> None:
+        rows = zip(self.tau, self.t, *self.r.T, *self.mom.T, self.energy, self.w, *self.u_lab.T)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            for i in range(len(self)):
-                row = [
-                    self.tau[i], self.t[i],
-                    self.r[i, 0], self.r[i, 1], self.r[i, 2],
-                    self.mom[i, 0], self.mom[i, 1], self.mom[i, 2],
-                    self.energy[i], self.w[i],
-                    self.u_lab[i, 0], self.u_lab[i, 1], self.u_lab[i, 2],
-                ]
-                writer.writerow([f"{v:.17g}" for v in row])
+            fh.write(",".join(self.CSV_COLUMNS) + "\r\n")
+            for row in rows:
+                fh.write(self._CSV_ROW % row)
 
     def max_relative_energy_drift(self) -> float:
         e0 = self.energy[0]
@@ -112,59 +108,66 @@ class TrajectoryRecord:
 
 
 # -- single steps --------------------------------------------------------------
+#
+# The stepped state is a list of 7 plain floats [r, mom, t]; numpy calls on
+# 3-vectors would cost more than the arithmetic they do.
 
 
-def _pack(phase: PhasePoint) -> np.ndarray:
-    y = np.empty(7)
-    y[0:3] = phase.r
-    y[3:6] = phase.mom
-    y[6] = phase.t
-    return y
+def _pack(phase: PhasePoint) -> list[float]:
+    return [*phase.r.tolist(), *phase.mom.tolist(), float(phase.t)]
 
 
-def _rhs(model: ModelKind, y: np.ndarray, fld: VacuumField, rest_mass: float | None,
-         soft: bool = False) -> np.ndarray:
-    rdot, momdot, rate = model_rhs(model, y[0:3], y[3:6], y[6], fld, rest_mass, soft=soft)
-    out = np.empty(7)
-    out[0:3] = rdot
-    out[3:6] = momdot
-    out[6] = rate
-    return out
+def _rhs(model: ModelKind, fld: VacuumField, rest_mass: float | None):
+    """The model's right-hand side as a function of the state list; f.calls counts evaluations."""
+
+    def f(y):
+        f.calls += 1
+        return point_rhs(model, y, fld, rest_mass)
+
+    f.calls = 0
+    return f
 
 
-def _step_rk4(model, y, fld, h, rest_mass):
-    k1 = _rhs(model, y, fld, rest_mass)
-    k2 = _rhs(model, y + (0.5 * h) * k1, fld, rest_mass)
-    k3 = _rhs(model, y + (0.5 * h) * k2, fld, rest_mass)
-    k4 = _rhs(model, y + h * k3, fld, rest_mass)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _step_rk4(f, y, h):
+    k1 = f(y)
+    k2 = f([a + (0.5 * h) * b for a, b in zip(y, k1)])
+    k3 = f([a + (0.5 * h) * b for a, b in zip(y, k2)])
+    k4 = f([a + h * b for a, b in zip(y, k3)])
+    return [
+        a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ]
 
 
-def _step_midpoint(model, y, fld, h, rest_mass, tol, max_iter):
-    ym = y + (0.5 * h) * _rhs(model, y, fld, rest_mass)
-    for _ in range(max_iter):
-        ym_next = y + (0.5 * h) * _rhs(model, ym, fld, rest_mass)
-        delta = float(np.max(np.abs(ym_next - ym)))
+def _step_midpoint(f, y, h, tol, max_iter):
+    """One implicit-midpoint step by fixed-point iteration: (y1, iterations)."""
+    half = 0.5 * h
+    ym = [a + half * b for a, b in zip(y, f(y))]
+    for it in range(1, max_iter + 1):
+        ym_next = [a + half * b for a, b in zip(y, f(ym))]
+        delta = max(map(abs, map(sub, ym_next, ym)))
         ym = ym_next
-        if delta <= tol:
-            return 2.0 * ym - y
+        # max() can pass over a NaN that is not first; a non-finite iterate
+        # must never count as converged
+        if delta <= tol and math.isfinite(sum(ym)):
+            return [2.0 * a - b for a, b in zip(ym, y)], it
     raise NoConvergence(
         f"implicit midpoint failed to reach tol={tol:g} in {max_iter} iterations (h={h:g})"
     )
 
 
-def _step_rk45(model, y, fld, h, rest_mass, atol, rtol):
+def _step_rk45(f, y, h, atol, rtol):
     sol = solve_ivp(
-        lambda _s, yy: _rhs(model, yy, fld, rest_mass),
+        lambda _s, yy: f(yy.tolist()),
         (0.0, h),
-        y,
+        np.array(y),
         method="RK45",
         rtol=rtol,
         atol=atol,
     )
     if not sol.success:
         raise NoConvergence(f"adaptive step failed: {sol.message}")
-    return sol.y[:, -1]
+    return sol.y[:, -1].tolist()
 
 
 def step(
@@ -180,12 +183,13 @@ def step(
     if h == 0.0:
         raise ValueError("step size must be nonzero")
     y = _pack(phase)
+    f = _rhs(model, fld, rest_mass)
     if isinstance(integrator, RK4):
-        y1 = _step_rk4(model, y, fld, h, rest_mass)
+        y1 = _step_rk4(f, y, h)
     elif isinstance(integrator, ImplicitMidpoint):
-        y1 = _step_midpoint(model, y, fld, h, rest_mass, integrator.tol, integrator.max_iter)
+        y1, _ = _step_midpoint(f, y, h, integrator.tol, integrator.max_iter)
     else:
-        y1 = _step_rk45(model, y, fld, h, rest_mass, integrator.atol, integrator.rtol)
+        y1 = _step_rk45(f, y, h, integrator.atol, integrator.rtol)
     if model is ModelKind.M0:
         return PhasePoint(r=y1[0:3], mom=y1[3:6], tau=phase.tau + h, t=phase.t + h)
     return PhasePoint(r=y1[0:3], mom=y1[3:6], tau=phase.tau + h, t=y1[6])
@@ -194,54 +198,53 @@ def step(
 # -- full runs -----------------------------------------------------------------
 
 
-def _sample_row(model, r, mom, t, fld, rest_mass):
+def _sample_row(model, y, fld, rest_mass):
     """(energy, w, u_lab) at one sample, sharing a single field evaluation."""
+    x, yy, z, px, py, pz, t = y
+    w, _gw, (ax, ay, az), _adot, _jac = fld.point_state(x, yy, z, t)
     q = fld.q_test
+    p2 = px * px + py * py + pz * pz
     if model is ModelKind.M0:
-        w = fld.w(r, t)
-        ekin = math.sqrt(rest_mass * rest_mass + float(mom @ mom))
-        return ekin + (w - fld.w_inf), w, mom / ekin
-    w, _gw, a, _adot, _jac = fld.local_state(r, t)
+        ekin = math.sqrt(rest_mass * rest_mass + p2)
+        return ekin + (w - fld.w_inf), w, (px / ekin, py / ekin, pz / ekin)
     if model is ModelKind.M1:
-        g = math.sqrt(w * w - float(mom @ mom))
-        return g, w, mom / (-w)
+        g = math.sqrt(w * w - p2)
+        return g, w, (px / -w, py / -w, pz / -w)
     if model is ModelKind.M3:
-        pk = mom - q * a
-        g = math.sqrt(w * w - float(pk @ pk))
-        return g, w, pk / (-w)
+        kx, ky, kz = px - q * ax, py - q * ay, pz - q * az
+        g = math.sqrt(w * w - (kx * kx + ky * ky + kz * kz))
+        return g, w, (kx / -w, ky / -w, kz / -w)
     # M2
-    p2 = float(mom @ mom)
     g = math.sqrt(w * w - p2)
-    ap = float(a @ mom)
+    ap = ax * px + ay * py + az * pz
     kappa = 1.0 - q * ap / (g * g)
     rate = math.sqrt(1.0 + p2 * kappa * kappa / (g * g))
-    u = (kappa * mom - q * a) / (g * rate)
+    grate = g * rate
+    u = ((kappa * px - q * ax) / grate, (kappa * py - q * ay) / grate, (kappa * pz - q * az) / grate)
     return g + q * ap / g, w, u
 
 
-def _build_record(model, integ, h, fld, taus, ys, rest_mass, termination=None):
+def _build_record(model, integ, h, fld, taus, state, rest_mass, stats, termination=None):
+    """Record from the (n, 7) stepped states; M0 samples take tau as their lab clock."""
+    if model is ModelKind.M0:
+        state[:, 6] = taus  # lab clock is the independent variable
     n = len(taus)
-    t = np.empty(n)
-    r = np.empty((n, 3))
-    mom = np.empty((n, 3))
     energy = np.empty(n)
     wvals = np.empty(n)
     u_lab = np.empty((n, 3))
     for i in range(n):
-        r[i] = ys[i][0:3]
-        mom[i] = ys[i][3:6]
-        t[i] = ys[i][6]
-        energy[i], wvals[i], u_lab[i] = _sample_row(model, r[i], mom[i], t[i], fld, rest_mass)
+        energy[i], wvals[i], u_lab[i] = _sample_row(model, state[i].tolist(), fld, rest_mass)
     meta = {
         "model": model.value,
         "integrator": integrator_name(integ),
         "h": h,
         "field": fld.stable_hash(),
+        "stats": stats,
     }
     if termination is not None:
         meta["termination"] = termination
     return TrajectoryRecord(
-        tau=np.asarray(taus, dtype=float), t=t, r=r, mom=mom,
+        tau=taus, t=state[:, 6], r=state[:, 0:3], mom=state[:, 3:6],
         energy=energy, w=wvals, u_lab=u_lab, meta=meta,
     )
 
@@ -271,40 +274,46 @@ def simulate(
     if isinstance(integrator, RK45):
         return _simulate_adaptive(model, fld, phase0, rest_mass, integrator, h, n_steps)
 
-    taus = [0.0]
-    ys = [_pack(phase0)]
+    f = _rhs(model, fld, rest_mass)
+    y = _pack(phase0)
+    state = np.empty((n_steps + 1, 7))
+    state[0] = y
+    n = 1
+    iter_sum = iter_max = 0
     termination = None
-    y = ys[0]
     for k in range(1, n_steps + 1):
         try:
             if isinstance(integrator, RK4):
-                y = _step_rk4(model, y, fld, h, rest_mass)
+                y = _step_rk4(f, y, h)
             else:
-                y = _step_midpoint(
-                    model, y, fld, h, rest_mass, integrator.tol, integrator.max_iter
-                )
+                y, it = _step_midpoint(f, y, h, integrator.tol, integrator.max_iter)
+                iter_sum += it
+                iter_max = max(iter_max, it)
         except (SubluminalViolation, NonNegativeField) as exc:
             termination = f"step {k}: {exc}"
             break
-        taus.append(k * h)
-        ys.append(y)
-    if model is ModelKind.M0:
-        for i, y in enumerate(ys):
-            y[6] = taus[i]  # lab clock is the independent variable
-    return _build_record(model, integrator, h, fld, taus, ys, rest_mass, termination)
+        state[k] = y
+        n = k + 1
+    stats = {"rhs_evals": f.calls}
+    if isinstance(integrator, ImplicitMidpoint):
+        stats["fp_iter_max"] = iter_max
+        stats["fp_iter_mean"] = iter_sum / (n - 1) if n > 1 else 0.0
+    return _build_record(model, integrator, h, fld, h * np.arange(n), state[:n], rest_mass, stats,
+                         termination)
 
 
-def _guard_margin(model, fld, rest_mass):
+def _guard_margin(model, fld):
     q = fld.q_test
+    floor = max(_EVENT_MARGIN, 10.0 * SUBLUMINAL_EPS)
 
     def margin(_s, y):
-        w = fld.w(y[0:3], y[6])
+        x, yy, z, px, py, pz, t = y.tolist()
+        w, _gw, (ax, ay, az), _adot, _jac = fld.point_state(x, yy, z, t)
         if model is ModelKind.M0:
             return -w - _EVENT_MARGIN
-        mom = y[3:6]
         if model is ModelKind.M3:
-            mom = mom - q * fld.a(y[0:3], y[6])
-        return w * w - float(mom @ mom) - max(_EVENT_MARGIN, 10.0 * SUBLUMINAL_EPS)
+            px, py, pz = px - q * ax, py - q * ay, pz - q * az
+        return w * w - (px * px + py * py + pz * pz) - floor
 
     margin.terminal = True
     margin.direction = -1
@@ -313,30 +322,25 @@ def _guard_margin(model, fld, rest_mass):
 
 def _simulate_adaptive(model, fld, phase0, rest_mass, integ, h, n_steps):
     tau_grid = h * np.arange(n_steps + 1)
-    event = _guard_margin(model, fld, rest_mass)
     # trial stages are soft-guarded; the terminal event decides where the
     # reported trajectory stops
     sol = solve_ivp(
-        lambda _s, y: _rhs(model, y, fld, rest_mass, soft=True),
+        lambda _s, y: point_rhs(model, y.tolist(), fld, rest_mass, soft=True),
         (0.0, tau_grid[-1]),
-        _pack(phase0),
+        np.array(_pack(phase0)),
         method="RK45",
         t_eval=tau_grid,
         rtol=integ.rtol,
         atol=integ.atol,
-        events=event,
+        events=_guard_margin(model, fld),
     )
     if sol.status < 0:
         raise NoConvergence(f"adaptive integration failed: {sol.message}")
     termination = None
     if sol.status == 1:
         termination = f"guard event at tau = {sol.t_events[0][0]:.6g}"
-    taus = sol.t
-    ys = [sol.y[:, i].copy() for i in range(sol.y.shape[1])]
-    if model is ModelKind.M0:
-        for i, y in enumerate(ys):
-            y[6] = taus[i]
-    return _build_record(model, integ, h, fld, list(taus), ys, rest_mass, termination)
+    stats = {"nfev": int(sol.nfev)}
+    return _build_record(model, integ, h, fld, sol.t, sol.y.T, rest_mass, stats, termination)
 
 
 def compare_trajectories(

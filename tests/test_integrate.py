@@ -9,6 +9,7 @@ from vacuumflow.integrate import (
     RK4,
     RK45,
     ImplicitMidpoint,
+    TrajectoryRecord,
     compare_trajectories,
     simulate,
     step,
@@ -180,3 +181,46 @@ def test_trajectory_csv_roundtrip(tmp_path, uniform_field):
     assert len(rows) == len(traj) + 1
     npt.assert_allclose(float(rows[5][0]), traj.tau[4], rtol=0)  # 17g round-trips
     npt.assert_allclose(float(rows[5][8]), traj.energy[4], rtol=0)
+
+
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
+    """The streamed CSV is byte-identical to csv.writer rows of f"{v:.17g}" cells."""
+    import csv
+
+    special = [-0.0, 5e-324, 1e300, float("nan")]
+    n = len(special)
+    col = np.array(special)
+    vec = np.column_stack([col, col[::-1], col])
+    traj = TrajectoryRecord(tau=col, t=col[::-1], r=vec, mom=vec[:, ::-1], energy=col,
+                            w=col[::-1], u_lab=vec)
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(traj.CSV_COLUMNS)
+        for i in range(n):
+            row = [traj.tau[i], traj.t[i], *traj.r[i], *traj.mom[i], traj.energy[i], traj.w[i],
+                   *traj.u_lab[i]]
+            writer.writerow([f"{v:.17g}" for v in row])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_run_stats_counters(static_source_field):
+    """meta["stats"] counts the work of each run, identically on a rerun."""
+    sc = standard_flyby()
+
+    def run(integ, h):
+        return simulate(ModelKind.M1, sc.particle, static_source_field, sc.r0, 1.0, integ, h).meta
+
+    mid = run(ImplicitMidpoint(), 1e-2)
+    steps = 100
+    stats = mid["stats"]
+    # one predictor evaluation plus one per fixed-point iteration
+    assert stats["rhs_evals"] == steps + round(steps * stats["fp_iter_mean"])
+    assert 1 <= stats["fp_iter_mean"] <= stats["fp_iter_max"] <= ImplicitMidpoint().max_iter
+    assert run(ImplicitMidpoint(), 1e-2) == mid
+    assert run(RK4(), 1e-2)["stats"] == {"rhs_evals": 4 * steps}
+    rk45 = run(RK45(), 1e-2)["stats"]
+    assert set(rk45) == {"nfev"} and rk45["nfev"] > 0

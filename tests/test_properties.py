@@ -1,0 +1,120 @@
+"""Property tests: the plain-float kernels against the batched evaluators.
+
+VacuumField.point_state and dynamics.point_rhs serve the integrators; the
+batched evaluators (w, grad_w, a, a_dot, a_jac) and the numpy formulas below
+are the reference they must reproduce to round-off, over random fields
+(1-3 static or moving sources, uniform A and B, q_test != 1) and probes.
+"""
+
+import math
+
+import numpy as np
+import numpy.testing as npt
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from vacuumflow.core import ModelKind
+from vacuumflow.dynamics import model_rhs, point_rhs
+from vacuumflow.fields import FOUR_PI, FieldSource, VacuumField
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def vec(lo, hi):
+    return st.tuples(*[st.floats(lo, hi)] * 3)
+
+
+@st.composite
+def sources(draw):
+    moving = draw(st.booleans())
+    return FieldSource(
+        qs=draw(st.floats(-1.0, 1.0)),
+        r0=draw(vec(-1.0, 1.0)),
+        uf=draw(vec(-0.5, 0.5)) if moving else (0.0, 0.0, 0.0),
+        eps=draw(st.floats(0.05, 0.5)),
+    )
+
+
+@st.composite
+def fields(draw):
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    q = sign * draw(st.floats(0.2, 2.5).filter(lambda v: v != 1.0))
+    return VacuumField(
+        w_inf=draw(st.floats(-2.0, -0.3)),
+        sources=tuple(draw(st.lists(sources(), min_size=1, max_size=3))),
+        q_test=q,
+        a_uniform=draw(vec(-0.3, 0.3)),
+        b_uniform=draw(vec(-0.5, 0.5)),
+    )
+
+
+probes = st.tuples(vec(-2.0, 2.0), st.floats(0.0, 3.0))
+
+
+def term_scale(fld, r) -> float:
+    """Size of the largest summand any kernel output can hold; round-off is relative to it."""
+    src = sum(abs(s.qs) / (FOUR_PI * s.eps**2) for s in fld.sources)
+    return (abs(fld.w_inf) + np.linalg.norm(fld.a_uniform)
+            + np.linalg.norm(fld.b_uniform) * (1.0 + np.linalg.norm(r)) + (1.0 + abs(fld.q_test)) * src)
+
+
+@PROPERTY
+@given(fields(), probes)
+def test_point_state_matches_batched_evaluators(fld, probe):
+    r, t = np.array(probe[0]), probe[1]
+    w, gw, a, adot, jac = fld.point_state(*probe[0], t)
+    atol = 1e-13 * term_scale(fld, r)
+    npt.assert_allclose(w, fld.w(r, t), rtol=1e-13, atol=atol)
+    npt.assert_allclose(gw, fld.grad_w(r, t), rtol=1e-13, atol=atol)
+    npt.assert_allclose(a, fld.a(r, t), rtol=1e-13, atol=atol)
+    npt.assert_allclose(adot, fld.a_dot(r, t), rtol=1e-13, atol=atol)
+    npt.assert_allclose(jac, fld.a_jac(r, t), rtol=1e-13, atol=atol)
+
+
+def reference_rhs(model, r, mom, t, fld, m0):
+    """The per-model canonical flows written on the batched evaluators."""
+    q = fld.q_test
+    w, gw, a = fld.w(r, t), fld.grad_w(r, t), fld.a(r, t)
+    jac = fld.a_jac(r, t)
+    if model is ModelKind.M0:
+        u = mom / math.sqrt(m0 * m0 + mom @ mom)
+        b = np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])
+        return u, -gw - q * fld.a_dot(r, t) + q * np.cross(u, b), 1.0
+    if model is ModelKind.M1:
+        g = math.sqrt(w * w - mom @ mom)
+        return mom / g, (w / g) * gw, -w / g
+    if model is ModelKind.M3:
+        pk = mom - q * a
+        g = math.sqrt(w * w - pk @ pk)
+        return pk / g, (w * gw + q * (jac.T @ pk)) / g, -w / g
+    p2 = mom @ mom
+    g = math.sqrt(w * w - p2)
+    kappa = 1.0 - q * (a @ mom) / (g * g)
+    return ((kappa * mom - q * a) / g, (kappa * w * gw + q * (jac.T @ mom)) / g,
+            math.sqrt(1.0 + p2 * kappa * kappa / (g * g)))
+
+
+@PROPERTY
+@given(fields(), probes, vec(-0.5, 0.5), st.sampled_from(list(ModelKind)))
+def test_point_rhs_matches_reference_flows(fld, probe, u, model):
+    r, t, u = np.array(probe[0]), probe[1], np.array(u)
+    w = fld.w(r, t)
+    assume(w < -0.05)
+    m0 = -w * math.sqrt(1.0 - u @ u)
+    mom = -w * u
+    if model is ModelKind.M3:
+        mom = mom + fld.q_test * fld.a(r, t)
+    rest_mass = m0 if model is ModelKind.M0 else None
+
+    y = [*r.tolist(), *mom.tolist(), t]
+    out = point_rhs(model, y, fld, rest_mass)
+    rdot, momdot, rate = reference_rhs(model, r, mom, t, fld, m0)
+    # round-off relative to the largest summand: field terms times momenta over G >= |W|/2
+    atol = 1e-12 * term_scale(fld, r) ** 2 * (1.0 + np.linalg.norm(mom)) ** 2 / w**2
+    npt.assert_allclose(out[0:3], rdot, rtol=1e-12, atol=atol)
+    npt.assert_allclose(out[3:6], momdot, rtol=1e-12, atol=atol)
+    npt.assert_allclose(out[6], rate, rtol=1e-12, atol=atol)
+
+    # the array adapter is the same kernel
+    a_rdot, a_momdot, a_rate = model_rhs(model, r, mom, t, fld, rest_mass)
+    assert a_rdot.tolist() == out[0:3] and a_momdot.tolist() == out[3:6] and a_rate == out[6]
