@@ -19,7 +19,7 @@ from .dynamics import (
     legendre_momentum,
     vector_field,
 )
-from .fields import FieldSource, VacuumField, eval_a, eval_eb, eval_w, grad_w
+from .fields import FieldSource, VacuumField
 from .integrate import (
     RK4,
     RK45,
@@ -54,7 +54,7 @@ __all__ = [
     "ModelKind", "Particle", "PhasePoint", "clock_rate", "emergent_rest_mass", "init_phase",
     "ForceKind", "action", "euler_lagrange_residual", "force", "hamiltonian",
     "invariant_energy", "lagrangian", "legendre_momentum", "vector_field",
-    "FieldSource", "VacuumField", "eval_a", "eval_eb", "eval_w", "grad_w",
+    "FieldSource", "VacuumField",
     "RK4", "RK45", "ImplicitMidpoint", "TrajectoryRecord", "compare_trajectories",
     "simulate", "step",
     "Ball", "GridField", "ResidualReport", "ScalarSeries", "advected_integral",

@@ -8,6 +8,7 @@ nothing else in the package hard-codes them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -79,38 +80,48 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _number(value, where: str, kind=float):
+    """value as a finite float (or int); ConfigError naming where otherwise."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    _require(math.isfinite(out), f"{where}: must be finite, got {out}")
+    return out
+
+
 def _vec3(raw, where: str) -> np.ndarray:
     _require(
         isinstance(raw, (list, tuple)) and len(raw) == 3,
         f"{where}: expected a 3-element list",
     )
-    try:
-        return np.array([float(v) for v in raw])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: entries must be numbers") from None
+    return np.array([_number(v, where) for v in raw])
 
 
 def _build_field(raw: dict) -> VacuumField:
     _require(isinstance(raw, dict), "field: expected an object")
     _require("w_inf" in raw, "field.w_inf: required")
-    w_inf = float(raw["w_inf"])
+    w_inf = _number(raw["w_inf"], "field.w_inf")
     _require(w_inf < 0.0, f"field.w_inf: baseline must be negative, got {w_inf}")
     sources = []
     for i, s in enumerate(raw.get("sources", [])):
         where = f"field.sources[{i}]"
         _require(isinstance(s, dict), f"{where}: expected an object")
-        eps = float(s.get("eps", 0.01))
+        for key in ("qs", "r0"):
+            _require(key in s, f"{where}.{key}: required")
+        eps = _number(s.get("eps", 0.01), f"{where}.eps")
         _require(eps > 0.0, f"{where}.eps: softening must be > 0, got {eps}")
         uf = _vec3(s.get("uf", [0, 0, 0]), f"{where}.uf")
         _require(
             float(np.linalg.norm(uf)) < 1.0,
             f"{where}.uf: source speed |uf| must be < 1, got {np.linalg.norm(uf)}",
         )
-        sources.append(FieldSource(qs=float(s["qs"]), r0=_vec3(s["r0"], f"{where}.r0"), uf=uf, eps=eps))
+        qs = _number(s["qs"], f"{where}.qs")
+        sources.append(FieldSource(qs=qs, r0=_vec3(s["r0"], f"{where}.r0"), uf=uf, eps=eps))
     return VacuumField(
         w_inf=w_inf,
         sources=tuple(sources),
-        q_test=float(raw.get("q_test", 1.0)),
+        q_test=_number(raw.get("q_test", 1.0), "field.q_test"),
         a_uniform=_vec3(raw.get("a_uniform", [0, 0, 0]), "field.a_uniform"),
         b_uniform=_vec3(raw.get("b_uniform", [0, 0, 0]), "field.b_uniform"),
     )
@@ -120,17 +131,17 @@ def _build_integrator(raw: dict) -> tuple[IntegratorKind, float]:
     _require(isinstance(raw, dict), "integrator: expected an object")
     kind = raw.get("kind", "implicit_midpoint")
     _require(kind in _INTEGRATOR_KINDS, f"integrator.kind: must be one of {_INTEGRATOR_KINDS}, got {kind!r}")
-    h = float(raw.get("h", 1e-3))
+    h = _number(raw.get("h", 1e-3), "integrator.h")
     _require(h > 0.0, f"integrator.h: step must be > 0, got {h}")
     if kind == "rk4":
         return RK4(), h
     if kind == "rk45":
-        atol = float(raw.get("atol", 1e-10))
-        rtol = float(raw.get("rtol", 1e-10))
+        atol = _number(raw.get("atol", 1e-10), "integrator.atol")
+        rtol = _number(raw.get("rtol", 1e-10), "integrator.rtol")
         _require(atol > 0.0 and rtol > 0.0, "integrator.atol/rtol: must be > 0")
         return RK45(atol=atol, rtol=rtol), h
-    tol = float(raw.get("tol", 1e-12))
-    max_iter = int(raw.get("max_iter", 50))
+    tol = _number(raw.get("tol", 1e-12), "integrator.tol")
+    max_iter = _number(raw.get("max_iter", 50), "integrator.max_iter", int)
     _require(tol > 0.0, f"integrator.tol: must be > 0, got {tol}")
     _require(max_iter >= 1, f"integrator.max_iter: must be >= 1, got {max_iter}")
     return ImplicitMidpoint(tol=tol, max_iter=max_iter), h
@@ -153,7 +164,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         float(np.linalg.norm(u0)) < 1.0,
         f"particle.u0: |u0| must be < 1, got {np.linalg.norm(u0)}",
     )
-    q = float(praw.get("q", 1.0))
+    q = _number(praw.get("q", 1.0), "particle.q")
     particle = Particle(q=q, u0=u0)
 
     fld = _build_field(raw.get("field", {"w_inf": -1.0}))
@@ -166,15 +177,22 @@ def validate_config(raw: dict) -> ScenarioConfig:
     w0 = fld.w(r0, 0.0)
     _require(w0 < 0.0, f"r0: W(r0, 0) = {w0} must be negative")
 
-    tau_end = float(raw.get("tau_end", 1.0))
+    tau_end = _number(raw.get("tau_end", 1.0), "tau_end")
     _require(tau_end > 0.0, f"tau_end: must be > 0, got {tau_end}")
 
     integrator, h = _build_integrator(raw.get("integrator", {}))
 
-    tolerances = raw.get("tolerances", {})
-    _require(isinstance(tolerances, dict), "tolerances: expected an object")
-    for key in tolerances:
+    raw_tolerances = raw.get("tolerances", {})
+    _require(isinstance(raw_tolerances, dict), "tolerances: expected an object")
+    tolerances = {}
+    for key, value in raw_tolerances.items():
         _require(key in DEFAULT_TOLERANCES, f"tolerances: unknown key {key!r}")
+        where = f"tolerances.{key}"
+        if isinstance(DEFAULT_TOLERANCES[key], list):
+            _require(isinstance(value, list) and len(value) == 2, f"{where}: expected a [low, high] pair")
+            tolerances[key] = [_number(v, where) for v in value]
+        else:
+            tolerances[key] = _number(value, where)
 
     return ScenarioConfig(
         name=str(raw.get("name", "scenario")),
@@ -185,7 +203,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         tau_end=tau_end,
         integrator=integrator,
         h=h,
-        seed=int(raw.get("seed", 0)),
+        seed=_number(raw.get("seed", 0), "seed", int),
         out_dir=str(raw.get("out_dir", "out")),
         tolerances=tolerances,
         maxwell=raw.get("maxwell", {}),

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .core import SUBLUMINAL_EPS, ModelKind, PhasePoint, checked_w, guarded_root
-from .errors import SubluminalViolation, SuperluminalInit, TooShort
+from .errors import NonNegativeField, SubluminalViolation, SuperluminalInit, TooShort
 from .fields import VacuumField, as_vec3
 
 
@@ -87,6 +87,22 @@ def m2_xidot(r, rdot, fld: VacuumField, tau_time: float = 0.0) -> np.ndarray:
 # -- Lagrangian side ----------------------------------------------------------
 
 
+def _velocity_terms(model: ModelKind, r, rdot, fld: VacuumField, tau_time: float, xidot):
+    """(W, s, eta, A) of a vacuum model at (r, rdot), with s = sqrt(1 + |eta|^2).
+
+    L = -W s and dL/drdot = -W eta / s, plus q<A, rdot> and qA for M3 (A is
+    None for M1/M2).  M2's eta = rdot - xidot, with xidot = u_eff * s by default.
+    """
+    w = checked_w(fld, r, tau_time)
+    if model is ModelKind.M2 and xidot is None:
+        u_eff = _mover_velocity(fld.q_test, fld.a(r, tau_time), w)
+        s = _relative_rate(rdot, u_eff)
+        return w, s, rdot - u_eff * s, None
+    eta = rdot - as_vec3(xidot) if model is ModelKind.M2 else rdot
+    a = fld.a(r, tau_time) if model is ModelKind.M3 else None
+    return w, math.sqrt(1.0 + float(eta @ eta)), eta, a
+
+
 def lagrangian(
     model: ModelKind,
     r,
@@ -113,19 +129,8 @@ def lagrangian(
         if u2 >= 1.0:
             raise SuperluminalInit(f"M0 lagrangian needs |u| < 1, got |u|^2 = {u2}")
         return -m0 * math.sqrt(1.0 - u2)
-    w = checked_w(fld, r, tau_time)
-    if model is ModelKind.M1:
-        return -w * math.sqrt(1.0 + float(rdot @ rdot))
-    if model is ModelKind.M3:
-        a = fld.a(r, tau_time)
-        return -w * math.sqrt(1.0 + float(rdot @ rdot)) + fld.q_test * float(a @ rdot)
-    # M2
-    if xidot is not None:
-        eta = rdot - as_vec3(xidot)
-        return -w * math.sqrt(1.0 + float(eta @ eta))
-    a = fld.a(r, tau_time)
-    u_eff = _mover_velocity(fld.q_test, a, w)
-    return -w * _relative_rate(rdot, u_eff)
+    w, s, _eta, a = _velocity_terms(model, r, rdot, fld, tau_time, xidot)
+    return -w * s if a is None else -w * s + fld.q_test * float(a @ rdot)
 
 
 def legendre_momentum(
@@ -152,20 +157,8 @@ def legendre_momentum(
         if u2 >= 1.0:
             raise SuperluminalInit(f"M0 momentum needs |u| < 1, got |u|^2 = {u2}")
         return m0 * rdot / math.sqrt(1.0 - u2)
-    w = checked_w(fld, r, tau_time)
-    if model is ModelKind.M1:
-        return -w * rdot / math.sqrt(1.0 + float(rdot @ rdot))
-    if model is ModelKind.M3:
-        s = math.sqrt(1.0 + float(rdot @ rdot))
-        return -w * rdot / s + fld.q_test * fld.a(r, tau_time)
-    # M2: P = -W (rdot - xidot) / s with xidot = u_eff * s
-    if xidot is not None:
-        eta = rdot - as_vec3(xidot)
-        return -w * eta / math.sqrt(1.0 + float(eta @ eta))
-    a = fld.a(r, tau_time)
-    u_eff = _mover_velocity(fld.q_test, a, w)
-    s = _relative_rate(rdot, u_eff)
-    return -w * (rdot - u_eff * s) / s
+    w, s, eta, a = _velocity_terms(model, r, rdot, fld, tau_time, xidot)
+    return -w * eta / s if a is None else -w * eta / s + fld.q_test * a
 
 
 # -- Hamiltonian side ---------------------------------------------------------
@@ -334,33 +327,54 @@ def _sample_rdots(taus: np.ndarray, rs: np.ndarray) -> np.ndarray:
     return rd
 
 
-def _lagrangian_samples(
-    model: ModelKind,
-    taus: np.ndarray,
-    ts: np.ndarray,
-    rs: np.ndarray,
-    rdots: np.ndarray,
-    fld: VacuumField,
-    rest_mass: float | None,
-) -> np.ndarray:
+def _lagrangian_samples(model: ModelKind, traj, fld: VacuumField, rest_mass: float | None,
+                        rows=slice(None), derivatives: bool = False):
+    """L at the samples rows of traj, or with derivatives=True the rows (dL/drdot, dL/dr).
+
+    Velocities come from _sample_rdots; one batched field evaluation serves
+    all rows.  For M2 the derivatives hold the mover velocity xidot = u_eff * s
+    fixed (external data).
+    """
+    rs = np.asarray(traj.r)
+    rdots = _sample_rdots(np.asarray(traj.tau), rs)[rows]
+    rs, ts = rs[rows], np.asarray(traj.t)[rows]
     rd2 = np.einsum("ij,ij->i", rdots, rdots)
     if model is ModelKind.M0:
         m0 = _require_rest_mass(rest_mass)
         if np.any(rd2 >= 1.0):
             raise SuperluminalInit("M0 sample velocity reached |u| >= 1")
-        return -m0 * np.sqrt(1.0 - rd2)
-    ws = np.array([fld.w(rs[i], ts[i]) for i in range(len(ts))])
-    if model is ModelKind.M1:
-        return -ws * np.sqrt(1.0 + rd2)
-    avs = np.array([fld.a(rs[i], ts[i]) for i in range(len(ts))])
+        root = np.sqrt(1.0 - rd2)
+        if derivatives:
+            return m0 * rdots / root[:, None], np.zeros_like(rdots)
+        return -m0 * root
+    parts = "wg" if derivatives else "w"
+    if model is not ModelKind.M1:
+        parts += "aj" if derivatives and model is ModelKind.M3 else "a"
+    f = dict(zip(parts, fld._eval(rs, ts, parts)))
+    w = f["w"]
+    if np.any(w >= 0.0):
+        raise NonNegativeField(f"W(r,t) = {np.max(w):g} >= 0 at a sample")
+    q = fld.q_test
+    eta = rdots
+    if model is ModelKind.M2:
+        u_eff = q * f["a"] / w[:, None]
+        uf2 = np.einsum("ij,ij->i", u_eff, u_eff)
+        if np.any(uf2 >= 1.0):
+            raise SubluminalViolation(f"effective mover speed |qA/W| = {np.sqrt(np.max(uf2))} >= 1")
+        bb = np.einsum("ij,ij->i", rdots, u_eff)
+        s = (-bb + np.sqrt(bb * bb + (1.0 - uf2) * (1.0 + rd2))) / (1.0 - uf2)
+        eta = rdots - u_eff * s[:, None]
+    else:
+        s = np.sqrt(1.0 + rd2)
+    if not derivatives:
+        lag = -w * s
+        return lag + q * np.einsum("ij,ij->i", f["a"], rdots) if model is ModelKind.M3 else lag
+    pi = -w[:, None] * eta / s[:, None]
+    dldr = -f["g"] * s[:, None]
     if model is ModelKind.M3:
-        return -ws * np.sqrt(1.0 + rd2) + fld.q_test * np.einsum("ij,ij->i", avs, rdots)
-    # M2
-    u_eff = fld.q_test * avs / ws[:, None]
-    uf2 = np.einsum("ij,ij->i", u_eff, u_eff)
-    bb = np.einsum("ij,ij->i", rdots, u_eff)
-    s = (-bb + np.sqrt(bb * bb + (1.0 - uf2) * (1.0 + rd2))) / (1.0 - uf2)
-    return -ws * s
+        pi += q * f["a"]
+        dldr += q * np.einsum("nji,nj->ni", f["j"], rdots)
+    return pi, dldr
 
 
 def action(model: ModelKind, traj, fld: VacuumField, *, rest_mass: float | None = None) -> float:
@@ -372,11 +386,7 @@ def action(model: ModelKind, traj, fld: VacuumField, *, rest_mass: float | None 
     taus = np.asarray(traj.tau)
     if taus.size < 2:
         raise TooShort(f"action needs at least 2 samples, got {taus.size}")
-    ts = np.asarray(traj.t)
-    rs = np.asarray(traj.r)
-    rdots = _sample_rdots(taus, rs)
-    lvals = _lagrangian_samples(model, taus, ts, rs, rdots, fld, rest_mass)
-    return float(np.trapezoid(lvals, taus))
+    return float(np.trapezoid(_lagrangian_samples(model, traj, fld, rest_mass), taus))
 
 
 def euler_lagrange_residual(
@@ -391,37 +401,8 @@ def euler_lagrange_residual(
     n = taus.size
     if n < 5:
         raise TooShort(f"euler_lagrange_residual needs at least 5 samples, got {n}")
-    ts = np.asarray(traj.t)
-    rs = np.asarray(traj.r)
-    rdots = _sample_rdots(taus, rs)
-
-    # momenta at samples 1..n-2 (centered velocities available there)
-    pis = np.empty((n, 3))
-    for i in range(1, n - 1):
-        pis[i] = legendre_momentum(model, rs[i], rdots[i], fld, ts[i], rest_mass=rest_mass)
-
-    worst = 0.0
-    for i in range(2, n - 2):
-        dpi = (pis[i + 1] - pis[i - 1]) / (taus[i + 1] - taus[i - 1])
-        dldr = _grad_l_r(model, rs[i], rdots[i], fld, ts[i])
-        worst = max(worst, float(np.max(np.abs(dpi - dldr))))
-    return worst
-
-
-def _grad_l_r(
-    model: ModelKind, r: np.ndarray, rdot: np.ndarray, fld: VacuumField, t: float
-) -> np.ndarray:
-    if model is ModelKind.M0:
-        return np.zeros(3)
-    w = fld.w(r, t)
-    gw = fld.grad_w(r, t)
-    if model is ModelKind.M1:
-        return -gw * math.sqrt(1.0 + float(rdot @ rdot))
-    if model is ModelKind.M3:
-        s = math.sqrt(1.0 + float(rdot @ rdot))
-        return -gw * s + fld.q_test * (fld.a_jac(r, t).T @ rdot)
-    # M2 with xidot held fixed
-    a = fld.a(r, t)
-    u_eff = _mover_velocity(fld.q_test, a, w)
-    s = _relative_rate(rdot, u_eff)
-    return -gw * s
+    # momenta at samples 1..n-2 (centered velocities available there), the
+    # defect at samples 2..n-3
+    pis, dldr = _lagrangian_samples(model, traj, fld, rest_mass, slice(1, n - 1), derivatives=True)
+    dpi = (pis[2:] - pis[:-2]) / (taus[3:-1] - taus[1:-3])[:, None]
+    return float(np.max(np.abs(dpi - dldr[1:-1]), initial=0.0))

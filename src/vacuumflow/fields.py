@@ -8,12 +8,14 @@ not attributable to any mover); optional static uniform terms a_uniform and
 uniform magnetic field.  E and B are assembled from the analytic gradient,
 time derivative and Jacobian of the potentials.
 
-The batched evaluators (w, grad_w, coulomb, a, a_dot) broadcast over leading
-axes of r (shape (..., 3)); a_jac and e_b take a single probe.  point_state is
-the fused single-probe kernel of the integrator hot path: it works on plain
-floats and returns W, grad W, A, dA/dt and the Jacobian of A in one pass over
-the sources.  All evaluators are pure; VacuumField instances are immutable
-after construction.
+Two kernels evaluate the potentials.  point_state is the fused single-probe
+kernel of the integrator hot path: it works on plain floats and returns W,
+grad W, A, dA/dt and the Jacobian of A in one pass over the sources.  _eval is
+the batched kernel over probes r of shape (..., 3) with a scalar time or one
+time per probe; it computes only the parts asked for, and each row is
+bit-identical to point_state.  w, grad_w, coulomb, a, a_dot, a_jac and e_b are
+selections over _eval and broadcast over leading axes of r.  All evaluators
+are pure; VacuumField instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ def as_vec3(x) -> np.ndarray:
     return v
 
 
-def _skew_half(b: np.ndarray) -> np.ndarray:
-    # Jacobian of 0.5 * b x r
-    bx, by, bz = b
-    return 0.5 * np.array([[0.0, -bz, by], [bz, 0.0, -bx], [-by, bx, 0.0]])
-
-
 @dataclass(frozen=True)
 class FieldSource:
     """One softened Coulomb source on a straight-line orbit R(t) = r0 + uf*t."""
@@ -58,9 +54,6 @@ class FieldSource:
             raise ConfigError(f"source softening eps must be > 0, got {self.eps}")
         if float(np.linalg.norm(self.uf)) >= 1.0:
             raise ConfigError(f"source speed |uf| must be < 1, got {np.linalg.norm(self.uf)}")
-
-    def position(self, t: float) -> np.ndarray:
-        return self.r0 + self.uf * t
 
 
 @dataclass(frozen=True)
@@ -82,91 +75,123 @@ class VacuumField:
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "a_uniform", as_vec3(self.a_uniform))
         object.__setattr__(self, "b_uniform", as_vec3(self.b_uniform))
-        object.__setattr__(self, "_b_jac", _skew_half(self.b_uniform))
         object.__setattr__(self, "_has_b", bool(np.any(self.b_uniform != 0.0)))
-        # plain-float copies for point_state; a source with uf = 0 is static
+        # plain-float copies for the kernels; a source with uf = 0 is static
         object.__setattr__(self, "_src", tuple(
             (*s.r0.tolist(), *s.uf.tolist(), float(s.qs / FOUR_PI), float(s.eps * s.eps),
              bool(np.any(s.uf != 0.0)))
             for s in self.sources
         ))
+        hx, hy, hz = (0.5 * self.b_uniform).tolist()
         object.__setattr__(self, "_a0", tuple(self.a_uniform.tolist()))
-        object.__setattr__(self, "_hb", tuple((0.5 * self.b_uniform).tolist()))
-        object.__setattr__(self, "_jac0", tuple(map(tuple, self._b_jac.tolist())))
+        object.__setattr__(self, "_hb", (hx, hy, hz))
+        # Jacobian of 0.5 * b x r
+        object.__setattr__(self, "_jac0", ((0.0, -hz, hy), (hz, 0.0, -hx), (-hy, hx, 0.0)))
 
-    # -- scalar potential -------------------------------------------------
+    # -- batched evaluator --------------------------------------------------
+
+    def _eval(self, r, t, parts: str):
+        """The potentials at probes r (..., 3) and times t (scalar or r.shape[:-1]).
+
+        parts picks the results, in order: "w" W, "g" grad W, "a" A, "d" dA/dt,
+        "j" the Jacobian dA_i/dr_j; w has shape r.shape[:-1], the vectors
+        (..., 3) and the Jacobian (..., 3, 3).  Each row follows point_state's
+        arithmetic on coordinate columns in the same order, so it is
+        bit-identical to point_state; sources are accumulated one at a time,
+        so no (..., n_sources) temporaries are made.  A single probe at a
+        single time goes through point_state itself, which is faster there.
+        Asking for A or its derivatives with q_test = 0 raises ZeroTestCharge.
+        """
+        if self.q_test == 0.0 and any(c in parts for c in "adj"):
+            raise ZeroTestCharge("vector potential requested with q_test = 0")
+        r = np.asarray(r, dtype=float)
+        t = np.asarray(t, dtype=float)
+        if r.shape == (3,) and t.ndim == 0:
+            state = dict(zip("wgadj", self.point_state(*r.tolist(), float(t))))
+            return [np.array(state[c]) for c in parts]
+        x, y, z = r[..., 0], r[..., 1], r[..., 2]
+        shape = r.shape[:-1]
+        q = self.q_test
+        # accumulators start where point_state's do; None for parts not asked for
+        w = np.full(shape, self.w_inf) if "w" in parts else None
+        g = [np.zeros(shape) for _ in "xyz"] if "g" in parts else None
+        a = [np.full(shape, v) for v in self._a0] if "a" in parts else None
+        if a is not None and self._has_b:
+            hx, hy, hz = self._hb
+            for ai, term in zip(a, (hy * z - hz * y, hz * x - hx * z, hx * y - hy * x)):
+                ai += term
+        adot = [np.zeros(shape) for _ in "xyz"] if "d" in parts else None
+        jac = [[np.full(shape, v) for v in row] for row in self._jac0] if "j" in parts else None
+        vector_parts = a is not None or adot is not None or jac is not None
+        for x0, y0, z0, ux, uy, uz, k, eps2, is_moving in self._src:
+            if is_moving:
+                d = (x - x0 - ux * t, y - y0 - uy * t, z - z0 - uz * t)
+            else:
+                d = (x - x0, y - y0, z - z0)
+            s2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2
+            root = np.sqrt(s2)
+            if w is not None:
+                w += q * k / root
+            needs_vector = is_moving and vector_parts
+            if g is None and not needs_vector:
+                continue
+            inv3 = k / (s2 * root)
+            if g is not None:
+                c = q * inv3
+                for gi, di in zip(g, d):
+                    gi -= c * di
+            if not needs_vector:
+                continue
+            u = (ux, uy, uz)
+            if a is not None:
+                kr = k / root
+                for ai, ui in zip(a, u):
+                    ai += kr * ui
+            if adot is not None:
+                p = inv3 * (d[0] * ux + d[1] * uy + d[2] * uz)
+                for adi, ui in zip(adot, u):
+                    adi += p * ui
+            if jac is not None:
+                for row, ui in zip(jac, u):
+                    for jij, dj in zip(row, d):
+                        jij -= ui * (inv3 * dj)
+        vectors = {"g": g, "a": a, "d": adot}
+        return [w if c == "w"
+                else np.stack([np.stack(row, axis=-1) for row in jac], axis=-2) if c == "j"
+                else np.stack(vectors[c], axis=-1) for c in parts]
+
+    # -- selections ----------------------------------------------------------
 
     def w(self, r, t: float):
         """W(r,t); broadcasts over leading axes of r."""
-        r = np.asarray(r, dtype=float)
-        out = np.full(r.shape[:-1], self.w_inf)
-        for s in self.sources:
-            d = r - s.position(t)
-            s2 = np.einsum("...i,...i->...", d, d) + s.eps * s.eps
-            out = out + (self.q_test * s.qs / FOUR_PI) / np.sqrt(s2)
+        out = self._eval(r, t, "w")[0]
         return out if out.shape else float(out)
 
     def grad_w(self, r, t: float):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
-        for s in self.sources:
-            d = r - s.position(t)
-            s2 = np.einsum("...i,...i->...", d, d) + s.eps * s.eps
-            out = out + (-self.q_test * s.qs / FOUR_PI) * d / (s2 * np.sqrt(s2))[..., None]
-        return out
+        return self._eval(r, t, "g")[0]
 
     def coulomb(self, r, t: float):
         """Interaction part q*phi = W - w_inf (the additive potential energy)."""
         return self.w(r, t) - self.w_inf
 
-    # -- vector potential --------------------------------------------------
-
-    def _require_charge(self):
-        if self.q_test == 0.0:
-            raise ZeroTestCharge("vector potential requested with q_test = 0")
-
     def a(self, r, t: float):
         """A(r,t) = sum_i (W_i/q_test) uf_i + a_uniform + 0.5 b_uniform x r."""
-        self._require_charge()
-        r = np.asarray(r, dtype=float)
-        out = np.broadcast_to(self.a_uniform, r.shape).copy()
-        out += 0.5 * np.cross(self.b_uniform, r)
-        for s in self.sources:
-            d = r - s.position(t)
-            s2 = np.einsum("...i,...i->...", d, d) + s.eps * s.eps
-            out += ((s.qs / FOUR_PI) / np.sqrt(s2))[..., None] * s.uf
-        return out
+        return self._eval(r, t, "a")[0]
 
     def a_dot(self, r, t: float):
         """Partial time derivative of A (rigid source motion, static uniform terms)."""
-        self._require_charge()
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
-        for s in self.sources:
-            d = r - s.position(t)
-            s2 = np.einsum("...i,...i->...", d, d) + s.eps * s.eps
-            proj = np.einsum("...i,i->...", d, s.uf)
-            out += ((s.qs / FOUR_PI) * proj / (s2 * np.sqrt(s2)))[..., None] * s.uf
-        return out
+        return self._eval(r, t, "d")[0]
 
     def a_jac(self, r, t: float) -> np.ndarray:
-        """Jacobian J[i, j] = dA_i/dr_j at a single probe point."""
-        self._require_charge()
-        r = as_vec3(r)
-        out = self._b_jac.copy()
-        for s in self.sources:
-            d = r - s.position(t)
-            s2 = float(d @ d) + s.eps * s.eps
-            out += np.outer(s.uf, (-s.qs / FOUR_PI) * d / (s2 * np.sqrt(s2)))
-        return out
+        """Jacobian J[..., i, j] = dA_i/dr_j."""
+        return self._eval(r, t, "j")[0]
 
     def e_b(self, r, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Assembled fields E = -grad(W)/q_test - dA/dt, B = curl A (single probe)."""
-        self._require_charge()
-        r = as_vec3(r)
-        e = -self.grad_w(r, t) / self.q_test - self.a_dot(r, t)
-        j = self.a_jac(r, t)
-        b = np.array([j[2, 1] - j[1, 2], j[0, 2] - j[2, 0], j[1, 0] - j[0, 1]])
+        """Assembled fields E = -grad(W)/q_test - dA/dt, B = curl A."""
+        gw, adot, j = self._eval(r, t, "gdj")
+        e = -gw / self.q_test - adot
+        b = np.stack([j[..., 2, 1] - j[..., 1, 2], j[..., 0, 2] - j[..., 2, 0],
+                      j[..., 1, 0] - j[..., 0, 1]], axis=-1)
         return e, b
 
     def point_state(self, x: float, y: float, z: float, t: float):
@@ -249,22 +274,3 @@ class VacuumField:
 
     def stable_hash(self) -> str:
         return hashlib.sha1(repr(self.describe()).encode()).hexdigest()[:12]
-
-
-# Free-function operation names ----------------------------------------------
-
-
-def eval_w(fld: VacuumField, r, t: float):
-    return fld.w(r, t)
-
-
-def grad_w(fld: VacuumField, r, t: float):
-    return fld.grad_w(r, t)
-
-
-def eval_a(fld: VacuumField, r, t: float):
-    return fld.a(r, t)
-
-
-def eval_eb(fld: VacuumField, r, t: float):
-    return fld.e_b(r, t)

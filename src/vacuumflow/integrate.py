@@ -198,42 +198,51 @@ def step(
 # -- full runs -----------------------------------------------------------------
 
 
-def _sample_row(model, y, fld, rest_mass):
-    """(energy, w, u_lab) at one sample, sharing a single field evaluation."""
-    x, yy, z, px, py, pz, t = y
-    w, _gw, (ax, ay, az), _adot, _jac = fld.point_state(x, yy, z, t)
+def _record_columns(model, fld, state, rest_mass):
+    """(energy, w, u_lab, guard) at every sample from one batched field evaluation.
+
+    The per-model formulas keep the operation order of a per-sample evaluation
+    on point_state, so every value is bit-identical to it; guard is the square
+    root's argument W^2 - |k|^2 (k = mom for M1/M2, P - qA for M3; None for M0).
+    """
+    px, py, pz, t = state[:, 3], state[:, 4], state[:, 5], state[:, 6]
     q = fld.q_test
+    if model in (ModelKind.M2, ModelKind.M3):
+        w, a = fld._eval(state[:, 0:3], t, "wa")
+        ax, ay, az = a.T
+    else:
+        (w,) = fld._eval(state[:, 0:3], t, "w")
     p2 = px * px + py * py + pz * pz
     if model is ModelKind.M0:
-        ekin = math.sqrt(rest_mass * rest_mass + p2)
-        return ekin + (w - fld.w_inf), w, (px / ekin, py / ekin, pz / ekin)
-    if model is ModelKind.M1:
-        g = math.sqrt(w * w - p2)
-        return g, w, (px / -w, py / -w, pz / -w)
+        ekin = np.sqrt(rest_mass * rest_mass + p2)
+        return ekin + (w - fld.w_inf), w, np.stack([px / ekin, py / ekin, pz / ekin], axis=1), None
     if model is ModelKind.M3:
         kx, ky, kz = px - q * ax, py - q * ay, pz - q * az
-        g = math.sqrt(w * w - (kx * kx + ky * ky + kz * kz))
-        return g, w, (kx / -w, ky / -w, kz / -w)
-    # M2
-    g = math.sqrt(w * w - p2)
+        guard = w * w - (kx * kx + ky * ky + kz * kz)
+    else:
+        kx, ky, kz = px, py, pz
+        guard = w * w - p2
+    g = np.sqrt(guard)
+    if model is not ModelKind.M2:
+        return g, w, np.stack([kx / -w, ky / -w, kz / -w], axis=1), guard
     ap = ax * px + ay * py + az * pz
     kappa = 1.0 - q * ap / (g * g)
-    rate = math.sqrt(1.0 + p2 * kappa * kappa / (g * g))
-    grate = g * rate
-    u = ((kappa * px - q * ax) / grate, (kappa * py - q * ay) / grate, (kappa * pz - q * az) / grate)
-    return g + q * ap / g, w, u
+    grate = g * np.sqrt(1.0 + p2 * kappa * kappa / (g * g))
+    u = [(kappa * pi - q * ai) / grate for pi, ai in ((px, ax), (py, ay), (pz, az))]
+    return g + q * ap / g, w, np.stack(u, axis=1), guard
 
 
 def _build_record(model, integ, h, fld, taus, state, rest_mass, stats, termination=None):
-    """Record from the (n, 7) stepped states; M0 samples take tau as their lab clock."""
+    """Record from the (n, 7) stepped states; M0 samples take tau as their lab clock.
+
+    stats gains guard_min, the smallest guard W^2 - |k|^2 over the samples
+    (not for M0, which has no such guard).
+    """
     if model is ModelKind.M0:
         state[:, 6] = taus  # lab clock is the independent variable
-    n = len(taus)
-    energy = np.empty(n)
-    wvals = np.empty(n)
-    u_lab = np.empty((n, 3))
-    for i in range(n):
-        energy[i], wvals[i], u_lab[i] = _sample_row(model, state[i].tolist(), fld, rest_mass)
+    energy, wvals, u_lab, guard = _record_columns(model, fld, state, rest_mass)
+    if guard is not None:
+        stats["guard_min"] = float(np.min(guard))
     meta = {
         "model": model.value,
         "integrator": integrator_name(integ),

@@ -142,10 +142,8 @@ def nonuniform_a_deviation() -> dict:
     # crude kinematic lower-bound estimate: double time integral of the
     # force-gap magnitude along the M3 trajectory, scaled by the heavy mass
     q = sc.field.q_test
-    gap = np.empty(len(m3))
-    for i in range(len(m3)):
-        jac = sc.field.a_jac(m3.r[i], m3.t[i])
-        gap[i] = np.linalg.norm(q * (jac.T @ m3.u_lab[i]))
+    jac = sc.field.a_jac(m3.r, m3.t)
+    gap = np.linalg.norm(q * np.einsum("nji,nj->ni", jac, m3.u_lab), axis=1)
     mass = float(np.max(-m3.w))
     dp = np.concatenate([[0.0], np.cumsum(0.5 * (gap[1:] + gap[:-1]) * np.diff(m3.t))])
     dr = np.concatenate([[0.0], np.cumsum(0.5 * (dp[1:] + dp[:-1]) * np.diff(m3.t))]) / mass

@@ -49,6 +49,28 @@ def test_malformed_config_exit_2(tmp_path, capsys):
     assert "u0" in err and "< 1" in err
 
 
+_SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("r0", {"r0": [float("nan"), 0.0, 0.0]}),
+    ("particle.u0", {"particle": {"q": 1.0, "u0": [float("inf"), 0.0, 0.0]}}),
+    ("field.sources[0].uf", {"field": {"w_inf": -1.0, "sources": [{**_SOURCE, "uf": [0.0, float("nan"), 0.0]}]}}),
+    ("field.a_uniform", {"field": {"w_inf": -1.0, "a_uniform": [0.0, 0.0, float("-inf")]}}),
+    ("field.b_uniform", {"field": {"w_inf": -1.0, "b_uniform": [float("nan"), 0.0, 0.0]}}),
+    ("tau_end", {"tau_end": "abc"}),
+    ("integrator.tol", {"integrator": {"kind": "implicit_midpoint", "tol": "tight"}}),
+    ("tolerances.energy_drift", {"tolerances": {"energy_drift": "tight"}}),
+    ("field.sources[0].qs", {"field": {"w_inf": -1.0, "sources": [{"r0": [1.0, 1.0, 0.0], "eps": 0.1}]}}),
+])
+def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
+    """Non-finite vectors, non-numeric scalars and a missing qs end in exit 2, not a traceback."""
+    cfg = _free_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 def test_missing_config_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from vacuumflow.errors import ConfigError, ZeroTestCharge
-from vacuumflow.fields import FieldSource, VacuumField, eval_a, eval_eb, eval_w, grad_w
+from vacuumflow.fields import FieldSource, VacuumField
 
 FOUR_PI = 4.0 * np.pi
 
@@ -27,7 +27,7 @@ def fd4_jac(f, r, t, step=1e-3):
 
 
 def test_eval_w_baseline_only(uniform_field):
-    assert eval_w(uniform_field, (0.3, -1.0, 2.0), 1.7) == -1.0
+    assert uniform_field.w((0.3, -1.0, 2.0), 1.7) == -1.0
 
 
 def test_eval_w_single_source_closed_form():
@@ -37,10 +37,10 @@ def test_eval_w_single_source_closed_form():
         q_test=1.0,
     )
     expected = -1.0 + 1.0 / (FOUR_PI * np.sqrt(1.0 + 1e-4))
-    npt.assert_allclose(eval_w(fld, (1.0, 0, 0), 0.0), expected, rtol=1e-15)
+    npt.assert_allclose(fld.w((1.0, 0, 0), 0.0), expected, rtol=1e-15)
     # monotone falloff toward the baseline
-    w1 = eval_w(fld, (1.0, 0, 0), 0.0)
-    w2 = eval_w(fld, (2.0, 0, 0), 0.0)
+    w1 = fld.w((1.0, 0, 0), 0.0)
+    w2 = fld.w((2.0, 0, 0), 0.0)
     assert -1.0 < w2 < w1
 
 
@@ -88,21 +88,21 @@ def test_grad_w_matches_central_difference(moving_field, rng):
     for _ in range(30):
         r = rng.uniform(-1.2, 1.2, 3)
         t = rng.uniform(0, 2)
-        g = grad_w(moving_field, r, t)
+        g = moving_field.grad_w(r, t)
         fd = np.empty(3)
         for i in range(3):
             e = np.zeros(3)
             e[i] = step
-            fd[i] = (eval_w(moving_field, r + e, t) - eval_w(moving_field, r - e, t)) / (2 * step)
+            fd[i] = (moving_field.w(r + e, t) - moving_field.w(r - e, t)) / (2 * step)
         npt.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
 
 
 def test_grad_w_radial_and_zero(uniform_field):
-    npt.assert_array_equal(grad_w(uniform_field, (1.0, 2.0, 3.0), 0.0), np.zeros(3))
+    npt.assert_array_equal(uniform_field.grad_w((1.0, 2.0, 3.0), 0.0), np.zeros(3))
     fld = VacuumField(
         w_inf=-1.0, sources=(FieldSource(qs=1.0, r0=(0, 0, 0), uf=(0, 0, 0)),), q_test=1.0
     )
-    g = grad_w(fld, (2.0, 0, 0), 0.0)
+    g = fld.grad_w((2.0, 0, 0), 0.0)
     assert abs(g[1]) < 1e-15 and abs(g[2]) < 1e-15 and g[0] != 0.0
 
 
@@ -111,7 +111,7 @@ def test_eval_a_structure():
     static = VacuumField(
         w_inf=-1.0, sources=(FieldSource(qs=1.0, r0=(0, 0, 0), uf=(0, 0, 0)),), q_test=1.0
     )
-    npt.assert_array_equal(eval_a(static, (1.0, 0, 0), 0.0), np.zeros(3))
+    npt.assert_array_equal(static.a((1.0, 0, 0), 0.0), np.zeros(3))
     # single mover: A parallel to uf with |A| = W_1 |uf| / q_test
     uf = np.array([0.5, 0.0, 0.0])
     fld = VacuumField(
@@ -119,7 +119,7 @@ def test_eval_a_structure():
     )
     r = np.array([0.0, 1.0, 0.0])
     w1 = fld.w(r, 0.0) - fld.w_inf
-    a = eval_a(fld, r, 0.0)
+    a = fld.a(r, 0.0)
     npt.assert_allclose(a, w1 * uf, rtol=1e-14)
     npt.assert_allclose(a[0], 0.0397873, rtol=2e-5)  # W_1 ~ 1/(4 pi), halved
 
@@ -127,16 +127,16 @@ def test_eval_a_structure():
 def test_zero_test_charge_rejected():
     fld = VacuumField(w_inf=-1.0, q_test=0.0)
     with pytest.raises(ZeroTestCharge):
-        eval_a(fld, (1, 0, 0), 0.0)
+        fld.a((1, 0, 0), 0.0)
     with pytest.raises(ZeroTestCharge):
-        eval_eb(fld, (1, 0, 0), 0.0)
+        fld.e_b((1, 0, 0), 0.0)
 
 
 def test_eval_eb_static_source_pure_e():
     fld = VacuumField(
         w_inf=-1.0, sources=(FieldSource(qs=1.0, r0=(0, 0, 0), uf=(0, 0, 0)),), q_test=1.0
     )
-    e, b = eval_eb(fld, (1.5, 0, 0), 0.0)
+    e, b = fld.e_b((1.5, 0, 0), 0.0)
     npt.assert_array_equal(b, np.zeros(3))
     assert e[0] != 0.0 and abs(e[1]) < 1e-15 and abs(e[2]) < 1e-15
 
@@ -148,24 +148,24 @@ def test_b_orthogonal_to_mover(rng):
     )
     for _ in range(20):
         r = rng.uniform(-1, 1, 3)
-        _e, b = eval_eb(fld, r, rng.uniform(0, 1))
+        _e, b = fld.e_b(r, rng.uniform(0, 1))
         assert abs(float(b @ uf)) < 1e-14
 
 
 def test_eval_eb_matches_fd_oracle(moving_field, rng):
-    """E and B from the 4th-order stencil oracle applied to eval_w / eval_a."""
+    """E and B from the 4th-order stencil oracle applied to w / a."""
     for _ in range(25):
         r = rng.uniform(-1.2, 1.2, 3)
         t = rng.uniform(0, 2)
-        e, b = eval_eb(moving_field, r, t)
-        gw = fd4_grad(lambda rr, tt: eval_w(moving_field, rr, tt), r, t)
-        jac = fd4_jac(lambda rr, tt: eval_a(moving_field, rr, tt), r, t)
+        e, b = moving_field.e_b(r, t)
+        gw = fd4_grad(lambda rr, tt: moving_field.w(rr, tt), r, t)
+        jac = fd4_jac(lambda rr, tt: moving_field.a(rr, tt), r, t)
         st = 1e-3
         adot = (
-            -eval_a(moving_field, r, t + 2 * st)
-            + 8 * eval_a(moving_field, r, t + st)
-            - 8 * eval_a(moving_field, r, t - st)
-            + eval_a(moving_field, r, t - 2 * st)
+            -moving_field.a(r, t + 2 * st)
+            + 8 * moving_field.a(r, t + st)
+            - 8 * moving_field.a(r, t - st)
+            + moving_field.a(r, t - 2 * st)
         ) / (12 * st)
         e_fd = -gw / moving_field.q_test - adot
         b_fd = np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])
@@ -176,9 +176,9 @@ def test_eval_eb_matches_fd_oracle(moving_field, rng):
 def test_uniform_b_jacobian():
     b0 = np.array([0.0, 0.0, 2.0])
     fld = VacuumField(w_inf=-1.0, b_uniform=b0)
-    _e, b = eval_eb(fld, (0.7, -0.3, 0.2), 0.0)
+    _e, b = fld.e_b((0.7, -0.3, 0.2), 0.0)
     npt.assert_allclose(b, b0, atol=1e-15)
-    npt.assert_allclose(eval_a(fld, (1.0, 0, 0), 0.0), 0.5 * np.cross(b0, [1.0, 0, 0]), atol=1e-15)
+    npt.assert_allclose(fld.a((1.0, 0, 0), 0.0), 0.5 * np.cross(b0, [1.0, 0, 0]), atol=1e-15)
 
 
 def test_broadcast_evaluation(moving_field):

@@ -211,16 +211,27 @@ def test_run_stats_counters(static_source_field):
     """meta["stats"] counts the work of each run, identically on a rerun."""
     sc = standard_flyby()
 
-    def run(integ, h):
-        return simulate(ModelKind.M1, sc.particle, static_source_field, sc.r0, 1.0, integ, h).meta
+    def run(integ, h, model=ModelKind.M1):
+        return simulate(model, sc.particle, static_source_field, sc.r0, 1.0, integ, h)
 
-    mid = run(ImplicitMidpoint(), 1e-2)
+    def guard_min(rec):
+        # the smallest W^2 - |mom|^2 over the samples (k = mom: M1, no A)
+        m = rec.mom
+        return float(np.min(rec.w * rec.w - (m[:, 0] * m[:, 0] + m[:, 1] * m[:, 1] + m[:, 2] * m[:, 2])))
+
+    rec = run(ImplicitMidpoint(), 1e-2)
+    mid = rec.meta
     steps = 100
     stats = mid["stats"]
     # one predictor evaluation plus one per fixed-point iteration
     assert stats["rhs_evals"] == steps + round(steps * stats["fp_iter_mean"])
     assert 1 <= stats["fp_iter_mean"] <= stats["fp_iter_max"] <= ImplicitMidpoint().max_iter
-    assert run(ImplicitMidpoint(), 1e-2) == mid
-    assert run(RK4(), 1e-2)["stats"] == {"rhs_evals": 4 * steps}
-    rk45 = run(RK45(), 1e-2)["stats"]
-    assert set(rk45) == {"nfev"} and rk45["nfev"] > 0
+    assert stats["guard_min"] == guard_min(rec) > 0.0
+    assert run(ImplicitMidpoint(), 1e-2).meta == mid
+    rk4 = run(RK4(), 1e-2)
+    assert rk4.meta["stats"] == {"rhs_evals": 4 * steps, "guard_min": guard_min(rk4)}
+    rk45 = run(RK45(), 1e-2)
+    assert set(rk45.meta["stats"]) == {"nfev", "guard_min"} and rk45.meta["stats"]["nfev"] > 0
+    assert rk45.meta["stats"]["guard_min"] == guard_min(rk45)
+    # M0 has no square-root guard, so it records none
+    assert run(RK4(), 1e-2, ModelKind.M0).meta["stats"] == {"rhs_evals": 4 * steps}

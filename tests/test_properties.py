@@ -1,9 +1,10 @@
-"""Property tests: the plain-float kernels against the batched evaluators.
+"""Property tests: the batched field kernel and the plain-float model kernel.
 
-VacuumField.point_state and dynamics.point_rhs serve the integrators; the
-batched evaluators (w, grad_w, a, a_dot, a_jac) and the numpy formulas below
-are the reference they must reproduce to round-off, over random fields
-(1-3 static or moving sources, uniform A and B, q_test != 1) and probes.
+Over random fields (1-3 static or moving sources, uniform A and B,
+q_test != 1): every row of the batched evaluator VacuumField._eval, and of
+the selections over it, is bit-identical to VacuumField.point_state; and
+dynamics.point_rhs reproduces the per-model flows written with numpy below to
+round-off.
 """
 
 import math
@@ -51,6 +52,16 @@ def fields(draw):
 probes = st.tuples(vec(-2.0, 2.0), st.floats(0.0, 3.0))
 
 
+@st.composite
+def batches(draw):
+    """(n, 3) probes with one shared time or one time per probe."""
+    n = draw(st.integers(1, 6))
+    r = np.array(draw(st.lists(vec(-2.0, 2.0), min_size=n, max_size=n)))
+    times = st.floats(0.0, 3.0)
+    t = np.array(draw(st.lists(times, min_size=n, max_size=n))) if draw(st.booleans()) else draw(times)
+    return r, t
+
+
 def term_scale(fld, r) -> float:
     """Size of the largest summand any kernel output can hold; round-off is relative to it."""
     src = sum(abs(s.qs) / (FOUR_PI * s.eps**2) for s in fld.sources)
@@ -59,16 +70,21 @@ def term_scale(fld, r) -> float:
 
 
 @PROPERTY
-@given(fields(), probes)
-def test_point_state_matches_batched_evaluators(fld, probe):
-    r, t = np.array(probe[0]), probe[1]
-    w, gw, a, adot, jac = fld.point_state(*probe[0], t)
-    atol = 1e-13 * term_scale(fld, r)
-    npt.assert_allclose(w, fld.w(r, t), rtol=1e-13, atol=atol)
-    npt.assert_allclose(gw, fld.grad_w(r, t), rtol=1e-13, atol=atol)
-    npt.assert_allclose(a, fld.a(r, t), rtol=1e-13, atol=atol)
-    npt.assert_allclose(adot, fld.a_dot(r, t), rtol=1e-13, atol=atol)
-    npt.assert_allclose(jac, fld.a_jac(r, t), rtol=1e-13, atol=atol)
+@given(fields(), batches())
+def test_point_state_matches_batched_evaluators(fld, batch):
+    r, t = batch
+    w, gw, a, adot, jac = fld._eval(r, t, "wgadj")
+    for i in range(len(r)):
+        row = fld.point_state(*r[i].tolist(), float(t[i] if np.ndim(t) else t))
+        for got, want in zip((w[i], gw[i], a[i], adot[i], jac[i]), row):
+            assert np.array_equal(got, want)
+    # the selections are the same rows, each computing only its own part
+    assert np.array_equal(fld.w(r, t), w) and np.array_equal(fld.grad_w(r, t), gw)
+    assert np.array_equal(fld.a(r, t), a) and np.array_equal(fld.a_dot(r, t), adot)
+    assert np.array_equal(fld.a_jac(r, t), jac)
+    e, b = fld.e_b(r, t)
+    assert np.array_equal(e, -gw / fld.q_test - adot)
+    assert np.array_equal(b[:, 0], jac[:, 2, 1] - jac[:, 1, 2])
 
 
 def reference_rhs(model, r, mom, t, fld, m0):
