@@ -164,9 +164,8 @@ def cmd_forces(cfg: ScenarioConfig, out: Path, args) -> bool:
 
 
 def cmd_maxwell(cfg: ScenarioConfig, out: Path, args) -> bool:
-    n_coarse = int(cfg.maxwell.get("n_coarse", 48))
-    n_fine = int(cfg.maxwell.get("n_fine", 96))
-    suite = verify.prop1_suite(n_coarse=n_coarse, n_fine=n_fine)
+    n_coarse = cfg.maxwell["n_coarse"]
+    suite = verify.prop1_suite(n_coarse=n_coarse, n_fine=cfg.maxwell["n_fine"])
     band = cfg.tolerance("maxwell_ratio_band")
     violated_max = cfg.tolerance("gauge_violated_ratio_max")
     ok = True
@@ -179,7 +178,7 @@ def cmd_maxwell(cfg: ScenarioConfig, out: Path, args) -> bool:
     if vr is None or vr >= violated_max:
         ok = False
     adv = None
-    if cfg.maxwell.get("advected", True):
+    if cfg.maxwell["advected"]:
         adv = verify.advected_report()
         if adv["comoving_rel_variation"] > cfg.tolerance("advected_comoving_rel"):
             ok = False
@@ -191,7 +190,7 @@ def cmd_maxwell(cfg: ScenarioConfig, out: Path, args) -> bool:
                 fh.write(f"{t:.17g},{c:.17g},{f:.17g}\n")
     report = {"suite": suite, "advected": adv, "ratio_band": band, "passed": bool(ok)}
     _write_json(out / f"{cfg.name}_maxwell.json", report)
-    if cfg.maxwell.get("dump_grids"):
+    if cfg.maxwell["dump_grids"]:
         from .maxwell import evolve_wave
         from .presets import dipole_grid
 

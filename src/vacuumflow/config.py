@@ -17,7 +17,7 @@ import numpy as np
 from .core import ModelKind, Particle
 from .errors import ConfigError
 from .fields import FieldSource, VacuumField
-from .integrate import RK4, RK45, ImplicitMidpoint, IntegratorKind
+from .integrate import RK4, RK45, ImplicitMidpoint, IntegratorKind, step_count
 
 DEFAULT_TOLERANCES: dict = {
     # particle dynamics
@@ -47,6 +47,7 @@ DEFAULT_TOLERANCES: dict = {
 }
 
 _INTEGRATOR_KINDS = ("rk4", "implicit_midpoint", "rk45")
+_MAXWELL_DEFAULTS = {"n_coarse": 48, "n_fine": 96, "advected": True, "dump_grids": False}
 _MODEL_NAMES = tuple(m.value for m in ModelKind)
 
 
@@ -81,11 +82,13 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _number(value, where: str, kind=float):
-    """value as a finite float (or int); ConfigError naming where otherwise."""
+    """value as a finite float (or a whole int); ConfigError naming where otherwise."""
     try:
         out = kind(value)
+        whole = kind is float or out == float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    _require(whole, f"{where}: expected an integer, got {value!r}")
     _require(math.isfinite(out), f"{where}: must be finite, got {out}")
     return out
 
@@ -147,6 +150,23 @@ def _build_integrator(raw: dict) -> tuple[IntegratorKind, float]:
     return ImplicitMidpoint(tol=tol, max_iter=max_iter), h
 
 
+def _build_maxwell(raw) -> dict:
+    """The maxwell section with every key checked and defaults filled in."""
+    _require(isinstance(raw, dict), "maxwell: expected an object")
+    for key in raw:
+        _require(key in _MAXWELL_DEFAULTS, f"maxwell: unknown key {key!r}")
+    out = {**_MAXWELL_DEFAULTS, **raw}
+    for key in ("advected", "dump_grids"):
+        _require(isinstance(out[key], bool), f"maxwell.{key}: expected true or false, got {out[key]!r}")
+    n_coarse = _number(out["n_coarse"], "maxwell.n_coarse", int)
+    n_fine = _number(out["n_fine"], "maxwell.n_fine", int)
+    # the residual norms skip a margin of max(3, n // 10) cells on each side
+    _require(n_coarse >= 7, f"maxwell.n_coarse: must be >= 7 to leave an interior, got {n_coarse}")
+    _require(n_fine > n_coarse, f"maxwell.n_fine: must be > n_coarse = {n_coarse}, got {n_fine}")
+    out["n_coarse"], out["n_fine"] = n_coarse, n_fine
+    return out
+
+
 def validate_config(raw: dict) -> ScenarioConfig:
     """Build a typed scenario from a raw JSON object, re-checking all invariants."""
     _require(isinstance(raw, dict), "config root: expected a JSON object")
@@ -181,6 +201,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
     _require(tau_end > 0.0, f"tau_end: must be > 0, got {tau_end}")
 
     integrator, h = _build_integrator(raw.get("integrator", {}))
+    try:
+        step_count(tau_end, h)
+    except ValueError as exc:
+        raise ConfigError(f"integrator.h: {exc}") from None
 
     raw_tolerances = raw.get("tolerances", {})
     _require(isinstance(raw_tolerances, dict), "tolerances: expected an object")
@@ -206,7 +230,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         seed=_number(raw.get("seed", 0), "seed", int),
         out_dir=str(raw.get("out_dir", "out")),
         tolerances=tolerances,
-        maxwell=raw.get("maxwell", {}),
+        maxwell=_build_maxwell(raw.get("maxwell", {})),
         quantum=raw.get("quantum", {}),
         raw=raw,
     )

@@ -37,6 +37,18 @@ from .fields import VacuumField, as_vec3
 #: the crossing before trial stages hit the hard 1e-12 guard
 _EVENT_MARGIN = 1e-9
 
+#: the most recorded steps one run may take: at this cap the (steps + 1, 7)
+#: float64 state array is 560 MB
+MAX_STEPS = 10**7
+
+
+def step_count(tau_end: float, h: float) -> int:
+    """Recorded steps from 0 to tau_end at step h; ValueError beyond MAX_STEPS."""
+    ratio = tau_end / h
+    if not ratio <= MAX_STEPS:  # also rejects inf and nan
+        raise ValueError(f"tau_end / h = {ratio:g} steps, more than the cap of {MAX_STEPS}")
+    return max(1, int(round(ratio)))
+
 
 @dataclass(frozen=True)
 class RK4:
@@ -278,7 +290,7 @@ def simulate(
     r0 = as_vec3(r0)
     phase0 = init_phase(model, particle, fld, r0)
     rest_mass = emergent_rest_mass(particle, fld, r0) if model is ModelKind.M0 else None
-    n_steps = max(1, int(round(tau_end / h)))
+    n_steps = step_count(tau_end, h)
 
     if isinstance(integrator, RK45):
         return _simulate_adaptive(model, fld, phase0, rest_mass, integrator, h, n_steps)

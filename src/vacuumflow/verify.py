@@ -295,7 +295,11 @@ def prop1_suite(n_coarse: int = 48, n_fine: int = 96) -> dict:
     ):
         gc, rc, idx_c = _run_grid(builder, n_coarse, **kwargs)
         gf, rf, idx_f = _run_grid(builder, n_fine, **kwargs)
-        entry = {"coarse": rc.to_dict(), "fine": rf.to_dict(), "ratio": {}}
+        entry = {
+            "coarse": {**rc.to_dict(), "stats": dict(gc.stats)},
+            "fine": {**rf.to_dict(), "stats": dict(gf.stats)},
+            "ratio": {},
+        }
         for key in _RESIDUAL_KEYS:
             c = getattr(rc, key)
             f = getattr(rf, key)

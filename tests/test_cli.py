@@ -62,9 +62,16 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
     ("integrator.tol", {"integrator": {"kind": "implicit_midpoint", "tol": "tight"}}),
     ("tolerances.energy_drift", {"tolerances": {"energy_drift": "tight"}}),
     ("field.sources[0].qs", {"field": {"w_inf": -1.0, "sources": [{"r0": [1.0, 1.0, 0.0], "eps": 0.1}]}}),
+    ("maxwell", {"maxwell": [1]}),
+    ("maxwell.n_coarse", {"maxwell": {"n_coarse": "abc"}}),
+    ("maxwell.n_coarse", {"maxwell": {"n_coarse": 4}}),
+    ("maxwell.n_fine", {"maxwell": {"n_fine": 96.5}}),
+    ("maxwell.advected", {"maxwell": {"advected": "yes"}}),
+    ("integrator.h", {"integrator": {"kind": "rk4", "h": 1e-320}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
-    """Non-finite vectors, non-numeric scalars and a missing qs end in exit 2, not a traceback."""
+    """Non-finite vectors, non-numeric scalars, a missing qs, a bad maxwell section and
+    an unbounded step count end in exit 2, not a traceback."""
     cfg = _free_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
     err = capsys.readouterr().err

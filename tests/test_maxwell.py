@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacuumflow.errors import BallExitsGrid, CFLViolation, InsufficientHistory
 from vacuumflow.maxwell import (
@@ -10,12 +14,15 @@ from vacuumflow.maxwell import (
     ScalarSeries,
     SeparableSources,
     advected_integral,
+    Level,
     evolve_wave,
+    laplacian2,
     maxwell_residuals,
     sample_scalar_series,
     solution_error,
 )
 from vacuumflow.presets import advected_setup, dipole_grid, plane_wave_grid
+from vacuumflow.verify import prop1_suite
 
 
 def _empty_grid(n=16, h=0.2, dt=0.08):
@@ -127,3 +134,157 @@ def test_hard_indicator_is_noisier_than_smooth():
     smooth_var = (smooth.max() - smooth.min()) / abs(smooth.mean())
     hard_var = (hard.max() - hard.min()) / abs(hard.mean())
     assert hard_var > 10.0 * smooth_var
+
+
+# -- the blocked leapfrog against the whole-grid step ----------------------------
+
+
+def _reference_evolve(grid, steps):
+    """The whole-grid leapfrog step: every field, every step, through laplacian2."""
+    dt2 = grid.dt * grid.dt
+    for _ in range(steps):
+        cur, prev = grid.levels[-1], grid.levels[-2]
+        t_new = cur.time + grid.dt
+        rho = grid.sources.rho(cur.time)
+        jx, jy, jz = grid.sources.j(cur.time)
+        srcs = {"phi": rho, "ax": jx, "ay": jy, "az": jz}
+        new = {}
+        for name in grid.FIELD_NAMES:
+            u = cur.field(name)
+            new[name] = 2.0 * u - prev.field(name) + dt2 * (laplacian2(u, grid.h) + srcs[name])
+        for face in grid._faces:
+            xf, yf, zf = grid.X[face], grid.Y[face], grid.Z[face]
+            if grid.analytic._phi is not None:
+                new["phi"][face] = grid.analytic.phi(xf, yf, zf, t_new)
+            else:
+                new["phi"][face] = 0.0
+            if grid.analytic._a is not None:
+                new["ax"][face], new["ay"][face], new["az"][face] = grid.analytic.a(xf, yf, zf, t_new)
+            else:
+                new["ax"][face] = new["ay"][face] = new["az"][face] = 0.0
+        grid.levels.append(Level(cur.index + 1, t_new, new["phi"], new["ax"], new["ay"], new["az"]))
+        if len(grid.levels) > grid.history:
+            grid.levels.pop(0)
+    return grid
+
+
+def _assert_levels_identical(got, want):
+    assert [(lv.index, lv.time) for lv in got.levels] == [(lv.index, lv.time) for lv in want.levels]
+    for lg, lw in zip(got.levels, want.levels):
+        for name in got.FIELD_NAMES:
+            a, b = lg.field(name), lw.field(name)
+            assert np.array_equal(a, b), (lg.index, name)
+            assert np.array_equal(np.signbit(a), np.signbit(b)), (lg.index, name)
+
+
+_PRESETS = {
+    "plane": plane_wave_grid,
+    "dipole": dipole_grid,
+    "violated": lambda n: dipole_grid(n, gauge_violation=0.08),
+}
+
+
+@pytest.mark.parametrize("n", [16, 48])
+@pytest.mark.parametrize("preset", sorted(_PRESETS))
+def test_blocked_step_matches_whole_grid_step(preset, n):
+    got, steps, report = _PRESETS[preset](n)
+    want, _, _ = _PRESETS[preset](n)
+    evolve_wave(got, steps)
+    _reference_evolve(want, steps)
+    _assert_levels_identical(got, want)
+    assert maxwell_residuals(got, report) == maxwell_residuals(want, report)
+
+
+def _signed_zeros(rng, shape):
+    return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+
+@st.composite
+def random_grids(draw):
+    """(grid, steps, expected evolved names) with random seeded levels, 0-2
+    separable source terms per component and optional analytic callables."""
+    n = draw(st.integers(5, 12))
+    h = draw(st.floats(0.05, 0.5))
+    dt = draw(st.floats(0.05, 1.0)) * h / math.sqrt(3.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, n, n)
+    # which of the two seeded levels (0 = older, 1 = newer) are all zero
+    zero_levels = {name: draw(st.sampled_from(((), (0,), (1,), (0, 1)))) for name in GridField.FIELD_NAMES}
+    terms = {}
+    for key in ("rho", "jx", "jy", "jz"):
+        terms[key] = []
+        for _ in range(draw(st.integers(0, 2))):
+            amp, w, p = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 6.3))
+            terms[key].append((rng.standard_normal(shape), lambda t, amp=amp, w=w, p=p: amp * math.cos(w * t + p)))
+    k = draw(st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    phi = a = None
+    if draw(st.booleans()):
+        def phi(x, y, z, t):
+            return np.sin(k[0] * x + k[1] * y + k[2] * z - 2.0 * t)
+    if draw(st.booleans()):
+        def a(x, y, z, t):
+            c = np.cos(k[0] * x - k[1] * y + k[2] * z - 1.5 * t)
+            return 0.5 * c, -c, 0.0 * c
+    grid = GridField(n, h, dt, SeparableSources(terms["rho"], terms["jx"], terms["jy"], terms["jz"]),
+                     AnalyticFarField(phi=phi, a=a))
+    for idx in range(2):
+        fields = {}
+        for name in GridField.FIELD_NAMES:
+            if idx in zero_levels[name]:
+                fields[name] = _signed_zeros(rng, shape)
+            else:
+                u = rng.standard_normal(shape)
+                fields[name] = np.where(rng.random(shape) < 0.1, _signed_zeros(rng, shape), u)
+        grid.levels.append(Level(idx, idx * dt, **fields))
+    source_of = {"phi": "rho", "ax": "jx", "ay": "jy", "az": "jz"}
+    analytic_of = {"phi": phi, "ax": a, "ay": a, "az": a}
+    evolved = sorted(
+        name for name in GridField.FIELD_NAMES
+        if not (zero_levels[name] == (0, 1) and not terms[source_of[name]] and analytic_of[name] is None)
+    )
+    return grid, draw(st.integers(1, 4)), evolved
+
+
+def _copy_grid(grid):
+    twin = GridField(grid.n, grid.h, grid.dt, grid.sources, grid.analytic)
+    twin.levels = [Level(lv.index, lv.time, *(lv.field(f).copy() for f in grid.FIELD_NAMES))
+                   for lv in grid.levels]
+    return twin
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_grids())
+def test_blocked_step_matches_whole_grid_step_on_random_grids(case):
+    grid, steps, evolved = case
+    want = _reference_evolve(_copy_grid(grid), steps)
+    evolve_wave(grid, steps)
+    _assert_levels_identical(grid, want)
+    assert grid.stats == {"grid_steps": steps, "evolved": evolved}
+
+
+def test_zero_start_component_with_source_boundary_or_perturbation_is_evolved():
+    # dipole: phi and az start at zero but carry sources; ax and ay stay zero
+    dipole, steps, _ = dipole_grid(16)
+    evolve_wave(dipole, steps)
+    assert dipole.stats == {"grid_steps": steps, "evolved": ["az", "phi"]}
+    assert not dipole.levels[-1].ax.any() and not np.signbit(dipole.levels[-1].ay).any()
+    # plane wave: az starts at zero but its boundary is analytic; phi stays zero
+    plane, steps, _ = plane_wave_grid(16)
+    assert not plane.levels[0].az.any() and not plane.levels[1].az.any()
+    evolve_wave(plane, steps)
+    assert plane.stats == {"grid_steps": steps, "evolved": ["ax", "ay", "az"]}
+    # violated dipole: perturb_initial_a makes ax and ay nonzero
+    violated, steps, _ = dipole_grid(16, gauge_violation=0.08)
+    evolve_wave(violated, steps)
+    assert violated.stats["evolved"] == ["ax", "ay", "az", "phi"]
+    # a second call adds its steps
+    evolve_wave(violated, 2)
+    assert violated.stats["grid_steps"] == steps + 2
+
+
+def test_prop1_suite_reports_grid_counters():
+    suite = prop1_suite(n_coarse=16, n_fine=24)
+    assert suite["dipole"]["coarse"]["stats"] == {"grid_steps": 5, "evolved": ["az", "phi"]}
+    assert suite["dipole"]["fine"]["stats"]["evolved"] == ["az", "phi"]
+    assert suite["plane"]["fine"]["stats"]["evolved"] == ["ax", "ay", "az"]
+    assert suite["violated"]["coarse"]["stats"]["evolved"] == ["ax", "ay", "az", "phi"]
