@@ -114,7 +114,7 @@ def cmd_compare(cfg: ScenarioConfig, out: Path, args) -> bool:
         "tolerance": tol,
         "passed": bool(pos_dev <= tol),
     }
-    analytic = cfg.raw.get("compare", {}).get("analytic")
+    analytic = cfg.compare["analytic"]
     if analytic == "gyration_circle":
         from .presets import gyration_analytic
 
@@ -130,7 +130,7 @@ def cmd_compare(cfg: ScenarioConfig, out: Path, args) -> bool:
 
 
 def cmd_forces(cfg: ScenarioConfig, out: Path, args) -> bool:
-    n_states = int(cfg.raw.get("forces", {}).get("states", 1000))
+    n_states = cfg.forces["states"]
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0
@@ -203,7 +203,7 @@ def cmd_maxwell(cfg: ScenarioConfig, out: Path, args) -> bool:
 
 def cmd_quantum(cfg: ScenarioConfig, out: Path, args) -> bool:
     disp = verify.dispersion_report()
-    drift = verify.norm_drift_report(steps=int(cfg.quantum.get("steps", 1000)))
+    drift = verify.norm_drift_report(steps=cfg.quantum["steps"])
     packet = verify.packet_dispersion_report()
     gap = verify.model_gap_report()
     ok = _band_ok(disp["exponent"], cfg.tolerance("dispersion_exponent_band"))

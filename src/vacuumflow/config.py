@@ -48,6 +48,10 @@ DEFAULT_TOLERANCES: dict = {
 
 _INTEGRATOR_KINDS = ("rk4", "implicit_midpoint", "rk45")
 _MAXWELL_DEFAULTS = {"n_coarse": 48, "n_fine": 96, "advected": True, "dump_grids": False}
+_QUANTUM_DEFAULTS = {"steps": 1000}
+_FORCES_DEFAULTS = {"states": 1000}
+_COMPARE_DEFAULTS = {"analytic": None}
+_COMPARE_ANALYTIC = (None, "gyration_circle")
 _MODEL_NAMES = tuple(m.value for m in ModelKind)
 
 
@@ -66,7 +70,8 @@ class ScenarioConfig:
     tolerances: dict = dc_field(default_factory=dict)
     maxwell: dict = dc_field(default_factory=dict)
     quantum: dict = dc_field(default_factory=dict)
-    raw: dict = dc_field(default_factory=dict)
+    forces: dict = dc_field(default_factory=dict)
+    compare: dict = dc_field(default_factory=dict)
 
     def tolerance(self, key: str):
         if key in self.tolerances:
@@ -150,12 +155,23 @@ def _build_integrator(raw: dict) -> tuple[IntegratorKind, float]:
     return ImplicitMidpoint(tol=tol, max_iter=max_iter), h
 
 
+def _section(raw, name: str, defaults: dict) -> dict:
+    """A config section as an object with known keys, defaults filled in."""
+    _require(isinstance(raw, dict), f"{name}: expected an object")
+    for key in raw:
+        _require(key in defaults, f"{name}: unknown key {key!r}")
+    return {**defaults, **raw}
+
+
+def _positive_int(value, where: str) -> int:
+    out = _number(value, where, int)
+    _require(out >= 1, f"{where}: must be a positive integer, got {out}")
+    return out
+
+
 def _build_maxwell(raw) -> dict:
     """The maxwell section with every key checked and defaults filled in."""
-    _require(isinstance(raw, dict), "maxwell: expected an object")
-    for key in raw:
-        _require(key in _MAXWELL_DEFAULTS, f"maxwell: unknown key {key!r}")
-    out = {**_MAXWELL_DEFAULTS, **raw}
+    out = _section(raw, "maxwell", _MAXWELL_DEFAULTS)
     for key in ("advected", "dump_grids"):
         _require(isinstance(out[key], bool), f"maxwell.{key}: expected true or false, got {out[key]!r}")
     n_coarse = _number(out["n_coarse"], "maxwell.n_coarse", int)
@@ -164,6 +180,27 @@ def _build_maxwell(raw) -> dict:
     _require(n_coarse >= 7, f"maxwell.n_coarse: must be >= 7 to leave an interior, got {n_coarse}")
     _require(n_fine > n_coarse, f"maxwell.n_fine: must be > n_coarse = {n_coarse}, got {n_fine}")
     out["n_coarse"], out["n_fine"] = n_coarse, n_fine
+    return out
+
+
+def _build_quantum(raw) -> dict:
+    out = _section(raw, "quantum", _QUANTUM_DEFAULTS)
+    out["steps"] = _positive_int(out["steps"], "quantum.steps")
+    return out
+
+
+def _build_forces(raw) -> dict:
+    out = _section(raw, "forces", _FORCES_DEFAULTS)
+    out["states"] = _positive_int(out["states"], "forces.states")
+    return out
+
+
+def _build_compare(raw) -> dict:
+    out = _section(raw, "compare", _COMPARE_DEFAULTS)
+    _require(
+        out["analytic"] in _COMPARE_ANALYTIC,
+        f"compare.analytic: must be absent or 'gyration_circle', got {out['analytic']!r}",
+    )
     return out
 
 
@@ -231,8 +268,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
         out_dir=str(raw.get("out_dir", "out")),
         tolerances=tolerances,
         maxwell=_build_maxwell(raw.get("maxwell", {})),
-        quantum=raw.get("quantum", {}),
-        raw=raw,
+        quantum=_build_quantum(raw.get("quantum", {})),
+        forces=_build_forces(raw.get("forces", {})),
+        compare=_build_compare(raw.get("compare", {})),
     )
 
 

@@ -11,16 +11,22 @@ forward/backward divergence form (coefficients averaged onto bonds), the cross
 term uses the centered first difference symmetrized as p M + M p; everything is
 tridiagonal (plus cyclic corners) and Hermitian by construction, so the Cayley
 step (1 + i dtau H / 2 hbar) psi' = (1 - i dtau H / 2 hbar) psi is unitary.
+
+The Cayley matrix is the same at every step, so each operator factors it once
+per dtau (LAPACK zgttrf) and every step back-substitutes (zgttrs); on a
+periodic domain the cyclic corners go through a Sherman-Morrison correction
+(Numerical Recipes 2.7) whose pieces are computed with the factor.  The
+result is bit-identical to a fresh tridiagonal solve (gtsv) at every step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .errors import NonPositiveMass, SolveFailure, SuperluminalMode
 
@@ -84,7 +90,12 @@ class QuantumModel:
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Hermitian tridiagonal operator, with cyclic corners on a periodic domain."""
+    """Hermitian tridiagonal operator, with cyclic corners on a periodic domain.
+
+    The band arrays are read-only, so the Crank-Nicolson factors cached per
+    dtau cannot go stale.  ``stats`` counts the Cayley steps taken and the
+    factorizations made with this operator.
+    """
 
     diag: np.ndarray        # (n,)
     upper: np.ndarray       # (n-1,), element [j, j+1]
@@ -94,6 +105,15 @@ class TridiagonalOperator:
     dx: float
     hbar: float
     domain: str
+    stats: dict = field(default_factory=lambda: {"cn_steps": 0, "factorizations": 0},
+                        init=False, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("diag", "upper", "lower"):
+            band = np.asarray(getattr(self, name), dtype=complex)
+            band.setflags(write=False)
+            object.__setattr__(self, name, band)
 
     @property
     def n(self) -> int:
@@ -201,51 +221,72 @@ def build_hamiltonian_for(model: QuantumModel, state: WaveState) -> TridiagonalO
 # -- Crank-Nicolson ------------------------------------------------------------
 
 
-def _solve_tridiag(lower, diag, upper, rhs):
-    n = diag.size
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    try:
-        x = solve_banded((1, 1), ab, rhs)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SolveFailure(f"banded solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+class _CayleyFactor:
+    """zgttrf factor of 1 + zH; on a periodic domain, of its banded part A' plus
+    the Sherman-Morrison pieces corr = A'^-1 u, c_ul/gamma and 1 + v.corr."""
+
+    def __init__(self, op: TridiagonalOperator, z: complex):
+        diag = 1.0 + z * op.diag
+        upper = z * op.upper
+        lower = z * op.lower
+        self.corr = None
+        if op.domain != "periodic":
+            self.lu = _gttrf(lower, diag, upper)
+            return
+        c_ul, c_lr = z * op.corner_ul, z * op.corner_lr
+        gamma = -diag[0] if diag[0] != 0.0 else 1.0
+        diag[0] -= gamma
+        diag[-1] -= c_ul * c_lr / gamma
+        self.lu = _gttrf(lower, diag, upper)
+        u = np.zeros(diag.size, dtype=complex)
+        u[0] = gamma
+        u[-1] = c_lr
+        corr = _gttrs(self.lu, u)
+        self.ratio = c_ul / gamma
+        self.denom = 1.0 + (corr[0] + self.ratio * corr[-1])
+        if self.denom == 0.0 or not np.isfinite(self.denom):
+            raise SolveFailure("cyclic correction singular (dtau too large for the spectrum?)")
+        self.corr = corr
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = _gttrs(self.lu, rhs)
+        if self.corr is not None:
+            vy = x[0] + self.ratio * x[-1]
+            x = x - self.corr * (vy / self.denom)
+        return x
+
+
+def _gttrf(lower, diag, upper):
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
+        raise SolveFailure("banded factor: the Cayley matrix has non-finite entries")
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, diag, upper)
+    if info != 0:
+        raise SolveFailure(f"banded factor failed: zgttrf info = {info} (singular system)")
+    return dl, d, du, du2, ipiv
+
+
+def _gttrs(lu, rhs):
+    x, info = lapack.zgttrs(*lu, rhs)
+    if info != 0 or not np.all(np.isfinite(x)):
         raise SolveFailure("banded solve produced non-finite values (singular system)")
     return x
 
 
-def _solve_cyclic_tridiag(lower, diag, upper, c_ul, c_lr, rhs):
-    """Sherman-Morrison corner correction over two banded solves."""
-    gamma = -diag[0] if diag[0] != 0.0 else 1.0
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= c_ul * c_lr / gamma
-    y = _solve_tridiag(lower, d, upper, rhs)
-    u = np.zeros(diag.size, dtype=complex)
-    u[0] = gamma
-    u[-1] = c_lr
-    z = _solve_tridiag(lower, d, upper, u)
-    vy = y[0] + (c_ul / gamma) * y[-1]
-    vz = z[0] + (c_ul / gamma) * z[-1]
-    denom = 1.0 + vz
-    if denom == 0.0 or not np.isfinite(denom):
-        raise SolveFailure("cyclic correction singular (dtau too large for the spectrum?)")
-    return y - z * (vy / denom)
-
-
 def cn_step(op: TridiagonalOperator, state: WaveState, dtau: float) -> WaveState:
-    """One Cayley step: (1 + i dtau H/2hbar) psi' = (1 - i dtau H/2hbar) psi."""
+    """One Cayley step: (1 + i dtau H/2hbar) psi' = (1 - i dtau H/2hbar) psi.
+
+    The first step with a given dtau factors the matrix; later ones reuse it.
+    A factor that fails raises SolveFailure and is not kept.
+    """
     z = 1j * dtau / (2.0 * op.hbar)
     rhs = state.psi - z * op.apply(state.psi)
-    diag = 1.0 + z * op.diag
-    upper = z * op.upper
-    lower = z * op.lower
-    if op.domain == "periodic":
-        psi1 = _solve_cyclic_tridiag(lower, diag, upper, z * op.corner_ul, z * op.corner_lr, rhs)
-    else:
-        psi1 = _solve_tridiag(lower, diag, upper, rhs)
+    factor = op._factors.get(dtau)
+    if factor is None:
+        factor = _CayleyFactor(op, z)
+        op._factors[dtau] = factor
+        op.stats["factorizations"] += 1
+    psi1 = factor.solve(rhs)
+    op.stats["cn_steps"] += 1
     return replace(state, psi=psi1)
 
 

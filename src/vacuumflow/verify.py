@@ -392,6 +392,7 @@ def packet_dispersion_report(tau_end: float = 15.0, dtau: float = 0.0025) -> dic
         "measured": measured,
         "predicted": predicted,
         "rel_err": abs(measured - predicted) / predicted,
+        "stats": dict(op.stats),
     }
 
 

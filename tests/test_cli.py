@@ -68,10 +68,19 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
     ("maxwell.n_fine", {"maxwell": {"n_fine": 96.5}}),
     ("maxwell.advected", {"maxwell": {"advected": "yes"}}),
     ("integrator.h", {"integrator": {"kind": "rk4", "h": 1e-320}}),
+    ("quantum", {"quantum": [1]}),
+    ("quantum.steps", {"quantum": {"steps": 0}}),
+    ("quantum.steps", {"quantum": {"steps": "many"}}),
+    ("quantum", {"quantum": {"step": 10}}),
+    ("forces", {"forces": 5}),
+    ("forces.states", {"forces": {"states": 2.5}}),
+    ("compare.analytic", {"compare": {"analytic": "ellipse"}}),
+    ("compare", {"compare": {"analytic": "gyration_circle", "tol": 1}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
-    """Non-finite vectors, non-numeric scalars, a missing qs, a bad maxwell section and
-    an unbounded step count end in exit 2, not a traceback."""
+    """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
+    forces and compare sections and an unbounded step count end in exit 2, not a
+    traceback."""
     cfg = _free_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
     err = capsys.readouterr().err

@@ -1,12 +1,19 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from vacuumflow.errors import NonPositiveMass, SolveFailure, SuperluminalMode
 from vacuumflow.presets import HBAR_DEFAULT, quantum_profiles
 from vacuumflow.quantum import (
     QuantumKind,
     QuantumModel,
+    TridiagonalOperator,
     WaveState,
     build_hamiltonian,
     cn_step,
@@ -19,7 +26,6 @@ from vacuumflow.quantum import (
     plane_wave,
     snapshot_csv,
 )
-from vacuumflow.quantum import _solve_cyclic_tridiag, _solve_tridiag
 
 
 def test_constant_state_pure_potential():
@@ -190,17 +196,156 @@ def test_model_gap_plane_wave_closed_form():
     npt.assert_allclose(gap, closed, atol=2e-10)
 
 
+def _hand_built(domain, diag, off=0.0, corner=0.0):
+    n = len(diag)
+    offs = np.full(n - 1, off, dtype=complex)
+    return TridiagonalOperator(diag=diag, upper=offs, lower=offs.copy(),
+                               corner_ul=corner, corner_lr=corner, dx=0.1, hbar=1.0, domain=domain)
+
+
 def test_solver_failure_paths():
-    n = 8
-    zeros = np.zeros(n, dtype=complex)
+    # dtau = 2, hbar = 1: z = i dtau / (2 hbar) = i, so 1 + z H is 1 + i H
+    n, dtau = 8, 2.0
+    # diag i: the Cayley matrix is all zeros and its banded factor is singular
+    singular = _hand_built("fixed", np.full(n, 1j))
+    # diag 0, corners 1/z: rows 0 and n-1 of 1 + z H are equal, so the
+    # Sherman-Morrison denominator is exactly zero
+    cyclic = _hand_built("periodic", np.zeros(n), corner=-1j)
+    for op in (singular, cyclic):
+        state = WaveState(psi=np.ones(n), dx=op.dx, hbar=op.hbar, domain=op.domain)
+        for _ in range(2):  # a failed factor is not cached: the second call fails as well
+            with pytest.raises(SolveFailure):
+                cn_step(op, state, dtau)
+        assert op.stats == {"cn_steps": 0, "factorizations": 0}
+
+
+def test_non_finite_state_fails():
+    op = _hand_built("periodic", np.ones(6), off=0.5, corner=0.5)
+    psi = np.ones(6, dtype=complex)
+    psi[2] = np.nan
     with pytest.raises(SolveFailure):
-        _solve_tridiag(zeros[:-1], zeros, zeros[:-1], np.ones(n, dtype=complex))
-    # singular cyclic system: identity diagonal with unit corners has a zero
-    # Sherman-Morrison denominator
-    diag = np.ones(n, dtype=complex)
-    with pytest.raises(SolveFailure):
-        _solve_cyclic_tridiag(zeros[:-1], diag, zeros[:-1], 1.0 + 0j, 1.0 + 0j,
-                              np.ones(n, dtype=complex))
+        cn_step(op, WaveState(psi=psi, dx=op.dx, hbar=op.hbar), 0.1)
+
+
+def test_operator_bands_are_read_only():
+    dx, w, a = quantum_profiles(n=32)
+    op = build_hamiltonian(QuantumModel(QuantumKind.Modified, w, a), dx, HBAR_DEFAULT)
+    for band in (op.diag, op.upper, op.lower):
+        with pytest.raises(ValueError):
+            band[0] = 1.0
+
+
+# -- the cached factor against a fresh banded solve per step ----------------------
+
+
+def _reference_solve(lower, diag, upper, rhs):
+    ab = np.zeros((3, diag.size), dtype=complex)
+    ab[0, 1:] = upper
+    ab[1, :] = diag
+    ab[2, :-1] = lower
+    try:
+        x = solve_banded((1, 1), ab, rhs)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SolveFailure(f"banded solve failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise SolveFailure("banded solve produced non-finite values")
+    return x
+
+
+def _reference_cn_step(op, state, dtau):
+    """The Cayley step that assembles and solves 1 + zH afresh (two banded solves
+    with the Sherman-Morrison corner correction on a periodic domain)."""
+    z = 1j * dtau / (2.0 * op.hbar)
+    rhs = state.psi - z * op.apply(state.psi)
+    diag = 1.0 + z * op.diag
+    upper = z * op.upper
+    lower = z * op.lower
+    if op.domain != "periodic":
+        return replace(state, psi=_reference_solve(lower, diag, upper, rhs))
+    c_ul, c_lr = z * op.corner_ul, z * op.corner_lr
+    gamma = -diag[0] if diag[0] != 0.0 else 1.0
+    d = diag.copy()
+    d[0] -= gamma
+    d[-1] -= c_ul * c_lr / gamma
+    y = _reference_solve(lower, d, upper, rhs)
+    u = np.zeros(diag.size, dtype=complex)
+    u[0] = gamma
+    u[-1] = c_lr
+    zz = _reference_solve(lower, d, upper, u)
+    vy = y[0] + (c_ul / gamma) * y[-1]
+    vz = zz[0] + (c_ul / gamma) * zz[-1]
+    denom = 1.0 + vz
+    if denom == 0.0 or not np.isfinite(denom):
+        raise SolveFailure("cyclic correction singular")
+    return replace(state, psi=y - zz * (vy / denom))
+
+
+@st.composite
+def hermitian_problems(draw):
+    n = draw(st.integers(3, 40))
+    domain = draw(st.sampled_from(["periodic", "fixed"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.floats(0.1, 100.0))
+    dtau = draw(st.floats(1e-3, 10.0))
+    steps = draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    upper = scale * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+    corner = complex(scale * (rng.normal() + 1j * rng.normal()))
+    op = TridiagonalOperator(
+        diag=scale * rng.normal(size=n), upper=upper, lower=upper.conj(),
+        corner_ul=corner, corner_lr=corner.conjugate(), dx=0.1, hbar=HBAR_DEFAULT, domain=domain,
+    )
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return op, WaveState(psi=psi, dx=0.1, hbar=HBAR_DEFAULT, domain=domain), dtau, steps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hermitian_problems())
+def test_cn_step_matches_fresh_banded_solve(problem):
+    op, state, dtau, steps = problem
+    got = want = state
+    for _ in range(steps):
+        got = cn_step(op, got, dtau)
+        want = _reference_cn_step(op, want, dtau)
+        assert np.array_equal(got.psi, want.psi)
+    assert op.stats == {"cn_steps": steps, "factorizations": 1}
+
+
+def test_interleaved_dtau_match_fresh_operators():
+    n = 96
+    dx, w, a = quantum_profiles(n=n)
+    model = QuantumModel(QuantumKind.MinimalCoupling, w, a)
+    packet = gaussian_packet(n, dx, x0=0.5 * n * dx, sigma0=0.8, k0=2.0, hbar=HBAR_DEFAULT)
+    shared = build_hamiltonian(model, dx, HBAR_DEFAULT)
+    fresh = {dtau: build_hamiltonian(model, dx, HBAR_DEFAULT) for dtau in (0.01, 0.03)}
+    got = dict.fromkeys(fresh, packet)
+    want = dict(got)
+    for _ in range(5):
+        for dtau in fresh:
+            got[dtau] = cn_step(shared, got[dtau], dtau)
+            want[dtau] = cn_step(fresh[dtau], want[dtau], dtau)
+    for dtau in fresh:
+        assert np.array_equal(got[dtau].psi, want[dtau].psi)
+    assert shared.stats == {"cn_steps": 10, "factorizations": 2}
+
+
+def test_cli_snapshot_unchanged(tmp_path):
+    """The `vacuumflow quantum` 200-step snapshot equals the fresh-solve oracle's,
+    and the packet report counts its steps and its one factorization."""
+    from vacuumflow.cli import main
+
+    cfg = tmp_path / "q.json"
+    cfg.write_text('{"name": "q", "quantum": {"steps": 1}}')
+    assert main(["quantum", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    dx, w, a = quantum_profiles()
+    op = build_hamiltonian(QuantumModel(QuantumKind.MinimalCoupling, w, a, q=1.0), dx, HBAR_DEFAULT)
+    state = gaussian_packet(w.size, dx, x0=0.5 * w.size * dx, sigma0=0.8, k0=2.0, hbar=HBAR_DEFAULT)
+    for _ in range(200):
+        state = _reference_cn_step(op, state, 0.01)
+    snapshot_csv(state, tmp_path / "want.csv")
+    assert (tmp_path / "q_snapshot.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    packet = json.loads((tmp_path / "q_quantum.json").read_text())["packet"]
+    assert packet["stats"] == {"cn_steps": 6000, "factorizations": 1}
 
 
 def test_snapshot_csv(tmp_path):
