@@ -53,6 +53,8 @@ _FORCES_DEFAULTS = {"states": 1000}
 _COMPARE_DEFAULTS = {"analytic": None}
 _COMPARE_ANALYTIC = (None, "gyration_circle")
 _MODEL_NAMES = tuple(m.value for m in ModelKind)
+_TOP_LEVEL_KEYS = ("name", "models", "particle", "field", "r0", "tau_end", "integrator", "seed",
+                   "out_dir", "tolerances", "maxwell", "quantum", "forces", "compare")
 
 
 @dataclass
@@ -207,6 +209,8 @@ def _build_compare(raw) -> dict:
 def validate_config(raw: dict) -> ScenarioConfig:
     """Build a typed scenario from a raw JSON object, re-checking all invariants."""
     _require(isinstance(raw, dict), "config root: expected a JSON object")
+    for key in raw:
+        _require(key in _TOP_LEVEL_KEYS, f"config root: unknown key {key!r}")
     models_raw = raw.get("models", ["M1"])
     _require(isinstance(models_raw, list) and models_raw, "models: expected a non-empty list")
     models = []
@@ -228,6 +232,11 @@ def validate_config(raw: dict) -> ScenarioConfig:
     _require(
         particle.q == fld.q_test,
         f"particle.q: must equal field.q_test ({particle.q} != {fld.q_test})",
+    )
+    vector_models = [m.value for m in models if m in (ModelKind.M2, ModelKind.M3)]
+    _require(
+        fld.q_test != 0.0 or not vector_models,
+        f"field.q_test: must be nonzero for models {vector_models} (A divides by q_test), got 0",
     )
 
     r0 = _vec3(raw.get("r0", [0, 0, 0]), "r0")
@@ -251,9 +260,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
         where = f"tolerances.{key}"
         if isinstance(DEFAULT_TOLERANCES[key], list):
             _require(isinstance(value, list) and len(value) == 2, f"{where}: expected a [low, high] pair")
-            tolerances[key] = [_number(v, where) for v in value]
+            low, high = (_number(v, where) for v in value)
+            _require(low < high, f"{where}: low must be below high, got [{low}, {high}]")
+            tolerances[key] = [low, high]
         else:
             tolerances[key] = _number(value, where)
+            _require(tolerances[key] > 0.0, f"{where}: must be > 0, got {tolerances[key]}")
 
     return ScenarioConfig(
         name=str(raw.get("name", "scenario")),

@@ -19,12 +19,15 @@ with 4th-order centered stencils so each residual measures how well the
 stencils, the curl-of-gradient and divergence-of-curl residuals are discrete
 identities and vanish to roundoff, which would make convergence ratios
 meaningless).  Norms are L2 over an interior mask that excludes a 10% margin.
+Only that masked core is assembled, in halo'd x-slabs of 8 planes, with each
+cell's operations in the whole-grid order and each squared residual summed
+whole, so every norm is bit-identical to assembling the whole grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,31 +37,6 @@ _SQRT3 = math.sqrt(3.0)
 
 
 # -- difference operators -----------------------------------------------------
-
-
-def _axis_slices(axis: int, lo: int, hi: int | None):
-    sl = [slice(None)] * 3
-    sl[axis] = slice(lo, hi)
-    return tuple(sl)
-
-
-def d1_c2(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = np.zeros_like(u)
-    out[_axis_slices(axis, 1, -1)] = (
-        u[_axis_slices(axis, 2, None)] - u[_axis_slices(axis, 0, -2)]
-    ) / (2.0 * h)
-    return out
-
-
-def d1_c4(u: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = np.zeros_like(u)
-    out[_axis_slices(axis, 2, -2)] = (
-        -u[_axis_slices(axis, 4, None)]
-        + 8.0 * u[_axis_slices(axis, 3, -1)]
-        - 8.0 * u[_axis_slices(axis, 1, -3)]
-        + u[_axis_slices(axis, 0, -4)]
-    ) / (12.0 * h)
-    return out
 
 
 def laplacian2(u: np.ndarray, h: float) -> np.ndarray:
@@ -71,22 +49,33 @@ def laplacian2(u: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def grad(u, h, order=2):
-    d = d1_c2 if order == 2 else d1_c4
-    return d(u, 0, h), d(u, 1, h), d(u, 2, h)
+def _at(u: np.ndarray, box: tuple, axis: int, k: int) -> np.ndarray:
+    """u on the cells of box moved k cells along axis."""
+    sl = list(box)
+    sl[axis] = slice(box[axis].start + k, box[axis].stop + k)
+    return u[tuple(sl)]
 
 
-def div(vx, vy, vz, h, order=4):
-    d = d1_c2 if order == 2 else d1_c4
-    return d(vx, 0, h) + d(vy, 1, h) + d(vz, 2, h)
+def _d2(u, box, axis, h):
+    """2nd-order centered d/dx_axis of u on the cells of box."""
+    return (_at(u, box, axis, 1) - _at(u, box, axis, -1)) / (2.0 * h)
 
 
-def curl(ax, ay, az, h, order=2):
-    d = d1_c2 if order == 2 else d1_c4
+def _d4(u, box, axis, h):
+    """4th-order centered d/dx_axis of u on the cells of box."""
+    p2, p1, m1, m2 = (_at(u, box, axis, k) for k in (2, 1, -1, -2))
+    return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+
+
+def _div(v, box, d, h):
+    return d(v[0], box, 0, h) + d(v[1], box, 1, h) + d(v[2], box, 2, h)
+
+
+def _curl(v, box, d, h):
     return (
-        d(az, 1, h) - d(ay, 2, h),
-        d(ax, 2, h) - d(az, 0, h),
-        d(ay, 0, h) - d(ax, 1, h),
+        d(v[2], box, 1, h) - d(v[1], box, 2, h),
+        d(v[0], box, 2, h) - d(v[2], box, 0, h),
+        d(v[1], box, 0, h) - d(v[0], box, 1, h),
     )
 
 
@@ -94,7 +83,11 @@ def curl(ax, ay, az, h, order=2):
 
 
 class SeparableSources:
-    """rho(r,t) = sum profile * g(t) per component; zero components stay scalar 0."""
+    """rho(r,t) = sum profile * g(t) per component; zero components stay scalar 0.
+
+    With ``out`` the sum is written into that array (same operation order)
+    instead of a fresh one; a component with no terms still returns 0.0.
+    """
 
     def __init__(self, rho_terms=(), jx_terms=(), jy_terms=(), jz_terms=()):
         self._terms = {
@@ -102,20 +95,20 @@ class SeparableSources:
             "jy": list(jy_terms), "jz": list(jz_terms),
         }
 
-    def _eval(self, name: str, t: float):
+    def _eval(self, name: str, t: float, out=None):
         terms = self._terms[name]
         if not terms:
             return 0.0
-        acc = terms[0][0] * terms[0][1](t)
+        acc = np.multiply(terms[0][0], terms[0][1](t), out=out)
         for profile, g in terms[1:]:
-            acc = acc + profile * g(t)
+            acc = np.add(acc, profile * g(t), out=out)
         return acc
 
-    def rho(self, t):
-        return self._eval("rho", t)
+    def rho(self, t, out=None):
+        return self._eval("rho", t, out)
 
-    def j(self, t):
-        return self._eval("jx", t), self._eval("jy", t), self._eval("jz", t)
+    def j(self, t, out=(None, None, None)):
+        return tuple(self._eval(name, t, o) for name, o in zip(("jx", "jy", "jz"), out))
 
 
 class AnalyticFarField:
@@ -166,22 +159,10 @@ class GridField:
         self.origin = np.array([-half, -half, -half])
         self.X, self.Y, self.Z = np.meshgrid(axis, axis, axis, indexing="ij")
         self.levels: list[Level] = []
-        self._faces = self._face_index()
+        self._faces = [tuple(side if a == face_axis else slice(None) for a in range(3))
+                       for face_axis in range(3) for side in (0, n - 1)]
         #: deterministic run counters, filled by evolve_wave
         self.stats: dict = {"grid_steps": 0, "evolved": []}
-
-    def _face_index(self):
-        n = self.n
-        faces = []
-        for axis in range(3):
-            for side in (0, n - 1):
-                sl = [slice(None)] * 3
-                sl[axis] = side
-                faces.append(tuple(sl))
-        return faces
-
-    def coords(self) -> np.ndarray:
-        return np.stack([self.X, self.Y, self.Z], axis=-1)
 
     def seed_from_analytic(self, times=(0.0, None)) -> "GridField":
         t0, t1 = times
@@ -311,11 +292,13 @@ def evolve_wave(grid: GridField, steps: int) -> GridField:
     zero = [name for name in grid.FIELD_NAMES if name not in evolved]
     rows = max(n * (n - 2), 0)  # rows j = 1 .. n-2 of one x-plane
     acc, tmp = np.empty(rows), np.empty(rows)
+    src = {name: np.empty((n,) * 3) if grid.sources._terms[_SOURCE_OF[name]] else None
+           for name in grid.FIELD_NAMES}
     for _ in range(steps):
         cur, prev = grid.levels[-1], grid.levels[-2]
         t_new = cur.time + grid.dt
-        rho = grid.sources.rho(cur.time)
-        jx, jy, jz = grid.sources.j(cur.time)
+        rho = grid.sources.rho(cur.time, out=src["phi"])
+        jx, jy, jz = grid.sources.j(cur.time, out=(src["ax"], src["ay"], src["az"]))
         srcs = {"phi": rho, "ax": jx, "ay": jy, "az": jz}
         new_fields = {name: np.zeros((n,) * 3) for name in zero}
         for name in evolved:
@@ -357,25 +340,29 @@ class ResidualReport:
     margin: int
 
     def to_dict(self) -> dict:
-        return {
-            "gauss": self.gauss, "faraday": self.faraday, "ampere": self.ampere,
-            "nomono": self.nomono, "gauge": self.gauge, "continuity": self.continuity,
-            "time": self.time, "h": self.h, "dt": self.dt, "margin": self.margin,
-        }
+        return asdict(self)
 
 
-def _masked_l2(arrs, margin: int, h: float) -> float:
-    core = (slice(margin, -margin),) * 3
+def _l2(squares, h: float) -> float:
+    """sqrt(h^3 * sum of the arrays' sums), each summed whole, in order."""
     total = 0.0
-    for a in arrs:
-        if isinstance(a, float):
-            continue
-        total += float(np.sum(a[core] ** 2))
+    for sq in squares:
+        total += float(np.sum(sq))
     return math.sqrt(total * h ** 3)
 
 
+_SLAB = 8  # core x-planes per slab of the residual assembly
+
+
 def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualReport:
-    """Assemble E, B at the centered level and report all six residual norms."""
+    """Assemble E, B at the centered level and report all six residual norms.
+
+    Only the masked core enters a norm, so it is assembled in x-slabs of the
+    core, each with a halo: 2 cells of E and B for the 4th-order operators,
+    which reach 3 cells of potentials (the margin is at least 3).  Each
+    residual component's square goes into its own core-sized buffer, summed
+    whole, so every norm is bit-identical to the whole-grid assembly.
+    """
     if len(grid.levels) < 3:
         raise InsufficientHistory(f"need 3 stored levels, have {len(grid.levels)}")
     if t_index is None:
@@ -385,49 +372,58 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
     nxt = grid.level_by_index(t_index + 1)
     h, dt = grid.h, grid.dt
     margin = grid.interior_mask_margin()
-
-    # assembly (2nd order, matching the evolution)
-    dphi_dt = (nxt.phi - prev.phi) / (2.0 * dt)
-    da_dt = [(nxt.field(f) - prev.field(f)) / (2.0 * dt) for f in ("ax", "ay", "az")]
-    gphi = grad(cur.phi, h, order=2)
-    e = [-da_dt[i] - gphi[i] for i in range(3)]
-    b = curl(cur.ax, cur.ay, cur.az, h, order=2)
-    db_dt = curl(da_dt[0], da_dt[1], da_dt[2], h, order=2)
-    d2a_dt2 = [
-        (nxt.field(f) - 2.0 * cur.field(f) + prev.field(f)) / (dt * dt)
-        for f in ("ax", "ay", "az")
-    ]
-    gdphi = grad(dphi_dt, h, order=2)
-    de_dt = [-d2a_dt2[i] - gdphi[i] for i in range(3)]
+    lo, hi = margin, grid.n - margin
+    # squares of gauss, faraday x/y/z, ampere x/y/z, nomono, gauge, continuity
+    sq = np.empty((10,) + (max(hi - lo, 0),) * 3)
 
     rho = grid.sources.rho(cur.time)
-    jx, jy, jz = grid.sources.j(cur.time)
-
-    # residual operators (4th order)
-    gauss = div(e[0], e[1], e[2], h, order=4) - rho
-    curl_e = curl(e[0], e[1], e[2], h, order=4)
-    faraday = [curl_e[i] + db_dt[i] for i in range(3)]
-    curl_b = curl(b[0], b[1], b[2], h, order=4)
-    ampere = [curl_b[0] - de_dt[0] - jx, curl_b[1] - de_dt[1] - jy, curl_b[2] - de_dt[2] - jz]
-    nomono = div(b[0], b[1], b[2], h, order=4)
-    gauge = dphi_dt + div(cur.ax, cur.ay, cur.az, h, order=4)
-
+    j = grid.sources.j(cur.time)
     rho_p = grid.sources.rho(prev.time)
     rho_n = grid.sources.rho(nxt.time)
-    drho_dt = (rho_n - rho_p) / (2.0 * dt) if not isinstance(rho_n, float) else 0.0
-    div_j = 0.0
-    for comp, axis in ((jx, 0), (jy, 1), (jz, 2)):
-        if not isinstance(comp, float):
-            div_j = div_j + d1_c4(comp, axis, h)
-    continuity = drho_dt + div_j
+    sourced = np.ndim(rho_n) > 0 or any(np.ndim(c) > 0 for c in j)
+    a_cur = (cur.ax, cur.ay, cur.az)
+
+    def part(src, box):
+        return src if np.ndim(src) == 0 else src[box]
+
+    for x0 in range(lo, hi, _SLAB):
+        x1 = min(x0 + _SLAB, hi)
+        core = (slice(x0, x1), slice(lo, hi), slice(lo, hi))
+        halo = (slice(x0 - 2, x1 + 2), slice(lo - 2, hi + 2), slice(lo - 2, hi + 2))
+        inner = (slice(2, x1 - x0 + 2), slice(2, hi - lo + 2), slice(2, hi - lo + 2))
+        slab = sq[:, x0 - lo:x1 - lo]
+
+        # assembly (2nd order, matching the evolution); core = halo[inner]
+        dphi_dt = (nxt.phi[halo] - prev.phi[halo]) / (2.0 * dt)
+        da_dt = [(nxt.field(f)[halo] - prev.field(f)[halo]) / (2.0 * dt) for f in ("ax", "ay", "az")]
+        e = [-da_dt[i] - _d2(cur.phi, halo, i, h) for i in range(3)]
+        b = _curl(a_cur, halo, _d2, h)
+        db_dt = _curl(da_dt, inner, _d2, h)
+        d2a_dt2 = [(nxt.field(f)[core] - 2.0 * cur.field(f)[core] + prev.field(f)[core]) / (dt * dt)
+                   for f in ("ax", "ay", "az")]
+        de_dt = [-d2a_dt2[i] - _d2(dphi_dt, inner, i, h) for i in range(3)]
+
+        # residual operators (4th order)
+        np.square(_div(e, inner, _d4, h) - part(rho, core), out=slab[0])
+        curl_e = _curl(e, inner, _d4, h)
+        curl_b = _curl(b, inner, _d4, h)
+        for i in range(3):
+            np.square(curl_e[i] + db_dt[i], out=slab[1 + i])
+            np.square(curl_b[i] - de_dt[i] - part(j[i], core), out=slab[4 + i])
+        np.square(_div(b, inner, _d4, h), out=slab[7])
+        np.square(dphi_dt[inner] + _div(a_cur, core, _d4, h), out=slab[8])
+        if sourced:
+            drho_dt = (rho_n[core] - rho_p[core]) / (2.0 * dt) if np.ndim(rho_n) > 0 else 0.0
+            div_j = 0.0
+            for axis, comp in enumerate(j):
+                if np.ndim(comp) > 0:
+                    div_j = div_j + _d4(comp, core, axis, h)
+            np.square(drho_dt + div_j, out=slab[9])
 
     return ResidualReport(
-        gauss=_masked_l2([gauss], margin, h),
-        faraday=_masked_l2(faraday, margin, h),
-        ampere=_masked_l2(ampere, margin, h),
-        nomono=_masked_l2([nomono], margin, h),
-        gauge=_masked_l2([gauge], margin, h),
-        continuity=_masked_l2([continuity], margin, h) if not isinstance(continuity, float) else 0.0,
+        gauss=_l2(sq[0:1], h), faraday=_l2(sq[1:4], h), ampere=_l2(sq[4:7], h),
+        nomono=_l2(sq[7:8], h), gauge=_l2(sq[8:9], h),
+        continuity=_l2(sq[9:10], h) if sourced else 0.0,
         time=cur.time, h=h, dt=dt, margin=margin,
     )
 
@@ -438,8 +434,9 @@ def solution_error(grid: GridField, t_index: int) -> float:
     margin = grid.interior_mask_margin()
     pa = grid.analytic.phi(grid.X, grid.Y, grid.Z, lvl.time)
     ax, ay, az = grid.analytic.a(grid.X, grid.Y, grid.Z, lvl.time)
+    core = (slice(margin, -margin),) * 3
     diffs = [lvl.phi - pa, lvl.ax - ax, lvl.ay - ay, lvl.az - az]
-    return _masked_l2(diffs, margin, grid.h)
+    return _l2((d[core] ** 2 for d in diffs), grid.h)
 
 
 # -- advected integral -----------------------------------------------------------

@@ -76,15 +76,37 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
     ("forces.states", {"forces": {"states": 2.5}}),
     ("compare.analytic", {"compare": {"analytic": "ellipse"}}),
     ("compare", {"compare": {"analytic": "gyration_circle", "tol": 1}}),
+    ("'bogus'", {"bogus": 1}),
+    ("tolerances.energy_drift", {"tolerances": {"energy_drift": -1}}),
+    ("tolerances.norm_drift", {"tolerances": {"norm_drift": 0.0}}),
+    ("tolerances.maxwell_ratio_band", {"tolerances": {"maxwell_ratio_band": [4.8, 3.2]}}),
+    ("tolerances.el_ratio_band", {"tolerances": {"el_ratio_band": [4.0, 4.0]}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
-    forces and compare sections and an unbounded step count end in exit 2, not a
+    forces and compare sections, an unbounded step count, an unknown top-level
+    key, a non-positive tolerance and an inverted band end in exit 2, not a
     traceback."""
     cfg = _free_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", ["M2", "M3"])
+def test_zero_test_charge_with_vector_model_exit_2(tmp_path, capsys, model):
+    """M2/M3 need A = sum W_i uf_i / q_test, so q_test = 0 is rejected at load."""
+    cfg = _free_config(tmp_path, models=["M1", model], particle={"q": 0.0, "u0": [0.5, 0.0, 0.0]},
+                       field={"w_inf": -1.0, "q_test": 0.0, "sources": []})
+    assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "field.q_test" in err and model in err and "Traceback" not in err
+
+
+def test_zero_test_charge_with_m1_runs(tmp_path):
+    cfg = _free_config(tmp_path, particle={"q": 0.0, "u0": [0.5, 0.0, 0.0]},
+                       field={"w_inf": -1.0, "q_test": 0.0, "sources": []})
+    assert main(["simulate", "--config", str(cfg), "--quiet"]) == 0
 
 
 def test_missing_config_exit_2(tmp_path, capsys):

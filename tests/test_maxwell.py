@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +16,7 @@ from vacuumflow.maxwell import (
     SeparableSources,
     advected_integral,
     Level,
+    ResidualReport,
     evolve_wave,
     laplacian2,
     maxwell_residuals,
@@ -136,7 +138,115 @@ def test_hard_indicator_is_noisier_than_smooth():
     assert hard_var > 10.0 * smooth_var
 
 
-# -- the blocked leapfrog against the whole-grid step ----------------------------
+# -- the blocked leapfrog and slab residuals against the whole-grid versions -----
+
+
+def _axis_slices(axis, lo, hi):
+    sl = [slice(None)] * 3
+    sl[axis] = slice(lo, hi)
+    return tuple(sl)
+
+
+def d1_c2(u, axis, h):
+    out = np.zeros_like(u)
+    out[_axis_slices(axis, 1, -1)] = (
+        u[_axis_slices(axis, 2, None)] - u[_axis_slices(axis, 0, -2)]
+    ) / (2.0 * h)
+    return out
+
+
+def d1_c4(u, axis, h):
+    out = np.zeros_like(u)
+    out[_axis_slices(axis, 2, -2)] = (
+        -u[_axis_slices(axis, 4, None)]
+        + 8.0 * u[_axis_slices(axis, 3, -1)]
+        - 8.0 * u[_axis_slices(axis, 1, -3)]
+        + u[_axis_slices(axis, 0, -4)]
+    ) / (12.0 * h)
+    return out
+
+
+def grad(u, h, order=2):
+    d = d1_c2 if order == 2 else d1_c4
+    return d(u, 0, h), d(u, 1, h), d(u, 2, h)
+
+
+def div(vx, vy, vz, h, order=4):
+    d = d1_c2 if order == 2 else d1_c4
+    return d(vx, 0, h) + d(vy, 1, h) + d(vz, 2, h)
+
+
+def curl(ax, ay, az, h, order=2):
+    d = d1_c2 if order == 2 else d1_c4
+    return (
+        d(az, 1, h) - d(ay, 2, h),
+        d(ax, 2, h) - d(az, 0, h),
+        d(ay, 0, h) - d(ax, 1, h),
+    )
+
+
+def _masked_l2(arrs, margin, h):
+    core = (slice(margin, -margin),) * 3
+    total = 0.0
+    for a in arrs:
+        if isinstance(a, float):
+            continue
+        total += float(np.sum(a[core] ** 2))
+    return math.sqrt(total * h ** 3)
+
+
+def _reference_residuals(grid, t_index=None):
+    """The whole-grid residual assembly: every operator on the full cube, then masked."""
+    if t_index is None:
+        t_index = grid.levels[-2].index
+    prev = grid.level_by_index(t_index - 1)
+    cur = grid.level_by_index(t_index)
+    nxt = grid.level_by_index(t_index + 1)
+    h, dt = grid.h, grid.dt
+    margin = grid.interior_mask_margin()
+
+    dphi_dt = (nxt.phi - prev.phi) / (2.0 * dt)
+    da_dt = [(nxt.field(f) - prev.field(f)) / (2.0 * dt) for f in ("ax", "ay", "az")]
+    gphi = grad(cur.phi, h, order=2)
+    e = [-da_dt[i] - gphi[i] for i in range(3)]
+    b = curl(cur.ax, cur.ay, cur.az, h, order=2)
+    db_dt = curl(da_dt[0], da_dt[1], da_dt[2], h, order=2)
+    d2a_dt2 = [
+        (nxt.field(f) - 2.0 * cur.field(f) + prev.field(f)) / (dt * dt)
+        for f in ("ax", "ay", "az")
+    ]
+    gdphi = grad(dphi_dt, h, order=2)
+    de_dt = [-d2a_dt2[i] - gdphi[i] for i in range(3)]
+
+    rho = grid.sources.rho(cur.time)
+    jx, jy, jz = grid.sources.j(cur.time)
+
+    gauss = div(e[0], e[1], e[2], h, order=4) - rho
+    curl_e = curl(e[0], e[1], e[2], h, order=4)
+    faraday = [curl_e[i] + db_dt[i] for i in range(3)]
+    curl_b = curl(b[0], b[1], b[2], h, order=4)
+    ampere = [curl_b[0] - de_dt[0] - jx, curl_b[1] - de_dt[1] - jy, curl_b[2] - de_dt[2] - jz]
+    nomono = div(b[0], b[1], b[2], h, order=4)
+    gauge = dphi_dt + div(cur.ax, cur.ay, cur.az, h, order=4)
+
+    rho_p = grid.sources.rho(prev.time)
+    rho_n = grid.sources.rho(nxt.time)
+    drho_dt = (rho_n - rho_p) / (2.0 * dt) if not isinstance(rho_n, float) else 0.0
+    div_j = 0.0
+    for comp, axis in ((jx, 0), (jy, 1), (jz, 2)):
+        if not isinstance(comp, float):
+            div_j = div_j + d1_c4(comp, axis, h)
+    continuity = drho_dt + div_j
+
+    return ResidualReport(
+        gauss=_masked_l2([gauss], margin, h),
+        faraday=_masked_l2(faraday, margin, h),
+        ampere=_masked_l2(ampere, margin, h),
+        nomono=_masked_l2([nomono], margin, h),
+        gauge=_masked_l2([gauge], margin, h),
+        continuity=_masked_l2([continuity], margin, h) if not isinstance(continuity, float) else 0.0,
+        time=cur.time, h=h, dt=dt, margin=margin,
+    )
 
 
 def _reference_evolve(grid, steps):
@@ -192,7 +302,7 @@ def test_blocked_step_matches_whole_grid_step(preset, n):
     evolve_wave(got, steps)
     _reference_evolve(want, steps)
     _assert_levels_identical(got, want)
-    assert maxwell_residuals(got, report) == maxwell_residuals(want, report)
+    assert maxwell_residuals(got, report) == _reference_residuals(want, report)
 
 
 def _signed_zeros(rng, shape):
@@ -200,10 +310,10 @@ def _signed_zeros(rng, shape):
 
 
 @st.composite
-def random_grids(draw):
+def random_grids(draw, sizes=st.integers(5, 12)):
     """(grid, steps, expected evolved names) with random seeded levels, 0-2
     separable source terms per component and optional analytic callables."""
-    n = draw(st.integers(5, 12))
+    n = draw(sizes)
     h = draw(st.floats(0.05, 0.5))
     dt = draw(st.floats(0.05, 1.0)) * h / math.sqrt(3.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -288,3 +398,42 @@ def test_prop1_suite_reports_grid_counters():
     assert suite["dipole"]["fine"]["stats"]["evolved"] == ["az", "phi"]
     assert suite["plane"]["fine"]["stats"]["evolved"] == ["ax", "ay", "az"]
     assert suite["violated"]["coarse"]["stats"]["evolved"] == ["ax", "ay", "az", "phi"]
+
+
+@pytest.mark.parametrize("n_min, n_max", [(5, 6), (7, 20)])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_slab_residuals_match_whole_grid_on_random_grids(n_min, n_max, data):
+    """n = 5, 6 leave an empty core; n = 15..20 split it into a full and a partial slab."""
+    grid, steps, _ = data.draw(random_grids(st.integers(n_min, n_max)))
+    evolve_wave(grid, steps)
+    t_index = data.draw(st.sampled_from([lv.index for lv in grid.levels[1:-1]]))
+    got = maxwell_residuals(grid, t_index)
+    assert got == _reference_residuals(grid, t_index)
+    if grid.n <= 6:
+        assert (got.gauss, got.faraday, got.ampere, got.nomono, got.gauge, got.continuity) == (0.0,) * 6
+
+
+def test_residual_assembly_peak_memory():
+    """The slab assembly holds at most 24 grid arrays at once (the whole-grid one held 48)."""
+    grid, steps, report = dipole_grid(48)
+    evolve_wave(grid, steps)
+    tracemalloc.start()
+    try:
+        maxwell_residuals(grid, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 48**3 * 8, peak / (48**3 * 8)
+
+
+def test_sources_out_matches_fresh_arrays():
+    rng = np.random.default_rng(3)
+    terms = [(rng.standard_normal((6, 6, 6)), lambda t, w=w: math.cos(w * t)) for w in (0.5, 1.5, 2.5)]
+    src = SeparableSources(rho_terms=terms, jy_terms=terms[:1])
+    buf = np.empty((6, 6, 6))
+    assert src.rho(0.3, out=buf) is buf
+    assert np.array_equal(buf, src.rho(0.3))
+    jx, jy, jz = src.j(0.3, out=(None, buf, None))
+    assert jx == 0.0 and jz == 0.0 and jy is buf
+    assert np.array_equal(buf, terms[0][0] * math.cos(0.15))
