@@ -19,7 +19,6 @@ import numpy as np
 from . import verify
 from .config import ScenarioConfig, load_config
 from .core import ModelKind
-from .dynamics import ForceKind, force
 from .errors import ConfigError, VacuumFlowError
 from .integrate import simulate
 
@@ -49,10 +48,6 @@ def _out_dir(args, cfg: ScenarioConfig) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _band_ok(value, band) -> bool:
-    return band[0] <= value <= band[1]
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -131,33 +126,17 @@ def cmd_compare(cfg: ScenarioConfig, out: Path, args) -> bool:
 
 def cmd_forces(cfg: ScenarioConfig, out: Path, args) -> bool:
     n_states = cfg.forces["states"]
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    worst = 0.0
-    for _ in range(n_states):
-        r = rng.uniform(-1.5, 1.5, 3)
-        u = rng.uniform(-1.0, 1.0, 3)
-        nu = float(np.linalg.norm(u))
-        if nu >= 0.95:
-            u *= 0.9 / nu
-        t = rng.uniform(0.0, 2.0)
-        fc = force(ForceKind.ClassicalLorentz, cfg.field, r, u, cfg.particle.q, t)
-        fm = force(ForceKind.ModifiedLorentz, cfg.field, r, u, cfg.particle.q, t)
-        gap = cfg.field.a_jac(r, t).T @ u * cfg.particle.q
-        dev = float(np.max(np.abs(fc - fm - gap)))
-        worst = max(worst, dev)
-        rows.append((r, u, t, fc, fm, dev))
+    gap = verify.force_gap_stats(seed=cfg.seed, n_states=n_states, fld=cfg.field)
     table = out / f"{cfg.name}_forces.csv"
     with open(table, "w") as fh:
         fh.write("rx,ry,rz,ux,uy,uz,t,fcx,fcy,fcz,fmx,fmy,fmz,identity_dev\n")
-        for r, u, t, fc, fm, dev in rows:
-            vals = [*r, *u, t, *fc, *fm, dev]
-            fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        for row in gap["rows"]:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     tol = cfg.tolerance("force_gap")
-    passed = worst <= tol
+    passed = verify.passed(cfg.tolerance, force_gap_stats=gap)
+    worst = gap["max_identity_dev"]
     _write_json(out / f"{cfg.name}_forces.json",
-                {"states": n_states, "max_identity_dev": worst, "tolerance": tol,
-                 "passed": bool(passed)})
+                {"states": n_states, "max_identity_dev": worst, "tolerance": tol, "passed": passed})
     _info(args, f"forces: max identity deviation {worst:.3e} tol={tol:.1e} "
                 f"{'PASS' if passed else 'FAIL'} -> {table}")
     return passed
@@ -166,29 +145,17 @@ def cmd_forces(cfg: ScenarioConfig, out: Path, args) -> bool:
 def cmd_maxwell(cfg: ScenarioConfig, out: Path, args) -> bool:
     n_coarse = cfg.maxwell["n_coarse"]
     suite = verify.prop1_suite(n_coarse=n_coarse, n_fine=cfg.maxwell["n_fine"])
-    band = cfg.tolerance("maxwell_ratio_band")
-    violated_max = cfg.tolerance("gauge_violated_ratio_max")
-    ok = True
-    for name in ("plane", "dipole"):
-        for key in ("gauss", "faraday", "ampere", "nomono"):
-            ratio = suite[name]["ratio"][key]
-            if ratio is not None and not _band_ok(ratio, band):
-                ok = False
-    vr = suite["violated"]["ratio"]["gauss"]
-    if vr is None or vr >= violated_max:
-        ok = False
+    ok = verify.passed(cfg.tolerance, prop1_suite=suite)
     adv = None
     if cfg.maxwell["advected"]:
         adv = verify.advected_report()
-        if adv["comoving_rel_variation"] > cfg.tolerance("advected_comoving_rel"):
-            ok = False
-        if adv["fixed_rel_variation"] <= cfg.tolerance("advected_fixed_min"):
-            ok = False
+        ok = verify.passed(cfg.tolerance, advected_report=adv) and ok
         with open(out / f"{cfg.name}_advected.csv", "w") as fh:
             fh.write("time,comoving,fixed\n")
             for t, c, f in zip(adv["times"], adv["comoving"], adv["fixed"]):
                 fh.write(f"{t:.17g},{c:.17g},{f:.17g}\n")
-    report = {"suite": suite, "advected": adv, "ratio_band": band, "passed": bool(ok)}
+    band = cfg.tolerance("maxwell_ratio_band")
+    report = {"suite": suite, "advected": adv, "ratio_band": band, "passed": ok}
     _write_json(out / f"{cfg.name}_maxwell.json", report)
     if cfg.maxwell["dump_grids"]:
         from .maxwell import evolve_wave
@@ -206,12 +173,8 @@ def cmd_quantum(cfg: ScenarioConfig, out: Path, args) -> bool:
     drift = verify.norm_drift_report(steps=cfg.quantum["steps"])
     packet = verify.packet_dispersion_report()
     gap = verify.model_gap_report()
-    ok = _band_ok(disp["exponent"], cfg.tolerance("dispersion_exponent_band"))
-    ok = ok and abs(disp["error_at_0p2"] - cfg.tolerance("dispersion_error_center")) <= cfg.tolerance("dispersion_error_width")
-    ok = ok and all(v <= cfg.tolerance("norm_drift") for v in drift.values())
-    ok = ok and packet["rel_err"] <= cfg.tolerance("packet_sigma_rel")
-    ok = ok and gap["gap_zero_a"] == 0.0 and gap["gap_zero_q"] == 0.0
-    ok = ok and gap["abs_err"] <= cfg.tolerance("model_gap")
+    ok = verify.passed(cfg.tolerance, dispersion_report=disp, norm_drift_report=drift,
+                       packet_dispersion_report=packet, model_gap_report=gap)
 
     with open(out / f"{cfg.name}_dispersion.csv", "w") as fh:
         fh.write("hk,exact,truncated,error\n")
@@ -231,7 +194,7 @@ def cmd_quantum(cfg: ScenarioConfig, out: Path, args) -> bool:
 
     _write_json(out / f"{cfg.name}_quantum.json",
                 {"dispersion": disp, "norm_drift": drift, "packet": packet, "model_gap": gap,
-                 "passed": bool(ok)})
+                 "passed": ok})
     _info(args, f"quantum: exponent={disp['exponent']:.3f} gap_err={gap['abs_err']:.2e} "
                 f"{'PASS' if ok else 'FAIL'}")
     return ok
@@ -241,13 +204,9 @@ def cmd_checks(cfg: ScenarioConfig, out: Path, args) -> bool:
     legendre = verify.legendre_consistency(seed=cfg.seed or 1)
     vf = verify.vector_field_fd(seed=(cfg.seed or 1) + 1)
     el = verify.el_convergence()
-    ok = all(v["hamiltonian_rel"] <= cfg.tolerance("legendre_rel") for v in legendre.values())
-    ok = ok and all(v["momentum_fd_rel"] <= cfg.tolerance("momentum_fd_rel") for v in legendre.values())
-    ok = ok and all(v <= cfg.tolerance("gradient_fd_rel") for v in vf.values())
-    ok = ok and _band_ok(el["ratio"], cfg.tolerance("el_ratio_band"))
+    ok = verify.passed(cfg.tolerance, legendre_consistency=legendre, vector_field_fd=vf, el_convergence=el)
     _write_json(out / f"{cfg.name}_checks.json",
-                {"legendre": legendre, "vector_field_fd": vf, "euler_lagrange": el,
-                 "passed": bool(ok)})
+                {"legendre": legendre, "vector_field_fd": vf, "euler_lagrange": el, "passed": ok})
     _info(args, f"checks: EL ratio={el['ratio']:.2f} {'PASS' if ok else 'FAIL'}")
     return ok
 

@@ -31,7 +31,6 @@ DEFAULT_TOLERANCES: dict = {
     "momentum_fd_rel": 1e-6,
     "gradient_fd_rel": 1e-6,
     "el_ratio_band": [3.5, 4.5],
-    "rk45_vs_midpoint": 1e-7,
     # wave verification
     "maxwell_ratio_band": [3.2, 4.8],
     "gauge_violated_ratio_max": 2.0,
@@ -46,7 +45,12 @@ DEFAULT_TOLERANCES: dict = {
     "model_gap": 1e-10,
 }
 
-_INTEGRATOR_KINDS = ("rk4", "implicit_midpoint", "rk45")
+# the keys each integrator kind takes besides kind and h
+_INTEGRATOR_KEYS = {"rk4": (), "implicit_midpoint": ("tol", "max_iter"), "rk45": ("atol", "rtol")}
+_INTEGRATOR_KINDS = tuple(_INTEGRATOR_KEYS)
+_PARTICLE_KEYS = ("q", "u0")
+_FIELD_KEYS = ("w_inf", "q_test", "sources", "a_uniform", "b_uniform")
+_SOURCE_KEYS = ("qs", "r0", "uf", "eps")
 _MAXWELL_DEFAULTS = {"n_coarse": 48, "n_fine": 96, "advected": True, "dump_grids": False}
 _QUANTUM_DEFAULTS = {"steps": 1000}
 _FORCES_DEFAULTS = {"states": 1000}
@@ -100,6 +104,11 @@ def _number(value, where: str, kind=float):
     return out
 
 
+def _known_keys(raw: dict, where: str, keys) -> None:
+    for key in raw:
+        _require(key in keys, f"{where}: unknown key {key!r}")
+
+
 def _vec3(raw, where: str) -> np.ndarray:
     _require(
         isinstance(raw, (list, tuple)) and len(raw) == 3,
@@ -110,6 +119,7 @@ def _vec3(raw, where: str) -> np.ndarray:
 
 def _build_field(raw: dict) -> VacuumField:
     _require(isinstance(raw, dict), "field: expected an object")
+    _known_keys(raw, "field", _FIELD_KEYS)
     _require("w_inf" in raw, "field.w_inf: required")
     w_inf = _number(raw["w_inf"], "field.w_inf")
     _require(w_inf < 0.0, f"field.w_inf: baseline must be negative, got {w_inf}")
@@ -117,6 +127,7 @@ def _build_field(raw: dict) -> VacuumField:
     for i, s in enumerate(raw.get("sources", [])):
         where = f"field.sources[{i}]"
         _require(isinstance(s, dict), f"{where}: expected an object")
+        _known_keys(s, where, _SOURCE_KEYS)
         for key in ("qs", "r0"):
             _require(key in s, f"{where}.{key}: required")
         eps = _number(s.get("eps", 0.01), f"{where}.eps")
@@ -141,6 +152,7 @@ def _build_integrator(raw: dict) -> tuple[IntegratorKind, float]:
     _require(isinstance(raw, dict), "integrator: expected an object")
     kind = raw.get("kind", "implicit_midpoint")
     _require(kind in _INTEGRATOR_KINDS, f"integrator.kind: must be one of {_INTEGRATOR_KINDS}, got {kind!r}")
+    _known_keys(raw, "integrator", ("kind", "h", *_INTEGRATOR_KEYS[kind]))
     h = _number(raw.get("h", 1e-3), "integrator.h")
     _require(h > 0.0, f"integrator.h: step must be > 0, got {h}")
     if kind == "rk4":
@@ -160,8 +172,7 @@ def _build_integrator(raw: dict) -> tuple[IntegratorKind, float]:
 def _section(raw, name: str, defaults: dict) -> dict:
     """A config section as an object with known keys, defaults filled in."""
     _require(isinstance(raw, dict), f"{name}: expected an object")
-    for key in raw:
-        _require(key in defaults, f"{name}: unknown key {key!r}")
+    _known_keys(raw, name, defaults)
     return {**defaults, **raw}
 
 
@@ -209,8 +220,7 @@ def _build_compare(raw) -> dict:
 def validate_config(raw: dict) -> ScenarioConfig:
     """Build a typed scenario from a raw JSON object, re-checking all invariants."""
     _require(isinstance(raw, dict), "config root: expected a JSON object")
-    for key in raw:
-        _require(key in _TOP_LEVEL_KEYS, f"config root: unknown key {key!r}")
+    _known_keys(raw, "config root", _TOP_LEVEL_KEYS)
     models_raw = raw.get("models", ["M1"])
     _require(isinstance(models_raw, list) and models_raw, "models: expected a non-empty list")
     models = []
@@ -220,6 +230,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     praw = raw.get("particle", {})
     _require(isinstance(praw, dict), "particle: expected an object")
+    _known_keys(praw, "particle", _PARTICLE_KEYS)
     u0 = _vec3(praw.get("u0", [0, 0, 0]), "particle.u0")
     _require(
         float(np.linalg.norm(u0)) < 1.0,

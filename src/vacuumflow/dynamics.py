@@ -307,12 +307,12 @@ def force(kind: ForceKind, fld: VacuumField, r, u, q: float, t: float = 0.0) -> 
     u = as_vec3(u)
     if float(u @ u) >= 1.0:
         raise SuperluminalInit(f"force needs |u| < 1, got {np.linalg.norm(u)}")
-    e, b = fld.e_b(r, t)
+    gw, adot, jac = fld._eval(r, t, "gdj")
+    e, b = fld.assemble_e_b(gw, adot, jac)
     lorentz = q * (e + np.cross(u, b))
     if kind is ForceKind.ClassicalLorentz:
         return lorentz
-    grad_au = fld.a_jac(r, t).T @ u
-    return lorentz - q * grad_au
+    return lorentz - q * (jac.T @ u)
 
 
 # -- Variational diagnostics --------------------------------------------------

@@ -188,7 +188,10 @@ class VacuumField:
 
     def e_b(self, r, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Assembled fields E = -grad(W)/q_test - dA/dt, B = curl A."""
-        gw, adot, j = self._eval(r, t, "gdj")
+        return self.assemble_e_b(*self._eval(r, t, "gdj"))
+
+    def assemble_e_b(self, gw, adot, j) -> tuple[np.ndarray, np.ndarray]:
+        """E and B from _eval's "gdj" parts, for callers that also need the Jacobian."""
         e = -gw / self.q_test - adot
         b = np.stack([j[..., 2, 1] - j[..., 1, 2], j[..., 0, 2] - j[..., 2, 0],
                       j[..., 1, 0] - j[..., 0, 1]], axis=-1)

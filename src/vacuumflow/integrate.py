@@ -168,20 +168,6 @@ def _step_midpoint(f, y, h, tol, max_iter):
     )
 
 
-def _step_rk45(f, y, h, atol, rtol):
-    sol = solve_ivp(
-        lambda _s, yy: f(yy.tolist()),
-        (0.0, h),
-        np.array(y),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise NoConvergence(f"adaptive step failed: {sol.message}")
-    return sol.y[:, -1].tolist()
-
-
 def step(
     integrator: IntegratorKind,
     model: ModelKind,
@@ -191,17 +177,20 @@ def step(
     *,
     rest_mass: float | None = None,
 ) -> PhasePoint:
-    """Advance one step of size h in tau (in t for M0)."""
+    """Advance one step of size h in tau (in t for M0) with RK4 or implicit midpoint.
+
+    RK45 is adaptive and runs through simulate only.
+    """
     if h == 0.0:
         raise ValueError("step size must be nonzero")
+    if isinstance(integrator, RK45):
+        raise ValueError("step: RK45 is adaptive; integrate with simulate instead")
     y = _pack(phase)
     f = _rhs(model, fld, rest_mass)
     if isinstance(integrator, RK4):
         y1 = _step_rk4(f, y, h)
-    elif isinstance(integrator, ImplicitMidpoint):
-        y1, _ = _step_midpoint(f, y, h, integrator.tol, integrator.max_iter)
     else:
-        y1 = _step_rk45(f, y, h, integrator.atol, integrator.rtol)
+        y1, _ = _step_midpoint(f, y, h, integrator.tol, integrator.max_iter)
     if model is ModelKind.M0:
         return PhasePoint(r=y1[0:3], mom=y1[3:6], tau=phase.tau + h, t=phase.t + h)
     return PhasePoint(r=y1[0:3], mom=y1[3:6], tau=phase.tau + h, t=y1[6])

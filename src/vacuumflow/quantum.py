@@ -214,10 +214,6 @@ def build_hamiltonian(model: QuantumModel, dx: float, hbar: float, domain: str =
     )
 
 
-def build_hamiltonian_for(model: QuantumModel, state: WaveState) -> TridiagonalOperator:
-    return build_hamiltonian(model, state.dx, state.hbar, state.domain)
-
-
 # -- Crank-Nicolson ------------------------------------------------------------
 
 

@@ -1,17 +1,26 @@
-"""Verification computations shared by the CLI and the acceptance suite.
+"""Verification computations and their pass/fail rules, shared by the CLI and
+the acceptance suite.
 
-Each function returns plain values/dicts; pass/fail decisions are applied by
-the caller against configured tolerances (see config.DEFAULT_TOLERANCES).
+Each computation returns plain values/dicts.  CRITERIA, at the end, maps every
+report to the values it checks as (label, value, tolerance key), and check()
+judges one value against its key; the CLI (with a scenario's tolerances) and
+the acceptance suite (with config.DEFAULT_TOLERANCES) read every PASS from
+there.  Wall-clock gates ride along in the table but only the acceptance
+suite asserts them, so the CLI's artifacts and exit codes never depend on
+timing.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import presets
+from .config import DEFAULT_TOLERANCES
 from .core import ModelKind, PhasePoint
 from .dynamics import (
     ForceKind,
@@ -103,12 +112,17 @@ def gyration_deviations(periods: float = 5.0) -> dict:
 
 
 def force_gap_stats(seed: int = 0, n_states: int = 1000, fld: VacuumField | None = None) -> dict:
-    """max |force(classical) - force(modified) - q grad<A,u>| over random states."""
+    """max |force(classical) - force(modified) - q grad<A,u>| over random states.
+
+    rows is an (n_states, 14) array holding r, u, t, F_classical, F_modified
+    and the deviation of each state.
+    """
     fld = fld or presets.moving_source_field()
     rng = np.random.default_rng(seed)
     q = fld.q_test
     worst = 0.0
-    for _ in range(n_states):
+    rows = np.empty((n_states, 14))
+    for row in rows:
         r = rng.uniform(-1.5, 1.5, 3)
         u = rng.uniform(-1.0, 1.0, 3)
         nu = np.linalg.norm(u)
@@ -118,8 +132,10 @@ def force_gap_stats(seed: int = 0, n_states: int = 1000, fld: VacuumField | None
         fc = force(ForceKind.ClassicalLorentz, fld, r, u, q, t)
         fm = force(ForceKind.ModifiedLorentz, fld, r, u, q, t)
         grad_au = fld.a_jac(r, t).T @ u
-        worst = max(worst, float(np.max(np.abs(fc - fm - q * grad_au))))
-    return {"max_identity_dev": worst, "states": n_states}
+        dev = float(np.max(np.abs(fc - fm - q * grad_au)))
+        worst = max(worst, dev)
+        row[:] = (*r, *u, t, *fc, *fm, dev)
+    return {"max_identity_dev": worst, "states": n_states, "rows": rows}
 
 
 def uniform_a_deviation(a_mag: float = 1e-5) -> dict:
@@ -412,3 +428,88 @@ def model_gap_report(a_const: float = 0.1, q: float = 1.0, mode: int = 4, n: int
         "gap_zero_a": model_gap(state, w, np.zeros(n), q),
         "gap_zero_q": model_gap(state, w, a, 0.0),
     }
+
+
+# -- the criteria table ------------------------------------------------------------
+
+
+def check(value, key, tolerance=DEFAULT_TOLERANCES.__getitem__) -> tuple[bool, str]:
+    """(passed, "value rule") for one value against the tolerance key that tolerance looks up.
+
+    A band [low, high] is inclusive, a *_max bound strict from above, a *_min
+    bound strict from below; dispersion_error_width bounds the distance to
+    dispersion_error_center; the key None asks for exactly 0.0; any other
+    bound is inclusive from above.  None never passes.
+    """
+    bound = None if key is None else tolerance(key)
+    if key is None:
+        ok, rule = (lambda v: v == 0.0), "== 0"
+    elif isinstance(bound, list):
+        ok, rule = (lambda v: bound[0] <= v <= bound[1]), f"in [{bound[0]:g}, {bound[1]:g}]"
+    elif key == "dispersion_error_width":
+        center = tolerance("dispersion_error_center")
+        ok, rule = (lambda v: abs(v - center) <= bound), f"within {bound:g} of {center:g}"
+    elif key.endswith("_max"):
+        ok, rule = (lambda v: v < bound), f"< {bound:g}"
+    elif key.endswith("_min"):
+        ok, rule = (lambda v: v > bound), f"> {bound:g}"
+    else:
+        ok, rule = (lambda v: v <= bound), f"<= {bound:g}"
+    shown = "None" if value is None else f"{value:.6g}"
+    return value is not None and bool(ok(value)), f"{shown} {rule}"
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """A report's paper criterion and checked values.  run makes the acceptance
+    report (None: the verify function of the row's name, defaults); gate_s
+    bounds wall(report) seconds, asserted by the acceptance suite only."""
+
+    number: int
+    values: Callable[[object], list]
+    run: Callable[[], object] | None = None
+    gate_s: float | None = None
+    wall: Callable[[object], float] = lambda report: report["seconds"]
+
+
+def _each(rep: dict, key: str, field: str | None = None) -> list:
+    """One check per model (or operator) of a report keyed by model."""
+    return [(f"{m} {field or key}", v if field is None else v[field], key) for m, v in rep.items()]
+
+
+CRITERIA: dict[str, Criterion] = {
+    "energy_drift_by_model": Criterion(1, lambda r: _each(r, "energy_drift", "drift"), gate_s=5.0,
+                                       wall=lambda r: max(v["seconds"] for v in r.values())),
+    "mass_law_deviation": Criterion(2, lambda dev: [("max |mass law - E0|/E0", dev, "mass_law")],
+                                    run=lambda: mass_law_deviation(flyby_m1())),
+    "gyration_deviations": Criterion(3, lambda g: [(k, g[k], "gyration_pos_dev")
+                                                   for k in ("m3_vs_m0", "m3_vs_circle", "m0_vs_circle")],
+                                     gate_s=5.0),
+    "force_gap_stats": Criterion(4, lambda g: [("max identity dev", g["max_identity_dev"], "force_gap")]),
+    "uniform_a_deviation": Criterion(4, lambda u: [("M2/M3 pos dev", u["pos_dev"], "uniform_a_pos_dev")]),
+    "legendre_consistency": Criterion(5, lambda r: _each(r, "legendre_rel", "hamiltonian_rel")
+                                      + _each(r, "momentum_fd_rel", "momentum_fd_rel")),
+    "vector_field_fd": Criterion(5, lambda r: _each(r, "gradient_fd_rel")),
+    "el_convergence": Criterion(6, lambda el: [("residual ratio", el["ratio"], "el_ratio_band")]),
+    "prop1_suite": Criterion(7, lambda s: [(f"{n} {k} ratio", s[n]["ratio"][k], "maxwell_ratio_band")
+                                           for n in ("plane", "dipole")
+                                           for k in ("gauss", "faraday", "ampere", "nomono")]
+                             + [("violated gauss ratio", s["violated"]["ratio"]["gauss"],
+                                 "gauge_violated_ratio_max")], gate_s=60.0),
+    "advected_report": Criterion(8, lambda a: [
+        ("co-moving variation", a["comoving_rel_variation"], "advected_comoving_rel"),
+        ("fixed-ball variation", a["fixed_rel_variation"], "advected_fixed_min")]),
+    "dispersion_report": Criterion(9, lambda d: [("exponent", d["exponent"], "dispersion_exponent_band"),
+                                                 ("error(0.2)", d["error_at_0p2"], "dispersion_error_width")]),
+    "norm_drift_report": Criterion(10, lambda r: _each(r, "norm_drift")),
+    "packet_dispersion_report": Criterion(10, lambda p: [("packet law", p["rel_err"], "packet_sigma_rel")]),
+    "model_gap_report": Criterion(10, lambda g: [("gap_zero_a", g["gap_zero_a"], None),
+                                                 ("gap_zero_q", g["gap_zero_q"], None),
+                                                 ("plane-wave gap err", g["abs_err"], "model_gap")]),
+}
+
+
+def passed(tolerance=DEFAULT_TOLERANCES.__getitem__, **reports) -> bool:
+    """Every value CRITERIA checks in each report (keyed by its row's name) passes; no wall gate."""
+    return all(check(value, key, tolerance)[0]
+               for name, report in reports.items() for _, value, key in CRITERIA[name].values(report))

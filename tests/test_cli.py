@@ -1,12 +1,15 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vacuumflow import verify
 from vacuumflow.cli import main
 from vacuumflow.config import DEFAULT_TOLERANCES, load_config, validate_config
+from vacuumflow.dynamics import ForceKind, force
 from vacuumflow.errors import ConfigError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -81,11 +84,17 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
     ("tolerances.norm_drift", {"tolerances": {"norm_drift": 0.0}}),
     ("tolerances.maxwell_ratio_band", {"tolerances": {"maxwell_ratio_band": [4.8, 3.2]}}),
     ("tolerances.el_ratio_band", {"tolerances": {"el_ratio_band": [4.0, 4.0]}}),
+    ("particle: unknown key 'mass'", {"particle": {"q": 1.0, "u0": [0.5, 0.0, 0.0], "mass": 2.0}}),
+    ("field: unknown key 'sorces'", {"field": {"w_inf": -1.0, "sorces": []}}),
+    ("field.sources[0]: unknown key 'epsilon'",
+     {"field": {"w_inf": -1.0, "sources": [{"qs": 0.5, "r0": [1.0, 1.0, 0.0], "epsilon": 0.3}]}}),
+    ("integrator: unknown key 'atol'", {"integrator": {"kind": "rk4", "h": 0.01, "atol": 1e-9}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
-    forces and compare sections, an unbounded step count, an unknown top-level
-    key, a non-positive tolerance and an inverted band end in exit 2, not a
+    forces and compare sections, an unbounded step count, an unknown key at the
+    top level or in a section (integrator keys depend on the kind), a
+    non-positive tolerance and an inverted band end in exit 2, not a
     traceback."""
     cfg = _free_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
@@ -114,8 +123,9 @@ def test_missing_config_exit_2(tmp_path, capsys):
 
 
 def test_unknown_tolerance_key_rejected(tmp_path):
-    cfg = _free_config(tmp_path, tolerances={"bogus": 1.0})
-    assert main(["simulate", "--config", str(cfg)]) == 2
+    for key in ("bogus", "rk45_vs_midpoint"):
+        cfg = _free_config(tmp_path, tolerances={key: 1.0})
+        assert main(["simulate", "--config", str(cfg)]) == 2
 
 
 def test_tolerance_failure_exit_1(tmp_path):
@@ -214,3 +224,73 @@ def test_validate_rejects_source_invariants():
             "particle": {"q": 2.0, "u0": [0, 0, 0]},
             "field": {"w_inf": -1.0, "q_test": 1.0},
         })
+
+
+def _old_forces_csv(cfg) -> str:
+    """The CSV the forces subcommand wrote from its own sampling loop, kept as an oracle."""
+    rng = np.random.default_rng(cfg.seed)
+    lines = ["rx,ry,rz,ux,uy,uz,t,fcx,fcy,fcz,fmx,fmy,fmz,identity_dev\n"]
+    for _ in range(cfg.forces["states"]):
+        r = rng.uniform(-1.5, 1.5, 3)
+        u = rng.uniform(-1.0, 1.0, 3)
+        nu = float(np.linalg.norm(u))
+        if nu >= 0.95:
+            u *= 0.9 / nu
+        t = rng.uniform(0.0, 2.0)
+        fc = force(ForceKind.ClassicalLorentz, cfg.field, r, u, cfg.particle.q, t)
+        fm = force(ForceKind.ModifiedLorentz, cfg.field, r, u, cfg.particle.q, t)
+        gap = cfg.field.a_jac(r, t).T @ u * cfg.particle.q
+        dev = float(np.max(np.abs(fc - fm - gap)))
+        lines.append(",".join(f"{v:.17g}" for v in [*r, *u, t, *fc, *fm, dev]) + "\n")
+    return "".join(lines)
+
+
+def test_forces_csv_matches_the_old_sampling_loop(tmp_path):
+    raw = json.loads((SCENARIOS / "forces.json").read_text())
+    raw["forces"]["states"] = 50
+    path = tmp_path / "forces.json"
+    path.write_text(json.dumps(raw))
+    assert main(["forces", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    expected = _old_forces_csv(load_config(path)).encode()
+    assert (tmp_path / "forces_forces.csv").read_bytes() == expected
+
+
+def test_maxwell_none_ratio_fails(tmp_path, monkeypatch):
+    """A residual too small to form a convergence ratio is a failure, not a skip."""
+    ratios = {key: 4.0 for key in ("gauss", "faraday", "ampere", "nomono")}
+    suite = {"plane": {"ratio": {**ratios, "ampere": None}}, "dipole": {"ratio": ratios},
+             "violated": {"ratio": {**ratios, "gauss": 1.0}}, "seconds": 0.0}
+    monkeypatch.setattr(verify, "prop1_suite", lambda **_: suite)
+    cfg = _free_config(tmp_path, maxwell={"advected": False})
+    assert main(["maxwell", "--config", str(cfg), "--quiet"]) == 1
+    assert json.loads((tmp_path / "out" / "free_maxwell.json").read_text())["passed"] is False
+    suite["plane"]["ratio"]["ampere"] = 4.0
+    assert main(["maxwell", "--config", str(cfg), "--quiet"]) == 0
+
+
+_BELOW, _ABOVE = (lambda x: math.nextafter(x, -math.inf)), (lambda x: math.nextafter(x, math.inf))
+
+
+@pytest.mark.parametrize("value, key, ok", [
+    (3.5, "el_ratio_band", True), (4.5, "el_ratio_band", True),
+    (_BELOW(3.5), "el_ratio_band", False), (_ABOVE(4.5), "el_ratio_band", False),
+    (2.0, "gauge_violated_ratio_max", False), (_BELOW(2.0), "gauge_violated_ratio_max", True),
+    (1e-2, "advected_fixed_min", False), (_ABOVE(1e-2), "advected_fixed_min", True),
+    (1e-8, "energy_drift", True), (_ABOVE(1e-8), "energy_drift", False),
+    (2.04e-4 + 0.5e-6, "dispersion_error_width", True), (2.04e-4 - 0.5e-6, "dispersion_error_width", True),
+    (2.04e-4 + 2e-6, "dispersion_error_width", False), (2.04e-4 - 2e-6, "dispersion_error_width", False),
+    (0.0, None, True), (-0.0, None, True), (5e-324, None, False),
+    (None, "energy_drift", False), (None, "el_ratio_band", False), (None, None, False),
+    (float("nan"), "energy_drift", False),
+])
+def test_check_rules_at_their_boundaries(value, key, ok):
+    """Bands are inclusive, _max/_min strict, other bounds inclusive, None never passes."""
+    passed, detail = verify.check(value, key)
+    assert passed is ok and detail.startswith("None" if value is None else f"{value:.6g}")
+
+
+def test_check_reads_the_given_tolerances(tmp_path):
+    """The CLI judges with the scenario's tolerances, not the defaults."""
+    cfg = load_config(_free_config(tmp_path, tolerances={"force_gap": 1e-3}))
+    assert verify.passed(cfg.tolerance, force_gap_stats={"max_identity_dev": 1e-6})
+    assert not verify.passed(force_gap_stats={"max_identity_dev": 1e-6})

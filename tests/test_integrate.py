@@ -20,14 +20,23 @@ ORIGIN = np.zeros(3)
 
 
 def test_linear_flow_exact(uniform_field):
-    """Uniform W: momentum frozen, position advances linearly for any stepper."""
+    """Uniform W: momentum frozen, position advances linearly for any stepper.
+
+    RK45 is adaptive and runs through simulate only; step refuses it."""
     particle = Particle(q=1.0, u0=(0.6, 0, 0))
     ph0 = init_phase(ModelKind.M1, particle, uniform_field, ORIGIN)
-    for integ in (RK4(), ImplicitMidpoint(), RK45()):
+    ends = []
+    for integ in (RK4(), ImplicitMidpoint()):
         ph1 = step(integ, ModelKind.M1, ph0, uniform_field, 0.4)
-        npt.assert_allclose(ph1.r, [0.75 * 0.4, 0, 0], rtol=1e-12)
-        npt.assert_allclose(ph1.mom, ph0.mom, atol=1e-13)
-        npt.assert_allclose(ph1.t, 1.25 * 0.4, rtol=1e-12)
+        ends.append((ph1.r, ph1.mom, ph1.t))
+    rec = simulate(ModelKind.M1, particle, uniform_field, ORIGIN, 0.4, RK45(), 0.4)
+    ends.append((rec.r[-1], rec.mom[-1], rec.t[-1]))
+    for r, mom, t in ends:
+        npt.assert_allclose(r, [0.75 * 0.4, 0, 0], rtol=1e-12)
+        npt.assert_allclose(mom, ph0.mom, atol=1e-13)
+        npt.assert_allclose(t, 1.25 * 0.4, rtol=1e-12)
+    with pytest.raises(ValueError, match="simulate"):
+        step(RK45(), ModelKind.M1, ph0, uniform_field, 0.4)
 
 
 def test_rk4_one_step_fifth_order(static_source_field):
