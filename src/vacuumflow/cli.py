@@ -30,17 +30,37 @@ def _info(args, *message):
         print(*message)
 
 
-def _write_json(path: Path, obj) -> None:
-    def clean(o):
-        if isinstance(o, dict):
-            return {k: clean(v) for k, v in sorted(o.items()) if k != "seconds"}
-        if isinstance(o, (list, tuple)):
-            return [clean(v) for v in o]
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        return o
+def _split_seconds(o):
+    """(o without its "seconds" keys, those keys at the same key paths or None)."""
+    if isinstance(o, dict):
+        kept, timing = {}, {}
+        for k, v in o.items():
+            v, t = _split_seconds(v)
+            if k == "seconds":
+                timing[k] = v
+                continue
+            kept[k] = v
+            if t is not None:
+                timing[k] = t
+        return kept, timing or None
+    if isinstance(o, (list, tuple)):
+        pairs = [_split_seconds(v) for v in o]
+        timing = [t for _, t in pairs]
+        return [k for k, _ in pairs], timing if any(t is not None for t in timing) else None
+    if isinstance(o, (np.floating, np.integer)):
+        return o.item(), None
+    return o, None
 
-    path.write_text(json.dumps(clean(obj), sort_keys=True, indent=2) + "\n")
+
+def _write_json(path: Path, obj) -> None:
+    """Sorted-key JSON of obj without its wall-clock "seconds" keys, which go
+    to <stem>_timing.json beside it (only when obj has one), so the artifact
+    itself stays byte-identical from run to run."""
+    kept, timing = _split_seconds(obj)
+    path.write_text(json.dumps(kept, sort_keys=True, indent=2) + "\n")
+    if timing is not None:
+        timing_path = path.with_name(f"{path.stem}_timing.json")
+        timing_path.write_text(json.dumps(timing, sort_keys=True, indent=2) + "\n")
 
 
 def _out_dir(args, cfg: ScenarioConfig) -> Path:
@@ -181,16 +201,14 @@ def cmd_quantum(cfg: ScenarioConfig, out: Path, args) -> bool:
         for row in disp["rows"]:
             fh.write(f"{row['hk']:.17g},{row['exact']:.17g},{row['truncated']:.17g},{row['error']:.17g}\n")
     # one snapshot artifact for plotting
-    from .quantum import QuantumKind, QuantumModel, build_hamiltonian, cn_step, gaussian_packet, snapshot_csv
+    from .quantum import QuantumKind, QuantumModel, build_hamiltonian, evolve, gaussian_packet, snapshot_csv
     from .presets import HBAR_DEFAULT, quantum_profiles
 
     dx, w, a = quantum_profiles()
     model = QuantumModel(QuantumKind.MinimalCoupling, w, a, q=1.0)
     op = build_hamiltonian(model, dx, HBAR_DEFAULT, "periodic")
     state = gaussian_packet(w.size, dx, x0=0.5 * w.size * dx, sigma0=0.8, k0=2.0, hbar=HBAR_DEFAULT)
-    for _ in range(200):
-        state = cn_step(op, state, 0.01)
-    snapshot_csv(state, out / f"{cfg.name}_snapshot.csv")
+    snapshot_csv(evolve(op, state, 0.01, 200), out / f"{cfg.name}_snapshot.csv")
 
     _write_json(out / f"{cfg.name}_quantum.json",
                 {"dispersion": disp, "norm_drift": drift, "packet": packet, "model_gap": gap,

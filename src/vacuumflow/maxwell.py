@@ -4,10 +4,14 @@ reproduce the Maxwell equations, plus the advected-integral conservation check.
 Evolution is plain second-order leapfrog for the four scalar wave equations on
 a collocated cube, with sources prescribed analytically (separable profiles so
 continuity holds in closed form) and the boundary shell pinned to the analytic
-far field.  Each field is updated one interior x-plane at a time on the
-flattened array (a plane is n*n contiguous doubles, so the stencil's reads stay
-in cache), with the whole-grid step's operations in the same order, so every
-value is bit-identical to ``2u - prev + dt^2 (laplacian2(u) + src)``.  A
+far field.  Each field update splits the interior x-planes into contiguous
+bands, one per core the process may run on (``os.sched_getaffinity``, else
+``os.cpu_count``; at least one span of about 37k cells each), and steps them
+concurrently on threads: numpy's float64 ufuncs release the interpreter lock.  A band works on the flattened array in spans of
+whole planes (about 37k cells, so the stencil's reads stay in cache), with the
+whole-grid step's operations in the same order, so every value is
+bit-identical to ``2u - prev + dt^2 (laplacian2(u) + src)`` whatever the band
+count.  The thread pool lives for one ``evolve_wave`` call.  A
 component with no source terms, a boundary pinned to 0 and two all-zero seeded
 levels stays exactly +0.0 and is not evolved (the dipole's ax/ay, the plane
 wave's phi); each new level gets a fresh zero array for it.
@@ -27,6 +31,9 @@ whole, so every norm is bit-identical to assembling the whole grid.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -235,43 +242,86 @@ def _stays_zero(grid: GridField, name: str) -> bool:
     )
 
 
+#: cells per ufunc call of a band (4 planes at n = 96, 288 KB per scratch
+#: buffer): at 48^3 two threads on 4-plane spans waited on each other for the
+#: interpreter lock between calls and ran slower than one thread
+_SPAN_CELLS = 4 * 96 * 96
+
+
+def _band_count(n: int) -> int:
+    """Bands of interior x-planes one field update is split into: one per core
+    this process may run on, each of at least _SPAN_CELLS cells."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, max(1, (n - 2) * n * n // _SPAN_CELLS))
+
+
+def _step_band(uf, pf, src, sf, of, n: int, hh: float, dt2: float, x0: int, x1: int) -> None:
+    """Leapfrog update of the interior x-planes x0 .. x1-1 of the flat arrays.
+
+    It runs in spans of whole planes, about _SPAN_CELLS cells each, one ufunc
+    call per operation.  A span of k planes x .. x+k-1 is the flat range from
+    row j = 1 of plane x to row j = n-2 of plane x+k-1, so it also covers the
+    face rows j = n-1, j = 0 between its planes; the stencil reads the flat
+    offsets +-1 (z), +-n (y) and +-n*n (x), which stay inside the array for
+    1 <= x and x+k <= n-1.
+    """
+    nn = n * n
+    span = max(1, _SPAN_CELLS // nn)
+    acc = np.empty(span * nn)
+    tmp = np.empty(span * nn)
+    for x in range(x0, x1, span):
+        c = x * nn + n
+        e = min(x + span, x1) * nn - n
+        a, t = acc[:e - c], tmp[:e - c]
+        np.multiply(uf[c:e], -6.0, out=a)
+        np.add(uf[c + nn:e + nn], uf[c - nn:e - nn], out=t)
+        a += t
+        np.add(uf[c + n:e + n], uf[c - n:e - n], out=t)
+        a += t
+        np.add(uf[c + 1:e + 1], uf[c - 1:e - 1], out=t)
+        a += t
+        a /= hh
+        a += src if sf is None else sf[c:e]
+        a *= dt2
+        np.multiply(uf[c:e], 2.0, out=t)
+        t -= pf[c:e]
+        np.add(t, a, out=of[c:e])
+
+
 def _step_field(u: np.ndarray, prev: np.ndarray, src, h: float, dt2: float,
-                acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """One leapfrog update of one field, one interior x-plane at a time.
+                pool: ThreadPoolExecutor | None = None, bands: int = 1) -> np.ndarray:
+    """One leapfrog update of one field, its interior x-planes split into bands.
 
     Every interior value is bit-identical to
-    ``2.0*u - prev + dt2*(laplacian2(u, h) + src)``: the operations run in the
-    same order.  An x-plane is n*n contiguous doubles, so a plane and its two
-    neighbours stay in cache; the stencil reads the flat offsets +-1 (z),
-    +-n (y) and +-n*n (x).  ``acc`` and ``tmp`` hold the n*(n-2) doubles of
-    the rows j = 1 .. n-2 of one plane.  The x = 0, x = n-1 planes and the
-    j = 0, j = n-1 rows stay unwritten and the z = 0, z = n-1 cells get
+    ``2.0*u - prev + dt2*(laplacian2(u, h) + src)``, whatever the band count:
+    each cell's operations run in the same order.  The bands are contiguous
+    runs of x-planes: the calling thread steps the first and ``pool``'s
+    threads the others, concurrently (numpy's float64 ufuncs release the
+    interpreter lock); with no pool they run one after another.  The
+    x = 0, x = n-1 planes stay unwritten and the other face cells get
     wrap-around values: the caller pins all six faces.
     """
     n = u.shape[0]
-    nn = n * n
-    m = acc.size
-    uf = u.reshape(-1)
-    pf = prev.reshape(-1)
+    uf, pf = u.reshape(-1), prev.reshape(-1)
     sf = None if np.ndim(src) == 0 else np.broadcast_to(src, u.shape).reshape(-1)
     out = np.empty(u.shape)
     of = out.reshape(-1)
-    hh = h * h
-    for c in range(nn + n, (n - 1) * nn, nn):
-        e = c + m
-        np.multiply(uf[c:e], -6.0, out=acc)
-        np.add(uf[c + nn:e + nn], uf[c - nn:e - nn], out=tmp)
-        acc += tmp
-        np.add(uf[c + n:e + n], uf[c - n:e - n], out=tmp)
-        acc += tmp
-        np.add(uf[c + 1:e + 1], uf[c - 1:e - 1], out=tmp)
-        acc += tmp
-        acc /= hh
-        acc += src if sf is None else sf[c:e]
-        acc *= dt2
-        np.multiply(uf[c:e], 2.0, out=tmp)
-        tmp -= pf[c:e]
-        np.add(tmp, acc, out=of[c:e])
+    edges = [1 + (n - 2) * b // bands for b in range(bands + 1)]
+
+    def band(b):
+        _step_band(uf, pf, src, sf, of, n, h * h, dt2, edges[b], edges[b + 1])
+
+    if pool is None:
+        for b in range(bands):
+            band(b)
+        return out
+    rest = [pool.submit(band, b) for b in range(1, bands)]
+    band(0)
+    for future in rest:
+        future.result()
     return out
 
 
@@ -279,8 +329,11 @@ def evolve_wave(grid: GridField, steps: int) -> GridField:
     """Second-order leapfrog for all four wave equations, Dirichlet analytic shell.
 
     Components that stay exactly zero (see ``_stays_zero``) are not evolved:
-    each new level holds a fresh ``np.zeros`` for them.  ``grid.stats``
-    accumulates ``grid_steps`` and the sorted names of the evolved components.
+    each new level holds a fresh ``np.zeros`` for them.  Each field update is
+    split into ``_band_count(n)`` bands, all but the first stepped on a thread
+    pool that lives for this call only (no pool for one band).
+    ``grid.stats`` accumulates ``grid_steps`` and the sorted names of the
+    evolved components.
     """
     if grid.dt > grid.h / _SQRT3:
         raise CFLViolation(f"dt = {grid.dt:g} > h/sqrt(3) = {grid.h / _SQRT3:g}")
@@ -290,33 +343,33 @@ def evolve_wave(grid: GridField, steps: int) -> GridField:
     n = grid.n
     evolved = [name for name in grid.FIELD_NAMES if not _stays_zero(grid, name)]
     zero = [name for name in grid.FIELD_NAMES if name not in evolved]
-    rows = max(n * (n - 2), 0)  # rows j = 1 .. n-2 of one x-plane
-    acc, tmp = np.empty(rows), np.empty(rows)
     src = {name: np.empty((n,) * 3) if grid.sources._terms[_SOURCE_OF[name]] else None
            for name in grid.FIELD_NAMES}
-    for _ in range(steps):
-        cur, prev = grid.levels[-1], grid.levels[-2]
-        t_new = cur.time + grid.dt
-        rho = grid.sources.rho(cur.time, out=src["phi"])
-        jx, jy, jz = grid.sources.j(cur.time, out=(src["ax"], src["ay"], src["az"]))
-        srcs = {"phi": rho, "ax": jx, "ay": jy, "az": jz}
-        new_fields = {name: np.zeros((n,) * 3) for name in zero}
-        for name in evolved:
-            new_fields[name] = _step_field(cur.field(name), prev.field(name), srcs[name],
-                                           grid.h, dt2, acc, tmp)
-        for face in grid._faces:
-            xf, yf, zf = grid.X[face], grid.Y[face], grid.Z[face]
-            pinned = {}
-            if grid.analytic._phi is not None:
-                pinned["phi"] = grid.analytic.phi(xf, yf, zf, t_new)
-            if grid.analytic._a is not None:
-                pinned["ax"], pinned["ay"], pinned["az"] = grid.analytic.a(xf, yf, zf, t_new)
+    bands = _band_count(n)
+    with ThreadPoolExecutor(bands - 1) if bands > 1 else nullcontext() as pool:
+        for _ in range(steps):
+            cur, prev = grid.levels[-1], grid.levels[-2]
+            t_new = cur.time + grid.dt
+            rho = grid.sources.rho(cur.time, out=src["phi"])
+            jx, jy, jz = grid.sources.j(cur.time, out=(src["ax"], src["ay"], src["az"]))
+            srcs = {"phi": rho, "ax": jx, "ay": jy, "az": jz}
+            new_fields = {name: np.zeros((n,) * 3) for name in zero}
             for name in evolved:
-                new_fields[name][face] = pinned.get(name, 0.0)
-        grid.levels.append(Level(cur.index + 1, t_new, new_fields["phi"],
-                                 new_fields["ax"], new_fields["ay"], new_fields["az"]))
-        if len(grid.levels) > grid.history:
-            grid.levels.pop(0)
+                new_fields[name] = _step_field(cur.field(name), prev.field(name), srcs[name],
+                                               grid.h, dt2, pool, bands)
+            for face in grid._faces:
+                xf, yf, zf = grid.X[face], grid.Y[face], grid.Z[face]
+                pinned = {}
+                if grid.analytic._phi is not None:
+                    pinned["phi"] = grid.analytic.phi(xf, yf, zf, t_new)
+                if grid.analytic._a is not None:
+                    pinned["ax"], pinned["ay"], pinned["az"] = grid.analytic.a(xf, yf, zf, t_new)
+                for name in evolved:
+                    new_fields[name][face] = pinned.get(name, 0.0)
+            grid.levels.append(Level(cur.index + 1, t_new, new_fields["phi"],
+                                     new_fields["ax"], new_fields["ay"], new_fields["az"]))
+            if len(grid.levels) > grid.history:
+                grid.levels.pop(0)
     if steps > 0:
         grid.stats["grid_steps"] += steps
         grid.stats["evolved"] = sorted(set(grid.stats["evolved"]) | set(evolved))

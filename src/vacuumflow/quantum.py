@@ -37,6 +37,11 @@ class QuantumKind(Enum):
     Modified = "modified"
 
 
+def l2_norm(psi: np.ndarray, dx: float) -> float:
+    """sqrt(sum |psi|^2 dx) of grid samples."""
+    return math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)
+
+
 @dataclass(frozen=True)
 class WaveState:
     """Complex samples on a uniform 1-D grid with hbar and grid metadata."""
@@ -63,7 +68,7 @@ class WaveState:
         return self.x0 + self.dx * np.arange(self.n)
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.psi) ** 2)) * self.dx)
+        return l2_norm(self.psi, self.dx)
 
     def normalized(self) -> "WaveState":
         return replace(self, psi=self.psi / self.norm())
@@ -268,14 +273,14 @@ def _gttrs(lu, rhs):
     return x
 
 
-def cn_step(op: TridiagonalOperator, state: WaveState, dtau: float) -> WaveState:
-    """One Cayley step: (1 + i dtau H/2hbar) psi' = (1 - i dtau H/2hbar) psi.
+def cn_step_psi(op: TridiagonalOperator, psi: np.ndarray, dtau: float) -> np.ndarray:
+    """One Cayley step of the samples: (1 + i dtau H/2hbar) psi' = (1 - i dtau H/2hbar) psi.
 
     The first step with a given dtau factors the matrix; later ones reuse it.
     A factor that fails raises SolveFailure and is not kept.
     """
     z = 1j * dtau / (2.0 * op.hbar)
-    rhs = state.psi - z * op.apply(state.psi)
+    rhs = psi - z * op.apply(psi)
     factor = op._factors.get(dtau)
     if factor is None:
         factor = _CayleyFactor(op, z)
@@ -283,13 +288,20 @@ def cn_step(op: TridiagonalOperator, state: WaveState, dtau: float) -> WaveState
         op.stats["factorizations"] += 1
     psi1 = factor.solve(rhs)
     op.stats["cn_steps"] += 1
-    return replace(state, psi=psi1)
+    return psi1
+
+
+def cn_step(op: TridiagonalOperator, state: WaveState, dtau: float) -> WaveState:
+    """One Cayley step of a state (see cn_step_psi)."""
+    return replace(state, psi=cn_step_psi(op, state.psi, dtau))
 
 
 def evolve(op: TridiagonalOperator, state: WaveState, dtau: float, steps: int) -> WaveState:
+    """steps Cayley steps on the samples, wrapped into one state at the end."""
+    psi = state.psi
     for _ in range(steps):
-        state = cn_step(op, state, dtau)
-    return state
+        psi = cn_step_psi(op, psi, dtau)
+    return replace(state, psi=psi)
 
 
 # -- diagnostics ----------------------------------------------------------------

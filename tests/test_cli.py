@@ -146,7 +146,9 @@ def test_deterministic_outputs(tmp_path):
     out_b = tmp_path / "b"
     assert main(["simulate", "--config", str(cfg), "--out", str(out_a), "--quiet"]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(out_b), "--quiet"]) == 0
-    for name in ("free_M1.csv", "free_M1_drift.json"):
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == ["free_M1.csv", "free_M1_drift.json"]  # no timing sidecar: no seconds
+    for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
@@ -266,6 +268,25 @@ def test_maxwell_none_ratio_fails(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "out" / "free_maxwell.json").read_text())["passed"] is False
     suite["plane"]["ratio"]["ampere"] = 4.0
     assert main(["maxwell", "--config", str(cfg), "--quiet"]) == 0
+
+
+def test_seconds_go_to_the_timing_sidecar(tmp_path, monkeypatch):
+    """Two runs that differ only in wall-clock time write byte-identical
+    artifacts; the seconds land in <artifact>_timing.json at their key paths."""
+    ratios = {key: 4.0 for key in ("gauss", "faraday", "ampere", "nomono")}
+    cfg = _free_config(tmp_path, maxwell={"advected": False})
+    for run, seconds in (("a", 1.5), ("b", 2.5)):
+        suite = {"plane": {"ratio": ratios}, "dipole": {"ratio": ratios},
+                 "violated": {"ratio": {**ratios, "gauss": 1.0}}, "seconds": seconds}
+        monkeypatch.setattr(verify, "prop1_suite", lambda suite=suite, **_: suite)
+        assert main(["maxwell", "--config", str(cfg), "--out", str(tmp_path / run), "--quiet"]) == 0
+        assert sorted(p.name for p in (tmp_path / run).iterdir()) == ["free_maxwell.json",
+                                                                      "free_maxwell_timing.json"]
+        timing = json.loads((tmp_path / run / "free_maxwell_timing.json").read_text())
+        assert timing == {"suite": {"seconds": seconds}}
+    report = (tmp_path / "a" / "free_maxwell.json").read_bytes()
+    assert report == (tmp_path / "b" / "free_maxwell.json").read_bytes()
+    assert b"seconds" not in report
 
 
 _BELOW, _ABOVE = (lambda x: math.nextafter(x, -math.inf)), (lambda x: math.nextafter(x, math.inf))

@@ -1,5 +1,10 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vacuumflow import maxwell
 from vacuumflow.errors import BallExitsGrid, CFLViolation, InsufficientHistory
 from vacuumflow.maxwell import (
     AnalyticFarField,
@@ -370,6 +376,45 @@ def test_blocked_step_matches_whole_grid_step_on_random_grids(case):
     evolve_wave(grid, steps)
     _assert_levels_identical(grid, want)
     assert grid.stats == {"grid_steps": steps, "evolved": evolved}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(random_grids(st.integers(5, 20)), st.integers(1, 4), st.integers(1, 4), st.booleans())
+def test_band_split_matches_whole_grid_step(case, bands, span_planes, threaded):
+    """Any band count, span length and threading gives the whole-grid step's
+    interior bit for bit, signed zeros included."""
+    grid, _, _ = case
+    want = _reference_evolve(_copy_grid(grid), 1).levels[-1]
+    cur, prev = grid.levels[-1], grid.levels[-2]
+    srcs = dict(zip(grid.FIELD_NAMES, (grid.sources.rho(cur.time), *grid.sources.j(cur.time))))
+    core = (slice(1, -1),) * 3
+    with mock.patch.object(maxwell, "_SPAN_CELLS", span_planes * grid.n**2), \
+            ThreadPoolExecutor(bands - 1) if threaded and bands > 1 else nullcontext() as pool:
+        for name in grid.FIELD_NAMES:
+            got = maxwell._step_field(cur.field(name), prev.field(name), srcs[name], grid.h,
+                                      grid.dt * grid.dt, pool, bands)[core]
+            assert np.array_equal(got, want.field(name)[core]), name
+            assert np.array_equal(np.signbit(got), np.signbit(want.field(name)[core])), name
+
+
+@pytest.mark.parametrize("cores, n, bands", [(8, 48, 2), (8, 96, 8), (2, 96, 2), (2, 16, 1), (1, 96, 1)])
+def test_band_count_gives_each_band_a_full_span(cores, n, bands):
+    with mock.patch.object(maxwell.os, "sched_getaffinity", lambda _pid: set(range(cores)), create=True):
+        assert maxwell._band_count(n) == bands
+
+
+@pytest.mark.parametrize("cpu_count, bands", [(8, 8), (None, 1)])
+def test_band_count_without_affinity_uses_cpu_count(cpu_count, bands):
+    """Where os has no sched_getaffinity, cpu_count decides; one band if unknown."""
+    with mock.patch.object(maxwell, "os", SimpleNamespace(cpu_count=lambda: cpu_count)):
+        assert maxwell._band_count(96) == bands
+
+
+def test_evolve_wave_leaves_no_thread_behind():
+    grid, steps, _ = dipole_grid(48)
+    before = threading.active_count()
+    evolve_wave(grid, steps)
+    assert threading.active_count() == before
 
 
 def test_zero_start_component_with_source_boundary_or_perturbation_is_evolved():

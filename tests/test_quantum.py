@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from vacuumflow import verify
 from vacuumflow.errors import NonPositiveMass, SolveFailure, SuperluminalMode
 from vacuumflow.presets import HBAR_DEFAULT, quantum_profiles
 from vacuumflow.quantum import (
@@ -308,7 +309,24 @@ def test_cn_step_matches_fresh_banded_solve(problem):
         got = cn_step(op, got, dtau)
         want = _reference_cn_step(op, want, dtau)
         assert np.array_equal(got.psi, want.psi)
-    assert op.stats == {"cn_steps": steps, "factorizations": 1}
+    assert np.array_equal(evolve(op, state, dtau, steps).psi, want.psi)
+    assert op.stats == {"cn_steps": 2 * steps, "factorizations": 1}
+
+
+def test_norm_drift_report_matches_state_stepping():
+    """The report steps raw samples; the old loop over WaveState steps is the oracle."""
+    dx, w, a = quantum_profiles()
+    want = {}
+    for kind in QuantumKind:
+        prof_a = np.zeros(w.size) if kind is QuantumKind.FreeVacuum else a
+        op = build_hamiltonian(QuantumModel(kind, w, prof_a, q=1.0), dx, HBAR_DEFAULT)
+        state = gaussian_packet(w.size, dx, x0=0.5 * w.size * dx, sigma0=0.8, k0=2.0, hbar=HBAR_DEFAULT)
+        worst = 0.0
+        for _ in range(20):
+            state = cn_step(op, state, 0.01)
+            worst = max(worst, abs(state.norm() - 1.0))
+        want[kind.value] = worst
+    assert verify.norm_drift_report(steps=20) == want
 
 
 def test_interleaved_dtau_match_fresh_operators():
