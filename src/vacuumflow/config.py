@@ -94,6 +94,7 @@ def _require(cond: bool, message: str) -> None:
 
 def _number(value, where: str, kind=float):
     """value as a finite float (or a whole int); ConfigError naming where otherwise."""
+    _require(not isinstance(value, bool), f"{where}: expected a number, got {value!r}")
     try:
         out = kind(value)
         whole = kind is float or out == float(value)
@@ -123,22 +124,23 @@ def _build_field(raw: dict) -> VacuumField:
     _require("w_inf" in raw, "field.w_inf: required")
     w_inf = _number(raw["w_inf"], "field.w_inf")
     _require(w_inf < 0.0, f"field.w_inf: baseline must be negative, got {w_inf}")
+    raw_sources = raw.get("sources", [])
+    _require(isinstance(raw_sources, list), f"field.sources: expected a list, got {raw_sources!r}")
     sources = []
-    for i, s in enumerate(raw.get("sources", [])):
+    for i, s in enumerate(raw_sources):
         where = f"field.sources[{i}]"
         _require(isinstance(s, dict), f"{where}: expected an object")
         _known_keys(s, where, _SOURCE_KEYS)
         for key in ("qs", "r0"):
             _require(key in s, f"{where}.{key}: required")
         eps = _number(s.get("eps", 0.01), f"{where}.eps")
-        _require(eps > 0.0, f"{where}.eps: softening must be > 0, got {eps}")
         uf = _vec3(s.get("uf", [0, 0, 0]), f"{where}.uf")
-        _require(
-            float(np.linalg.norm(uf)) < 1.0,
-            f"{where}.uf: source speed |uf| must be < 1, got {np.linalg.norm(uf)}",
-        )
         qs = _number(s["qs"], f"{where}.qs")
-        sources.append(FieldSource(qs=qs, r0=_vec3(s["r0"], f"{where}.r0"), uf=uf, eps=eps))
+        r0 = _vec3(s["r0"], f"{where}.r0")
+        try:  # FieldSource checks eps and |uf|, naming the attribute first
+            sources.append(FieldSource(qs=qs, r0=r0, uf=uf, eps=eps))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}.{exc}") from None
     return VacuumField(
         w_inf=w_inf,
         sources=tuple(sources),

@@ -1,4 +1,4 @@
-"""Shared domain types, unit conventions and clocks.
+"""Shared domain types, unit conventions, clocks and the per-model scalar terms.
 
 Natural units with light speed c = 1 throughout; hbar is configurable where it
 enters (quantum module).  A particle's dynamical mass is m = -W(r,t), so the
@@ -111,18 +111,36 @@ def init_phase(model: ModelKind, particle: Particle, fld: VacuumField, r0) -> Ph
     if model in (ModelKind.M2, ModelKind.M3):
         mom = mom + particle.q * fld.a(r0, 0.0)
     phase = PhasePoint(r=r0, mom=mom, tau=0.0, t=0.0)
-    _check_subluminal(model, phase, fld)
+    if model is not ModelKind.M0:
+        phase_terms(model, phase, fld)  # the square-root guard
     return phase
 
 
-def _check_subluminal(model: ModelKind, phase: PhasePoint, fld: VacuumField) -> None:
-    if model is ModelKind.M0:
-        return
+def model_terms(model: ModelKind, w, k2, ap, q: float, root):
+    """(guard, G, kappa, rate, energy) of a vacuum model M1-M3: the one definition.
+
+    guard = W^2 - |k|^2 (k = P - qA for M3, the stored momentum otherwise),
+    G = root(guard), kappa = 1 - q<A,P>/G^2 (1 for M1/M3), rate = dt/dtau and
+    energy = -H.  k2 = |k|^2 and ap = <A,P> (M2 only) come from the caller,
+    summed in its own order.  Only + - * / and root are used, so it runs on
+    floats (root = guarded_root) and on numpy sample columns (root = np.sqrt).
+    """
+    guard = w * w - k2
+    g = root(guard)
+    if model is not ModelKind.M2:
+        return guard, g, 1.0, -w / g, g
+    kappa = 1.0 - q * ap / (g * g)
+    return guard, g, kappa, root(1.0 + k2 * kappa * kappa / (g * g)), g + q * ap / g
+
+
+def phase_terms(model: ModelKind, phase: PhasePoint, fld: VacuumField):
+    """model_terms at a phase point of M1-M3, with |k|^2 and <A,P> as numpy 3-vector dots."""
     w = checked_w(fld, phase.r, phase.t)
-    mom = phase.mom
-    if model is ModelKind.M3:
-        mom = mom - fld.q_test * fld.a(phase.r, phase.t)
-    guarded_root(w * w - float(mom @ mom))
+    p, q = phase.mom, fld.q_test
+    a = None if model is ModelKind.M1 else fld.a(phase.r, phase.t)
+    k = p - q * a if model is ModelKind.M3 else p
+    ap = float(a @ p) if model is ModelKind.M2 else 0.0
+    return model_terms(model, w, float(k @ k), ap, q, guarded_root)
 
 
 def clock_rate(model: ModelKind, phase: PhasePoint, fld: VacuumField) -> float:
@@ -133,18 +151,4 @@ def clock_rate(model: ModelKind, phase: PhasePoint, fld: VacuumField) -> float:
     """
     if model is ModelKind.M0:
         return 1.0
-    w = checked_w(fld, phase.r, phase.t)
-    if model is ModelKind.M1:
-        g = guarded_root(w * w - float(phase.mom @ phase.mom))
-        return -w / g
-    if model is ModelKind.M3:
-        pk = phase.mom - fld.q_test * fld.a(phase.r, phase.t)
-        g = guarded_root(w * w - float(pk @ pk))
-        return -w / g
-    # M2
-    q = fld.q_test
-    a = fld.a(phase.r, phase.t)
-    p2 = float(phase.mom @ phase.mom)
-    g = guarded_root(w * w - p2)
-    kappa = 1.0 - q * float(a @ phase.mom) / (g * g)
-    return math.sqrt(1.0 + p2 * kappa * kappa / (g * g))
+    return phase_terms(model, phase, fld)[3]

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import SUBLUMINAL_EPS, ModelKind, PhasePoint, checked_w, guarded_root
+from .core import SUBLUMINAL_EPS, ModelKind, PhasePoint, checked_w, guarded_root, phase_terms
 from .errors import NonNegativeField, SubluminalViolation, SuperluminalInit, TooShort
 from .fields import VacuumField, as_vec3
 
@@ -62,12 +62,13 @@ def _mover_velocity(q: float, a: np.ndarray, w: float) -> np.ndarray:
     return u
 
 
-def _relative_rate(rdot: np.ndarray, u_eff: np.ndarray) -> float:
-    """Solve s = sqrt(1 + |rdot - u_eff*s|^2) for the M2 clock factor s = dt/dtau."""
-    b = float(rdot @ u_eff)
-    uf2 = float(u_eff @ u_eff)
-    disc = b * b + (1.0 - uf2) * (1.0 + float(rdot @ rdot))
-    return (-b + math.sqrt(disc)) / (1.0 - uf2)
+def _relative_rate(b, uf2, rd2, root=math.sqrt):
+    """Solve s = sqrt(1 + |rdot - u_eff*s|^2) for the M2 clock factor s = dt/dtau.
+
+    b = <rdot, u_eff>, uf2 = |u_eff|^2 and rd2 = |rdot|^2: floats, or numpy
+    sample columns with root = np.sqrt.
+    """
+    return (-b + root(b * b + (1.0 - uf2) * (1.0 + rd2))) / (1.0 - uf2)
 
 
 def m2_xidot(r, rdot, fld: VacuumField, tau_time: float = 0.0) -> np.ndarray:
@@ -81,7 +82,7 @@ def m2_xidot(r, rdot, fld: VacuumField, tau_time: float = 0.0) -> np.ndarray:
     rdot = as_vec3(rdot)
     w = checked_w(fld, r, tau_time)
     u_eff = _mover_velocity(fld.q_test, fld.a(r, tau_time), w)
-    return u_eff * _relative_rate(rdot, u_eff)
+    return u_eff * _relative_rate(float(rdot @ u_eff), float(u_eff @ u_eff), float(rdot @ rdot))
 
 
 # -- Lagrangian side ----------------------------------------------------------
@@ -96,7 +97,7 @@ def _velocity_terms(model: ModelKind, r, rdot, fld: VacuumField, tau_time: float
     w = checked_w(fld, r, tau_time)
     if model is ModelKind.M2 and xidot is None:
         u_eff = _mover_velocity(fld.q_test, fld.a(r, tau_time), w)
-        s = _relative_rate(rdot, u_eff)
+        s = _relative_rate(float(rdot @ u_eff), float(u_eff @ u_eff), float(rdot @ rdot))
         return w, s, rdot - u_eff * s, None
     eta = rdot - as_vec3(xidot) if model is ModelKind.M2 else rdot
     a = fld.a(r, tau_time) if model is ModelKind.M3 else None
@@ -171,21 +172,12 @@ def hamiltonian(
     *,
     rest_mass: float | None = None,
 ) -> float:
-    """Model Hamiltonian at the phase point (M0 returns +energy)."""
+    """Model Hamiltonian at the phase point (M0 returns +energy, M1-M3 -energy of model_terms)."""
+    if model is not ModelKind.M0:
+        return -phase_terms(model, phase, fld)[4]
     w = checked_w(fld, phase.r, phase.t)
-    mom = phase.mom
-    if model is ModelKind.M0:
-        m0 = _require_rest_mass(rest_mass)
-        return math.sqrt(m0 * m0 + float(mom @ mom)) + fld.coulomb(phase.r, phase.t)
-    if model is ModelKind.M1:
-        return -guarded_root(w * w - float(mom @ mom))
-    if model is ModelKind.M3:
-        pk = mom - fld.q_test * fld.a(phase.r, phase.t)
-        return -guarded_root(w * w - float(pk @ pk))
-    # M2
-    g = guarded_root(w * w - float(mom @ mom))
-    a = fld.a(phase.r, phase.t)
-    return -g - fld.q_test * float(a @ mom) / g
+    m0 = _require_rest_mass(rest_mass)
+    return math.sqrt(m0 * m0 + float(phase.mom @ phase.mom)) + (w - fld.w_inf)
 
 
 def invariant_energy(
@@ -361,8 +353,7 @@ def _lagrangian_samples(model: ModelKind, traj, fld: VacuumField, rest_mass: flo
         uf2 = np.einsum("ij,ij->i", u_eff, u_eff)
         if np.any(uf2 >= 1.0):
             raise SubluminalViolation(f"effective mover speed |qA/W| = {np.sqrt(np.max(uf2))} >= 1")
-        bb = np.einsum("ij,ij->i", rdots, u_eff)
-        s = (-bb + np.sqrt(bb * bb + (1.0 - uf2) * (1.0 + rd2))) / (1.0 - uf2)
+        s = _relative_rate(np.einsum("ij,ij->i", rdots, u_eff), uf2, rd2, np.sqrt)
         eta = rdots - u_eff * s[:, None]
     else:
         s = np.sqrt(1.0 + rd2)

@@ -50,10 +50,12 @@ class FieldSource:
     def __post_init__(self):
         object.__setattr__(self, "r0", as_vec3(self.r0))
         object.__setattr__(self, "uf", as_vec3(self.uf))
-        if self.eps <= 0.0:
-            raise ConfigError(f"source softening eps must be > 0, got {self.eps}")
+        # the kernels divide by eps^3 at the source centre; each message names
+        # its attribute first, so config can prefix the source's path
+        if not (self.eps > 0.0 and self.eps * self.eps * math.sqrt(self.eps * self.eps) > 0.0):
+            raise ConfigError(f"eps: softening must be > 0 and eps^3 must not underflow, got {self.eps}")
         if float(np.linalg.norm(self.uf)) >= 1.0:
-            raise ConfigError(f"source speed |uf| must be < 1, got {np.linalg.norm(self.uf)}")
+            raise ConfigError(f"uf: source speed |uf| must be < 1, got {np.linalg.norm(self.uf)}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .core import (
     PhasePoint,
     emergent_rest_mass,
     init_phase,
+    model_terms,
 )
 from .dynamics import point_rhs
 from .errors import NoConvergence, NonNegativeField, NoOverlap, SubluminalViolation
@@ -202,9 +203,10 @@ def step(
 def _record_columns(model, fld, state, rest_mass):
     """(energy, w, u_lab, guard) at every sample from one batched field evaluation.
 
-    The per-model formulas keep the operation order of a per-sample evaluation
-    on point_state, so every value is bit-identical to it; guard is the square
-    root's argument W^2 - |k|^2 (k = mom for M1/M2, P - qA for M3; None for M0).
+    The sums keep the operation order of a per-sample evaluation on
+    point_state, and the M1-M3 terms come from core.model_terms, so every
+    value is bit-identical to it; guard is the square root's argument
+    W^2 - |k|^2 (k = mom for M1/M2, P - qA for M3; None for M0).
     """
     px, py, pz, t = state[:, 3], state[:, 4], state[:, 5], state[:, 6]
     q = fld.q_test
@@ -213,24 +215,17 @@ def _record_columns(model, fld, state, rest_mass):
         ax, ay, az = a.T
     else:
         (w,) = fld._eval(state[:, 0:3], t, "w")
-    p2 = px * px + py * py + pz * pz
     if model is ModelKind.M0:
-        ekin = np.sqrt(rest_mass * rest_mass + p2)
+        ekin = np.sqrt(rest_mass * rest_mass + (px * px + py * py + pz * pz))
         return ekin + (w - fld.w_inf), w, np.stack([px / ekin, py / ekin, pz / ekin], axis=1), None
-    if model is ModelKind.M3:
-        kx, ky, kz = px - q * ax, py - q * ay, pz - q * az
-        guard = w * w - (kx * kx + ky * ky + kz * kz)
-    else:
-        kx, ky, kz = px, py, pz
-        guard = w * w - p2
-    g = np.sqrt(guard)
+    kx, ky, kz = (px - q * ax, py - q * ay, pz - q * az) if model is ModelKind.M3 else (px, py, pz)
+    ap = ax * px + ay * py + az * pz if model is ModelKind.M2 else 0.0
+    guard, g, kappa, rate, energy = model_terms(model, w, kx * kx + ky * ky + kz * kz, ap, q, np.sqrt)
     if model is not ModelKind.M2:
-        return g, w, np.stack([kx / -w, ky / -w, kz / -w], axis=1), guard
-    ap = ax * px + ay * py + az * pz
-    kappa = 1.0 - q * ap / (g * g)
-    grate = g * np.sqrt(1.0 + p2 * kappa * kappa / (g * g))
+        return energy, w, np.stack([kx / -w, ky / -w, kz / -w], axis=1), guard
+    grate = g * rate
     u = [(kappa * pi - q * ai) / grate for pi, ai in ((px, ax), (py, ay), (pz, az))]
-    return g + q * ap / g, w, np.stack(u, axis=1), guard
+    return energy, w, np.stack(u, axis=1), guard
 
 
 def _build_record(model, integ, h, fld, taus, state, rest_mass, stats, termination=None):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import ModelKind, Particle
 from .fields import FieldSource, VacuumField
-from .maxwell import AnalyticFarField, Ball, GridField, SeparableSources
+from .maxwell import AnalyticFarField, Ball, GridField, SeparableSources, _smoothstep
 
 
 # -- particle scenarios ---------------------------------------------------------
@@ -178,12 +178,8 @@ def plane_wave_grid(n: int = 48) -> tuple[GridField, int, int]:
     return grid, steps, report_index
 
 
-def _ramp(x: np.ndarray | float):
-    x = np.clip(x, 0.0, 1.0)
-    return x * x * x * (x * (6.0 * x - 15.0) + 10.0)
-
-
 def _ramp_d(x):
+    """Derivative of the C^2 ramp maxwell._smoothstep."""
     if x <= 0.0 or x >= 1.0:
         return 0.0
     return 30.0 * x * x * (x - 1.0) * (x - 1.0)
@@ -204,12 +200,12 @@ def dipole_grid(n: int = 48, gauge_violation: float = 0.0) -> tuple[GridField, i
     amp = 1.0
 
     def p_of_t(t: float) -> float:
-        return math.sin(omega * t) * float(_ramp(t / t_ramp))
+        return math.sin(omega * t) * float(_smoothstep(t / t_ramp))
 
     def dp_of_t(t: float) -> float:
         x = t / t_ramp
         return (
-            omega * math.cos(omega * t) * float(_ramp(x))
+            omega * math.cos(omega * t) * float(_smoothstep(x))
             + math.sin(omega * t) * _ramp_d(x) / t_ramp
         )
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vacuumflow.fields import FieldSource, VacuumField
+
+# reproducible property tests: the same examples on every run, no time limit,
+# no example database; each test sets only its max_examples
+settings.register_profile("vacuumflow", deadline=None, derandomize=True, database=None)
+settings.load_profile("vacuumflow")
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vacuumflow import verify
 from vacuumflow.cli import main
@@ -89,13 +92,19 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
     ("field.sources[0]: unknown key 'epsilon'",
      {"field": {"w_inf": -1.0, "sources": [{"qs": 0.5, "r0": [1.0, 1.0, 0.0], "epsilon": 0.3}]}}),
     ("integrator: unknown key 'atol'", {"integrator": {"kind": "rk4", "h": 0.01, "atol": 1e-9}}),
+    ("field.sources", {"field": {"w_inf": -1.0, "sources": 5}}),
+    ("field.sources", {"field": {"w_inf": -1.0, "sources": None}}),
+    # eps^3 underflows to 0 from eps = 1e-108; the source sits at r0
+    ("field.sources[0].eps", {"field": {"w_inf": -1.0, "sources": [{**_SOURCE, "r0": [0.0, 0.0, 0.0], "eps": 1e-108}]}}),
+    ("seed", {"seed": True}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
     forces and compare sections, an unbounded step count, an unknown key at the
     top level or in a section (integrator keys depend on the kind), a
-    non-positive tolerance and an inverted band end in exit 2, not a
-    traceback."""
+    non-positive tolerance, an inverted band, sources that are not a list, a
+    softening too small for the kernels and a boolean number end in exit 2,
+    not a traceback."""
     cfg = _free_config(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -226,6 +235,41 @@ def test_validate_rejects_source_invariants():
             "particle": {"q": 2.0, "u0": [0, 0, 0]},
             "field": {"w_inf": -1.0, "q_test": 1.0},
         })
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON tree, lists and objects included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+FLYBY = json.loads((SCENARIOS / "flyby.json").read_text())
+FUZZ_POOL = (None, True, False, 0, 5, -1.0, 0.5, 1e-108, 1e308, -1e308, float("nan"), float("inf"),
+             "x", [], {}, [0.0, 0.0, 0.0], [1.5, 0.0, 0.0], ["M2"])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(list(_paths(FLYBY))), st.sampled_from(FUZZ_POOL)),
+                min_size=1, max_size=3))
+def test_config_fuzz_loads_or_raises_config_error(edits):
+    """flyby.json with 1-3 values replaced from a fixed pool either validates or
+    raises ConfigError, never another exception."""
+    raw = copy.deepcopy(FLYBY)
+    for path, value in edits:
+        node = raw
+        try:
+            for key in path[:-1]:
+                node = node[key]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit replaced a parent of this path
+        if path[-1] in (node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()):
+            node[path[-1]] = copy.deepcopy(value)
+    try:
+        validate_config(raw)
+    except ConfigError:
+        pass
 
 
 def _old_forces_csv(cfg) -> str:

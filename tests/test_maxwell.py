@@ -368,7 +368,7 @@ def _copy_grid(grid):
     return twin
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(random_grids())
 def test_blocked_step_matches_whole_grid_step_on_random_grids(case):
     grid, steps, evolved = case
@@ -378,7 +378,7 @@ def test_blocked_step_matches_whole_grid_step_on_random_grids(case):
     assert grid.stats == {"grid_steps": steps, "evolved": evolved}
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(random_grids(st.integers(5, 20)), st.integers(1, 4), st.integers(1, 4), st.booleans())
 def test_band_split_matches_whole_grid_step(case, bands, span_planes, threaded):
     """Any band count, span length and threading gives the whole-grid step's
@@ -446,7 +446,7 @@ def test_prop1_suite_reports_grid_counters():
 
 
 @pytest.mark.parametrize("n_min, n_max", [(5, 6), (7, 20)])
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_slab_residuals_match_whole_grid_on_random_grids(n_min, n_max, data):
     """n = 5, 6 leave an empty core; n = 15..20 split it into a full and a partial slab."""

@@ -2,9 +2,10 @@
 
 Over random fields (1-3 static or moving sources, uniform A and B,
 q_test != 1): every row of the batched evaluator VacuumField._eval, and of
-the selections over it, is bit-identical to VacuumField.point_state; and
+the selections over it, is bit-identical to VacuumField.point_state;
 dynamics.point_rhs reproduces the per-model flows written with numpy below to
-round-off.
+round-off, and its G, kappa and clock rate are core.model_terms' bit for bit;
+and core.model_terms gives the same bits on sample columns as row by row.
 """
 
 import math
@@ -14,11 +15,11 @@ import numpy.testing as npt
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vacuumflow.core import ModelKind
+from vacuumflow.core import ModelKind, guarded_root, model_terms
 from vacuumflow.dynamics import model_rhs, point_rhs
 from vacuumflow.fields import FOUR_PI, FieldSource, VacuumField
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=150)
 
 
 def vec(lo, hi):
@@ -134,3 +135,49 @@ def test_point_rhs_matches_reference_flows(fld, probe, u, model):
     # the array adapter is the same kernel
     a_rdot, a_momdot, a_rate = model_rhs(model, r, mom, t, fld, rest_mass)
     assert a_rdot.tolist() == out[0:3] and a_momdot.tolist() == out[3:6] and a_rate == out[6]
+
+
+VACUUM_MODELS = [ModelKind.M1, ModelKind.M2, ModelKind.M3]
+
+
+@PROPERTY
+@given(fields(), probes, vec(-0.5, 0.5), st.sampled_from(VACUUM_MODELS))
+def test_point_rhs_uses_model_terms(fld, probe, u, model):
+    """point_rhs keeps its own inline arithmetic on the hot path; its k/G (M2:
+    (kappa P - qA)/G) and rate are model_terms' bit for bit, with |k|^2 and
+    <A,P> summed left to right as point_rhs sums them."""
+    (x, y, z), t = probe
+    w, _gw, (ax, ay, az), _adot, _jac = fld.point_state(x, y, z, t)
+    assume(w < -0.05)
+    q = fld.q_test
+    px, py, pz = (-w * ui for ui in u)
+    if model is ModelKind.M3:
+        px, py, pz = px + q * ax, py + q * ay, pz + q * az
+    kx, ky, kz = (px - q * ax, py - q * ay, pz - q * az) if model is ModelKind.M3 else (px, py, pz)
+    ap = ax * px + ay * py + az * pz if model is ModelKind.M2 else 0.0
+    _guard, g, kappa, rate, _energy = model_terms(model, w, kx * kx + ky * ky + kz * kz, ap, q,
+                                                  guarded_root)
+
+    out = point_rhs(model, [x, y, z, px, py, pz, t], fld)
+    if model is ModelKind.M2:
+        assert out[0:3] == [(kappa * px - q * ax) / g, (kappa * py - q * ay) / g, (kappa * pz - q * az) / g]
+    else:
+        assert out[0:3] == [kx / g, ky / g, kz / g]
+    assert out[6] == rate
+
+
+@PROPERTY
+@given(st.sampled_from(VACUUM_MODELS), st.floats(-2.5, 2.5).filter(bool), st.data())
+def test_model_terms_columns_match_rows(model, q, data):
+    """np.sqrt over sample columns (the record path) and guarded_root per row
+    (the phase-point path) give the same guard, G, kappa, rate and energy."""
+    n = data.draw(st.integers(1, 8))
+    floats = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+    w = np.array(data.draw(floats(-3.0, -0.05)))
+    k2 = np.array(data.draw(floats(0.0, 0.99))) * w * w  # a healthy guard
+    ap = np.array(data.draw(floats(-2.0, 2.0)))
+    cols = model_terms(model, w, k2, ap, q, np.sqrt)
+    for i in range(n):
+        row = model_terms(model, float(w[i]), float(k2[i]), float(ap[i]), q, guarded_root)
+        for col, value in zip(cols, row):
+            assert np.broadcast_to(col, (n,))[i] == value

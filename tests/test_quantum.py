@@ -300,7 +300,7 @@ def hermitian_problems(draw):
     return op, WaveState(psi=psi, dx=0.1, hbar=HBAR_DEFAULT, domain=domain), dtau, steps
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(hermitian_problems())
 def test_cn_step_matches_fresh_banded_solve(problem):
     op, state, dtau, steps = problem

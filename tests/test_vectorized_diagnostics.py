@@ -77,7 +77,7 @@ def grad_l_r(model, r, rdot, fld, t):
     if model is ModelKind.M3:
         return -gw * math.sqrt(1.0 + float(rdot @ rdot)) + fld.q_test * (fld.a_jac(r, t).T @ rdot)
     u_eff = _mover_velocity(fld.q_test, fld.a(r, t), fld.w(r, t))
-    return -gw * _relative_rate(rdot, u_eff)
+    return -gw * _relative_rate(float(rdot @ u_eff), float(u_eff @ u_eff), float(rdot @ rdot))
 
 
 def el_residual_loop(model, traj, fld, rest_mass):
