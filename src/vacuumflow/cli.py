@@ -87,7 +87,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: Path, args) -> bool:
             "energy_start": traj.energy[0],
             "energy_drift": drift,
             "tolerance": tol,
-            "passed": bool(drift <= tol),
+            "passed": verify.check(drift, "energy_drift", cfg.tolerance)[0],
             "terminated": traj.meta.get("termination"),
             "meta": traj.meta,
         }
@@ -110,34 +110,27 @@ def cmd_compare(cfg: ScenarioConfig, out: Path, args) -> bool:
     a_model, b_model = cfg.models
     trajs = {}
     for model in cfg.models:
-        tau_end = cfg.tau_end
-        h = cfg.h
+        tau_end, h = cfg.tau_end, cfg.h
         if model is ModelKind.M0:
-            # M0 runs on the lab clock; stretch by gamma to cover the same span
-            u = float(np.linalg.norm(cfg.particle.u0))
-            gamma = 1.0 / np.sqrt(1.0 - u * u)
-            tau_end = cfg.tau_end * gamma
-            h = tau_end / max(2, int(round(cfg.tau_end / cfg.h)))
+            tau_end, h = verify.m0_lab_span(cfg.particle, tau_end, h)
         trajs[model] = simulate(model, cfg.particle, cfg.field, cfg.r0, tau_end, cfg.integrator, h)
         trajs[model].to_csv(out / f"{cfg.name}_{model.value}.csv")
     pos_dev, energy_dev = compare_trajectories(trajs[a_model], trajs[b_model])
-    tol = cfg.tolerance("compare_pos_dev")
     report = {
         "models": [a_model.value, b_model.value],
         "max_pos_dev": pos_dev,
         "max_energy_dev": energy_dev,
-        "tolerance": tol,
-        "passed": bool(pos_dev <= tol),
+        "tolerance": cfg.tolerance("compare_pos_dev"),
+        "passed": verify.check(pos_dev, "compare_pos_dev", cfg.tolerance)[0],
     }
     analytic = cfg.compare["analytic"]
     if analytic == "gyration_circle":
         from .presets import gyration_analytic
 
-        gtol = cfg.tolerance("gyration_pos_dev")
         for model, traj in trajs.items():
             dev = float(np.max(np.linalg.norm(traj.r - gyration_analytic(traj.t), axis=1)))
             report[f"{model.value}_vs_circle"] = dev
-            report["passed"] = bool(report["passed"] and dev <= gtol)
+            report["passed"] = report["passed"] and verify.check(dev, "gyration_pos_dev", cfg.tolerance)[0]
     _write_json(out / f"{cfg.name}_compare.json", report)
     _info(args, f"compare {a_model.value} vs {b_model.value}: max_pos_dev={pos_dev:.3e} "
                 f"{'PASS' if report['passed'] else 'FAIL'}")

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ModelKind, Particle
-from .errors import ConfigError
+from .core import ModelKind, Particle, init_phase
+from .errors import ConfigError, VacuumFlowError
 from .fields import FieldSource, VacuumField
 from .integrate import RK4, RK45, ImplicitMidpoint, IntegratorKind, step_count
 
@@ -45,9 +45,10 @@ DEFAULT_TOLERANCES: dict = {
     "model_gap": 1e-10,
 }
 
-# the keys each integrator kind takes besides kind and h
-_INTEGRATOR_KEYS = {"rk4": (), "implicit_midpoint": ("tol", "max_iter"), "rk45": ("atol", "rtol")}
-_INTEGRATOR_KINDS = tuple(_INTEGRATOR_KEYS)
+# each integrator kind's type and the keys it takes besides kind and h
+_INTEGRATORS = {"rk4": (RK4, ()), "implicit_midpoint": (ImplicitMidpoint, ("tol", "max_iter")),
+                "rk45": (RK45, ("atol", "rtol"))}
+_INTEGRATOR_KINDS = tuple(_INTEGRATORS)
 _PARTICLE_KEYS = ("q", "u0")
 _FIELD_KEYS = ("w_inf", "q_test", "sources", "a_uniform", "b_uniform")
 _SOURCE_KEYS = ("qs", "r0", "uf", "eps")
@@ -105,6 +106,17 @@ def _number(value, where: str, kind=float):
     return out
 
 
+def _owned(where, build, *args, **kwargs):
+    """build(*args, **kwargs); the owner's error, which names what broke first ("u0: ..."),
+    becomes a ConfigError at that name's JSON path: where + name, or where[name] for a map."""
+    try:
+        return build(*args, **kwargs)
+    except VacuumFlowError as exc:
+        name, _, rest = str(exc).partition(": ")
+        path = where[name] if isinstance(where, dict) else where + name
+        raise ConfigError(f"{path}: {rest}") from None
+
+
 def _known_keys(raw: dict, where: str, keys) -> None:
     for key in raw:
         _require(key in keys, f"{where}: unknown key {key!r}")
@@ -122,8 +134,6 @@ def _build_field(raw: dict) -> VacuumField:
     _require(isinstance(raw, dict), "field: expected an object")
     _known_keys(raw, "field", _FIELD_KEYS)
     _require("w_inf" in raw, "field.w_inf: required")
-    w_inf = _number(raw["w_inf"], "field.w_inf")
-    _require(w_inf < 0.0, f"field.w_inf: baseline must be negative, got {w_inf}")
     raw_sources = raw.get("sources", [])
     _require(isinstance(raw_sources, list), f"field.sources: expected a list, got {raw_sources!r}")
     sources = []
@@ -133,16 +143,16 @@ def _build_field(raw: dict) -> VacuumField:
         _known_keys(s, where, _SOURCE_KEYS)
         for key in ("qs", "r0"):
             _require(key in s, f"{where}.{key}: required")
-        eps = _number(s.get("eps", 0.01), f"{where}.eps")
-        uf = _vec3(s.get("uf", [0, 0, 0]), f"{where}.uf")
-        qs = _number(s["qs"], f"{where}.qs")
-        r0 = _vec3(s["r0"], f"{where}.r0")
-        try:  # FieldSource checks eps and |uf|, naming the attribute first
-            sources.append(FieldSource(qs=qs, r0=r0, uf=uf, eps=eps))
-        except ConfigError as exc:
-            raise ConfigError(f"{where}.{exc}") from None
-    return VacuumField(
-        w_inf=w_inf,
+        sources.append(_owned(
+            f"{where}.", FieldSource,
+            qs=_number(s["qs"], f"{where}.qs"),
+            r0=_vec3(s["r0"], f"{where}.r0"),
+            uf=_vec3(s.get("uf", [0, 0, 0]), f"{where}.uf"),
+            eps=_number(s.get("eps", 0.01), f"{where}.eps"),
+        ))
+    return _owned(
+        "field.", VacuumField,
+        w_inf=_number(raw["w_inf"], "field.w_inf"),
         sources=tuple(sources),
         q_test=_number(raw.get("q_test", 1.0), "field.q_test"),
         a_uniform=_vec3(raw.get("a_uniform", [0, 0, 0]), "field.a_uniform"),
@@ -154,21 +164,11 @@ def _build_integrator(raw: dict) -> tuple[IntegratorKind, float]:
     _require(isinstance(raw, dict), "integrator: expected an object")
     kind = raw.get("kind", "implicit_midpoint")
     _require(kind in _INTEGRATOR_KINDS, f"integrator.kind: must be one of {_INTEGRATOR_KINDS}, got {kind!r}")
-    _known_keys(raw, "integrator", ("kind", "h", *_INTEGRATOR_KEYS[kind]))
-    h = _number(raw.get("h", 1e-3), "integrator.h")
-    _require(h > 0.0, f"integrator.h: step must be > 0, got {h}")
-    if kind == "rk4":
-        return RK4(), h
-    if kind == "rk45":
-        atol = _number(raw.get("atol", 1e-10), "integrator.atol")
-        rtol = _number(raw.get("rtol", 1e-10), "integrator.rtol")
-        _require(atol > 0.0 and rtol > 0.0, "integrator.atol/rtol: must be > 0")
-        return RK45(atol=atol, rtol=rtol), h
-    tol = _number(raw.get("tol", 1e-12), "integrator.tol")
-    max_iter = _number(raw.get("max_iter", 50), "integrator.max_iter", int)
-    _require(tol > 0.0, f"integrator.tol: must be > 0, got {tol}")
-    _require(max_iter >= 1, f"integrator.max_iter: must be >= 1, got {max_iter}")
-    return ImplicitMidpoint(tol=tol, max_iter=max_iter), h
+    build, keys = _INTEGRATORS[kind]
+    _known_keys(raw, "integrator", ("kind", "h", *keys))
+    params = {key: _number(raw[key], f"integrator.{key}", int if key == "max_iter" else float)
+              for key in keys if key in raw}
+    return _owned("integrator.", build, **params), _number(raw.get("h", 1e-3), "integrator.h")
 
 
 def _section(raw, name: str, defaults: dict) -> dict:
@@ -220,7 +220,8 @@ def _build_compare(raw) -> dict:
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
-    """Build a typed scenario from a raw JSON object, re-checking all invariants."""
+    """Build a typed scenario from a raw JSON object: the JSON itself is checked
+    here, every invariant of the values by the type or function that owns it."""
     _require(isinstance(raw, dict), "config root: expected a JSON object")
     _known_keys(raw, "config root", _TOP_LEVEL_KEYS)
     models_raw = raw.get("models", ["M1"])
@@ -233,19 +234,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
     praw = raw.get("particle", {})
     _require(isinstance(praw, dict), "particle: expected an object")
     _known_keys(praw, "particle", _PARTICLE_KEYS)
-    u0 = _vec3(praw.get("u0", [0, 0, 0]), "particle.u0")
-    _require(
-        float(np.linalg.norm(u0)) < 1.0,
-        f"particle.u0: |u0| must be < 1, got {np.linalg.norm(u0)}",
-    )
-    q = _number(praw.get("q", 1.0), "particle.q")
-    particle = Particle(q=q, u0=u0)
-
+    particle = _owned("particle.", Particle, q=_number(praw.get("q", 1.0), "particle.q"),
+                      u0=_vec3(praw.get("u0", [0, 0, 0]), "particle.u0"))
     fld = _build_field(raw.get("field", {"w_inf": -1.0}))
-    _require(
-        particle.q == fld.q_test,
-        f"particle.q: must equal field.q_test ({particle.q} != {fld.q_test})",
-    )
     vector_models = [m.value for m in models if m in (ModelKind.M2, ModelKind.M3)]
     _require(
         fld.q_test != 0.0 or not vector_models,
@@ -253,17 +244,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
     )
 
     r0 = _vec3(raw.get("r0", [0, 0, 0]), "r0")
-    w0 = fld.w(r0, 0.0)
-    _require(w0 < 0.0, f"r0: W(r0, 0) = {w0} must be negative")
-
     tau_end = _number(raw.get("tau_end", 1.0), "tau_end")
-    _require(tau_end > 0.0, f"tau_end: must be > 0, got {tau_end}")
-
     integrator, h = _build_integrator(raw.get("integrator", {}))
-    try:
-        step_count(tau_end, h)
-    except ValueError as exc:
-        raise ConfigError(f"integrator.h: {exc}") from None
+    _owned({"tau_end": "tau_end", "h": "integrator.h"}, step_count, tau_end, h)
+    for i, model in enumerate(models):  # the start state, with each model's square-root guard
+        paths = {"q": "particle.q", "r0": "r0", "model": f"models[{i}]"}
+        _owned(paths, init_phase, model, particle, fld, r0)
 
     raw_tolerances = raw.get("tolerances", {})
     _require(isinstance(raw_tolerances, dict), "tolerances: expected an object")

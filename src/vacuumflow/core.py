@@ -47,8 +47,9 @@ class Particle:
 
     def __post_init__(self):
         object.__setattr__(self, "u0", as_vec3(self.u0))
-        if float(np.linalg.norm(self.u0)) >= 1.0:
-            raise SuperluminalInit(f"|u0| = {np.linalg.norm(self.u0)} >= 1")
+        speed = math.hypot(*self.u0.tolist())  # cannot overflow
+        if not speed < 1.0:
+            raise SuperluminalInit(f"u0: |u0| must be < 1, got {speed}")
 
 
 @dataclass(frozen=True)
@@ -69,18 +70,21 @@ class PhasePoint:
 
 
 def guarded_root(arg: float) -> float:
-    """sqrt of a square-root-guard argument, aborting on loss of positivity."""
-    if arg <= SUBLUMINAL_EPS:
+    """sqrt of a square-root-guard argument, aborting on loss of positivity (and on nan)."""
+    if not arg > SUBLUMINAL_EPS:
         raise SubluminalViolation(f"W^2 - |mom|^2 = {arg:g} <= {SUBLUMINAL_EPS:g}")
     return math.sqrt(arg)
 
 
-def checked_w(fld: VacuumField, r: np.ndarray, t: float) -> float:
-    """Evaluate W and enforce the trajectory invariant W < 0."""
-    w = fld.w(r, t)
+def _negative_w(w: float, r: np.ndarray, t: float) -> float:
     if w >= 0.0:
         raise NonNegativeField(f"W(r,t) = {w:g} >= 0 at r = {r.tolist()}, t = {t:g}")
     return w
+
+
+def checked_w(fld: VacuumField, r: np.ndarray, t: float) -> float:
+    """Evaluate W and enforce the trajectory invariant W < 0."""
+    return _negative_w(fld.w(r, t), r, t)
 
 
 def emergent_rest_mass(particle: Particle, fld: VacuumField, r0) -> float:
@@ -98,21 +102,25 @@ def init_phase(model: ModelKind, particle: Particle, fld: VacuumField, r0) -> Ph
     """Initial canonical state at tau = t = 0 for the given model.
 
     M0/M1 store the kinetic momentum -W u0; M2/M3 add the field momentum qA.
+    The one check of a start state: q == q_test, W(r0, 0) < 0 and the M1-M3
+    square-root guard; each error names what broke first (q, r0 or model).
     """
     r0 = as_vec3(r0)
-    if float(np.linalg.norm(particle.u0)) >= 1.0:
-        raise SuperluminalInit(f"|u0| = {np.linalg.norm(particle.u0)} >= 1")
     if particle.q != fld.q_test:
-        raise ConfigError(
-            f"particle charge q = {particle.q} differs from field coupling q_test = {fld.q_test}"
-        )
-    w0 = checked_w(fld, r0, 0.0)
+        raise ConfigError(f"q: must equal the field's q_test ({particle.q} != {fld.q_test})")
+    w0 = fld.w(r0, 0.0)
+    if not w0 < 0.0:
+        raise NonNegativeField(f"r0: W(r0, 0) = {w0} must be negative")
     mom = -w0 * particle.u0
     if model in (ModelKind.M2, ModelKind.M3):
         mom = mom + particle.q * fld.a(r0, 0.0)
     phase = PhasePoint(r=r0, mom=mom, tau=0.0, t=0.0)
     if model is not ModelKind.M0:
-        phase_terms(model, phase, fld)  # the square-root guard
+        try:
+            with np.errstate(over="ignore"):  # an overflowing |k|^2 fails the guard as nan or -inf
+                phase_terms(model, phase, fld)
+        except SubluminalViolation as exc:
+            raise SubluminalViolation(f"model: {model.value} start state breaks its guard, {exc}") from None
     return phase
 
 
@@ -134,10 +142,12 @@ def model_terms(model: ModelKind, w, k2, ap, q: float, root):
 
 
 def phase_terms(model: ModelKind, phase: PhasePoint, fld: VacuumField):
-    """model_terms at a phase point of M1-M3, with |k|^2 and <A,P> as numpy 3-vector dots."""
-    w = checked_w(fld, phase.r, phase.t)
+    """model_terms at a phase point of M1-M3 from one field evaluation (W alone for M1,
+    which runs with q_test = 0), with |k|^2 and <A,P> as numpy 3-vector dots."""
+    r, t = phase.r, phase.t
+    w, a = fld._eval(r, t, "wa") if model is not ModelKind.M1 else (fld._eval(r, t, "w")[0], None)
+    w = _negative_w(float(w), r, t)
     p, q = phase.mom, fld.q_test
-    a = None if model is ModelKind.M1 else fld.a(phase.r, phase.t)
     k = p - q * a if model is ModelKind.M3 else p
     ap = float(a @ p) if model is ModelKind.M2 else 0.0
     return model_terms(model, w, float(k @ k), ap, q, guarded_root)

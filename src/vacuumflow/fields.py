@@ -50,12 +50,12 @@ class FieldSource:
     def __post_init__(self):
         object.__setattr__(self, "r0", as_vec3(self.r0))
         object.__setattr__(self, "uf", as_vec3(self.uf))
-        # the kernels divide by eps^3 at the source centre; each message names
-        # its attribute first, so config can prefix the source's path
+        # the kernels divide by eps^3 at the source centre
         if not (self.eps > 0.0 and self.eps * self.eps * math.sqrt(self.eps * self.eps) > 0.0):
             raise ConfigError(f"eps: softening must be > 0 and eps^3 must not underflow, got {self.eps}")
-        if float(np.linalg.norm(self.uf)) >= 1.0:
-            raise ConfigError(f"uf: source speed |uf| must be < 1, got {np.linalg.norm(self.uf)}")
+        speed = math.hypot(*self.uf.tolist())  # cannot overflow
+        if not speed < 1.0:
+            raise ConfigError(f"uf: source speed |uf| must be < 1, got {speed}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class VacuumField:
     b_uniform: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if self.w_inf >= 0.0:
-            raise ConfigError(f"baseline w_inf must be negative, got {self.w_inf}")
+        if not self.w_inf < 0.0:
+            raise ConfigError(f"w_inf: baseline must be negative, got {self.w_inf}")
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "a_uniform", as_vec3(self.a_uniform))
         object.__setattr__(self, "b_uniform", as_vec3(self.b_uniform))

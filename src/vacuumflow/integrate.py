@@ -31,7 +31,7 @@ from .core import (
     model_terms,
 )
 from .dynamics import point_rhs
-from .errors import NoConvergence, NonNegativeField, NoOverlap, SubluminalViolation
+from .errors import ConfigError, NoConvergence, NonNegativeField, NoOverlap, SubluminalViolation
 from .fields import VacuumField, as_vec3
 
 #: event margin for the adaptive integrator; generous so the solver localizes
@@ -44,10 +44,14 @@ MAX_STEPS = 10**7
 
 
 def step_count(tau_end: float, h: float) -> int:
-    """Recorded steps from 0 to tau_end at step h; ValueError beyond MAX_STEPS."""
+    """Recorded steps from 0 to tau_end > 0 at step h > 0, at most MAX_STEPS; ConfigError otherwise."""
+    if not tau_end > 0.0:
+        raise ConfigError(f"tau_end: must be > 0, got {tau_end}")
+    if not h > 0.0:
+        raise ConfigError(f"h: step must be > 0, got {h}")
     ratio = tau_end / h
-    if not ratio <= MAX_STEPS:  # also rejects inf and nan
-        raise ValueError(f"tau_end / h = {ratio:g} steps, more than the cap of {MAX_STEPS}")
+    if not ratio <= MAX_STEPS:  # also rejects inf
+        raise ConfigError(f"h: tau_end / h = {ratio:g} steps, more than the cap of {MAX_STEPS}")
     return max(1, int(round(ratio)))
 
 
@@ -62,8 +66,10 @@ class ImplicitMidpoint:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0.0 or self.max_iter < 1:
-            raise ValueError("ImplicitMidpoint needs tol > 0 and max_iter >= 1")
+        if not self.tol > 0.0:
+            raise ConfigError(f"tol: must be > 0, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise ConfigError(f"max_iter: must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,10 @@ class RK45:
     rtol: float = 1e-10
 
     def __post_init__(self):
-        if self.atol <= 0.0 or self.rtol <= 0.0:
-            raise ValueError("RK45 needs atol, rtol > 0")
+        if not self.atol > 0.0:
+            raise ConfigError(f"atol: must be > 0, got {self.atol}")
+        if not self.rtol > 0.0:
+            raise ConfigError(f"rtol: must be > 0, got {self.rtol}")
 
 
 IntegratorKind = RK4 | ImplicitMidpoint | RK45
@@ -269,12 +277,10 @@ def simulate(
     invariant trips (fixed-step integrators only; the adaptive path stops via
     a terminal guard event).
     """
-    if tau_end <= 0.0 or h <= 0.0:
-        raise ValueError("simulate needs tau_end > 0 and h > 0")
+    n_steps = step_count(tau_end, h)
     r0 = as_vec3(r0)
     phase0 = init_phase(model, particle, fld, r0)
     rest_mass = emergent_rest_mass(particle, fld, r0) if model is ModelKind.M0 else None
-    n_steps = step_count(tau_end, h)
 
     if isinstance(integrator, RK45):
         return _simulate_adaptive(model, fld, phase0, rest_mass, integrator, h, n_steps)
@@ -348,16 +354,14 @@ def _simulate_adaptive(model, fld, phase0, rest_mass, integ, h, n_steps):
     return _build_record(model, integ, h, fld, sol.t, sol.y.T, rest_mass, stats, termination)
 
 
-def compare_trajectories(
-    a: TrajectoryRecord, b: TrajectoryRecord, n_samples: int = 2001
-) -> tuple[float, float]:
-    """Resample both records onto a common lab-time grid (cubic) and report
+def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord) -> tuple[float, float]:
+    """Resample both records onto 2001 common lab times (cubic) and report
     (max position deviation, max energy deviation)."""
     lo = max(a.t[0], b.t[0])
     hi = min(a.t[-1], b.t[-1])
     if hi <= lo:
         raise NoOverlap(f"no common lab-time range: [{a.t[0]}, {a.t[-1]}] vs [{b.t[0]}, {b.t[-1]}]")
-    grid = np.linspace(lo, hi, n_samples)
+    grid = np.linspace(lo, hi, 2001)
     ra = CubicSpline(a.t, a.r, axis=0)(grid)
     rb = CubicSpline(b.t, b.r, axis=0)(grid)
     ea = CubicSpline(a.t, a.energy)(grid)

@@ -152,15 +152,16 @@ class GridField:
     """Collocated cube with a rolling history of potential levels."""
 
     FIELD_NAMES = ("phi", "ax", "ay", "az")
+    #: stored time levels; the residuals need 3
+    history = 5
 
     def __init__(self, n: int, h: float, dt: float, sources: SeparableSources,
-                 analytic: AnalyticFarField, history: int = 5):
+                 analytic: AnalyticFarField):
         self.n = n
         self.h = h
         self.dt = dt
         self.sources = sources
         self.analytic = analytic
-        self.history = max(3, history)
         half = 0.5 * (n - 1) * h
         axis = np.arange(n) * h - half
         self.origin = np.array([-half, -half, -half])
@@ -171,11 +172,9 @@ class GridField:
         #: deterministic run counters, filled by evolve_wave
         self.stats: dict = {"grid_steps": 0, "evolved": []}
 
-    def seed_from_analytic(self, times=(0.0, None)) -> "GridField":
-        t0, t1 = times
-        if t1 is None:
-            t1 = t0 + self.dt
-        for idx, t in enumerate((t0, t1)):
+    def seed_from_analytic(self) -> "GridField":
+        """Levels 0 and 1 from the analytic far field at t = 0 and dt."""
+        for idx, t in enumerate((0.0, self.dt)):
             ax, ay, az = self.analytic.a(self.X, self.Y, self.Z, t)
             self.levels.append(Level(
                 index=idx, time=t,

@@ -50,7 +50,6 @@ class WaveState:
     dx: float
     hbar: float
     domain: str = "periodic"  # "periodic" | "fixed"
-    x0: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=complex))
@@ -65,7 +64,7 @@ class WaveState:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n)
+        return self.dx * np.arange(self.n)
 
     def norm(self) -> float:
         return l2_norm(self.psi, self.dx)
@@ -345,11 +344,11 @@ def model_gap(state: WaveState, w_profile, a_profile, q: float) -> float:
 
 def gaussian_packet(
     n: int, dx: float, x0: float, sigma0: float, k0: float, hbar: float,
-    domain: str = "periodic", origin: float = 0.0,
+    domain: str = "periodic",
 ) -> WaveState:
-    x = origin + dx * np.arange(n)
+    x = dx * np.arange(n)
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma0 * sigma0)) * np.exp(1j * k0 * x)
-    return WaveState(psi=psi, dx=dx, hbar=hbar, domain=domain, x0=origin).normalized()
+    return WaveState(psi=psi, dx=dx, hbar=hbar, domain=domain).normalized()
 
 
 def plane_wave(n: int, dx: float, mode: int, hbar: float) -> WaveState:

@@ -87,16 +87,22 @@ def flyby_m1(scenario=None) -> TrajectoryRecord:
 # -- criterion 3: gyration equivalence -------------------------------------------
 
 
+def m0_lab_span(particle, tau_end: float, h: float) -> tuple[float, float]:
+    """(span, step) of an M0 run, which runs on the lab clock, beside a run of tau_end at h:
+    tau_end stretched by the start gamma, in as many steps (at least 2)."""
+    u = float(np.linalg.norm(particle.u0))
+    span = tau_end * (1.0 / math.sqrt(1.0 - u * u))
+    return span, span / max(2, int(round(tau_end / h)))
+
+
 def gyration_deviations(periods: float = 5.0) -> dict:
     """M3 canonical flow vs direct M0 Lorentz integration vs the analytic circle."""
     sc = presets.gyration(periods=periods)
-    u = float(np.linalg.norm(sc.particle.u0))
-    gamma = 1.0 / math.sqrt(1.0 - u * u)
-    t_span = sc.tau_end * gamma
+    t_span, h_lab = m0_lab_span(sc.particle, sc.tau_end, sc.h)
     integ = RK45(atol=1e-12, rtol=1e-12)
     t_start = time.perf_counter()
     m3 = simulate(ModelKind.M3, sc.particle, sc.field, sc.r0, sc.tau_end, integ, sc.h)
-    m0 = simulate(ModelKind.M0, sc.particle, sc.field, sc.r0, t_span, integ, t_span / 4000.0)
+    m0 = simulate(ModelKind.M0, sc.particle, sc.field, sc.r0, t_span, integ, h_lab)
     elapsed = time.perf_counter() - t_start
     pos_dev, energy_dev = compare_trajectories(m3, m0)
     m3_circle = float(np.max(np.linalg.norm(m3.r - presets.gyration_analytic(m3.t), axis=1)))
@@ -181,19 +187,23 @@ def _random_state(rng, model: ModelKind, fld: VacuumField):
             rdot *= 0.8 / nu
     return r, rdot, t
 
+
+def _central_diff(f, x: np.ndarray, step: float) -> np.ndarray:
+    """(f(x + step e_i) - f(x - step e_i)) / (2 step) for i = 0, 1, 2."""
+    out = np.empty(3)
+    for i in range(3):
+        up, dn = x.copy(), x.copy()
+        up[i] += step
+        dn[i] -= step
+        out[i] = (f(up) - f(dn)) / (2.0 * step)
+    return out
+
+
 def _fd_momentum(model, r, rdot, fld, t, rest_mass, step=1e-6):
     # the M2 mover data is external under velocity variations: freeze it
     xidot = m2_xidot(r, rdot, fld, t) if model is ModelKind.M2 else None
-    out = np.empty(3)
-    for i in range(3):
-        up = rdot.copy()
-        dn = rdot.copy()
-        up[i] += step
-        dn[i] -= step
-        lp = lagrangian(model, r, up, fld, t, rest_mass=rest_mass, xidot=xidot)
-        lm = lagrangian(model, r, dn, fld, t, rest_mass=rest_mass, xidot=xidot)
-        out[i] = (lp - lm) / (2.0 * step)
-    return out
+    return _central_diff(lambda v: lagrangian(model, r, v, fld, t, rest_mass=rest_mass, xidot=xidot),
+                         rdot, step)
 
 
 def legendre_consistency(seed: int = 1, n_states: int = 1000) -> dict:
@@ -244,26 +254,11 @@ def vector_field_fd(seed: int = 2, n_states: int = 200, step: float = 1e-6) -> d
             if model is ModelKind.M2:
                 # keep the guard healthy after the qA shift
                 mom *= 0.8
-            phase = PhasePoint(r, mom, 0.0, t)
-            try:
-                rdot, momdot = vector_field(model, phase, fld, rest_mass=rest_mass)
-            except Exception:
-                continue
-            fd_r = np.empty(3)
-            fd_m = np.empty(3)
-            for i in range(3):
-                mp = mom.copy(); mp[i] += step
-                mm = mom.copy(); mm[i] -= step
-                fd_r[i] = (
-                    hamiltonian(model, PhasePoint(r, mp, 0.0, t), fld, rest_mass=rest_mass)
-                    - hamiltonian(model, PhasePoint(r, mm, 0.0, t), fld, rest_mass=rest_mass)
-                ) / (2.0 * step)
-                rp = r.copy(); rp[i] += step
-                rm = r.copy(); rm[i] -= step
-                fd_m[i] = -(
-                    hamiltonian(model, PhasePoint(rp, mom, 0.0, t), fld, rest_mass=rest_mass)
-                    - hamiltonian(model, PhasePoint(rm, mom, 0.0, t), fld, rest_mass=rest_mass)
-                ) / (2.0 * step)
+            rdot, momdot = vector_field(model, PhasePoint(r, mom, 0.0, t), fld, rest_mass=rest_mass)
+            fd_r = _central_diff(lambda p: hamiltonian(model, PhasePoint(r, p, 0.0, t), fld,
+                                                       rest_mass=rest_mass), mom, step)
+            fd_m = -_central_diff(lambda x: hamiltonian(model, PhasePoint(x, mom, 0.0, t), fld,
+                                                        rest_mass=rest_mass), r, step)
             scale = max(float(np.max(np.abs(rdot))), 1.0)
             dev = float(np.max(np.abs(rdot - fd_r))) / scale
             if model is not ModelKind.M0:  # M0 momdot is the Lorentz force, not -dH/dr

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,18 +98,40 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
     # eps^3 underflows to 0 from eps = 1e-108; the source sits at r0
     ("field.sources[0].eps", {"field": {"w_inf": -1.0, "sources": [{**_SOURCE, "r0": [0.0, 0.0, 0.0], "eps": 1e-108}]}}),
     ("seed", {"seed": True}),
+    # the M2 square-root guard W^2 - |P|^2 > 0 fails at the start state (P = -W u0 + qA)
+    ("models[0]: M2", {"models": ["M2"], "particle": {"q": 1.0, "u0": [0.9, 0.0, 0.0]},
+                       "field": {"w_inf": -1.0, "a_uniform": [0.9, 0.0, 0.0]}}),
+    ("models[1]: M2", {"models": ["M1", "M2"], "particle": {"q": 1.0, "u0": [0.9, 0.0, 0.0]},
+                       "field": {"w_inf": -1.0, "a_uniform": [0.9, 0.0, 0.0]}}),
+    ("particle.u0", {"particle": {"q": 1.0, "u0": [1e308, 0.0, 0.0]}}),
+    ("field.sources[0].uf", {"field": {"w_inf": -1.0, "sources": [{**_SOURCE, "uf": [1e308, 0.0, 0.0]}]}}),
+    # W^2 overflows, so the start guard W^2 - |p|^2 is nan
+    ("models[0]: M1", {"field": {"w_inf": -1e308}}),
+    ("integrator.tol", {"integrator": {"kind": "implicit_midpoint", "tol": 0}}),
+    ("integrator.max_iter", {"integrator": {"kind": "implicit_midpoint", "max_iter": 0}}),
+    ("integrator.atol", {"integrator": {"kind": "rk45", "atol": 0}}),
+    ("integrator.rtol", {"integrator": {"kind": "rk45", "rtol": -1e-9}}),
+    ("tau_end", {"tau_end": 0}),
+    ("integrator.h", {"integrator": {"kind": "rk4", "h": -0.01}}),
+    ("field.w_inf", {"field": {"w_inf": 0.0}}),
+    ("particle.q", {"particle": {"q": 2.0, "u0": [0.5, 0.0, 0.0]}}),
+    ("r0", {"field": {"w_inf": -1e-3, "sources": [{**_SOURCE, "r0": [0.0, 0.0, 0.0]}]}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
     forces and compare sections, an unbounded step count, an unknown key at the
     top level or in a section (integrator keys depend on the kind), a
     non-positive tolerance, an inverted band, sources that are not a list, a
-    softening too small for the kernels and a boolean number end in exit 2,
-    not a traceback."""
+    softening too small for the kernels, a boolean number, a start state that
+    breaks a model's square-root guard, huge speeds and each invariant an
+    owning type checks end in exit 2, not a traceback or a numpy warning."""
     cfg = _free_config(tmp_path, **overrides)
-    assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("model", ["M2", "M3"])
@@ -207,6 +230,16 @@ def test_compare_gyration_against_circle(tmp_path):
     assert report["max_pos_dev"] <= DEFAULT_TOLERANCES["gyration_pos_dev"]
     assert report["M3_vs_circle"] <= DEFAULT_TOLERANCES["gyration_pos_dev"]
     assert report["M0_vs_circle"] <= DEFAULT_TOLERANCES["gyration_pos_dev"]
+
+
+def test_compare_and_criterion_3_share_the_m0_span():
+    """The M0 lab span of cmd_compare, on the gyration preset, is criterion 3's old t_span / 4000."""
+    from vacuumflow import presets
+
+    sc = presets.gyration()
+    span, h = verify.m0_lab_span(sc.particle, sc.tau_end, sc.h)
+    assert span == sc.tau_end * (1.0 / math.sqrt(1.0 - 0.6 * 0.6))
+    assert h == span / 4000.0
 
 
 def test_shipped_scenarios_validate():

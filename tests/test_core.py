@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from vacuumflow.core import (
+    SUBLUMINAL_EPS,
     ModelKind,
     Particle,
     PhasePoint,
     clock_rate,
     emergent_rest_mass,
+    guarded_root,
     init_phase,
 )
-from vacuumflow.dynamics import model_rhs
+from vacuumflow.dynamics import hamiltonian, model_rhs
 from vacuumflow.errors import ConfigError, NonNegativeField, SubluminalViolation, SuperluminalInit
 from vacuumflow.fields import FieldSource, VacuumField
 
@@ -52,6 +56,27 @@ def test_init_errors(uniform_field):
     strong_a = VacuumField(w_inf=-1.0, a_uniform=(1.5, 0, 0))
     with pytest.raises(SubluminalViolation):
         init_phase(ModelKind.M2, Particle(q=1.0, u0=(0, 0, 0)), strong_a, (0, 0, 0))
+
+
+def test_guarded_root_rejects_nan():
+    assert guarded_root(4.0) == 2.0
+    for arg in (SUBLUMINAL_EPS, float("nan")):
+        with pytest.raises(SubluminalViolation):
+            guarded_root(arg)
+
+
+def test_phase_terms_read_the_field_once(moving_field, monkeypatch):
+    """One point_state pass per hamiltonian; M1 asks for W alone, so it runs with q_test = 0."""
+    calls = []
+    point_state = VacuumField.point_state
+    monkeypatch.setattr(VacuumField, "point_state", lambda *a: calls.append(1) or point_state(*a))
+    phase = PhasePoint((0.2, -0.3, 0.1), (0.1, 0.05, -0.02), 0.0, 0.4)
+    for model in (ModelKind.M1, ModelKind.M2, ModelKind.M3):
+        calls.clear()
+        hamiltonian(model, phase, moving_field)
+        assert len(calls) == 1
+    neutral = VacuumField(w_inf=-1.0, q_test=0.0)
+    assert hamiltonian(ModelKind.M1, phase, neutral) == -math.sqrt(1.0 - float(phase.mom @ phase.mom))
 
 
 def test_clock_rate_examples(uniform_field):

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from vacuumflow.core import ModelKind, Particle, init_phase
-from vacuumflow.errors import NoConvergence, NoOverlap
+from vacuumflow.errors import ConfigError, NoConvergence, NoOverlap
 from vacuumflow.fields import FieldSource, VacuumField
 from vacuumflow.integrate import (
     RK4,
@@ -17,6 +17,22 @@ from vacuumflow.integrate import (
 from vacuumflow.presets import standard_flyby
 
 ORIGIN = np.zeros(3)
+
+
+@pytest.mark.parametrize("tau_end, h, name", [(0.0, 0.1, "tau_end"), (1.0, -0.1, "h"), (1.0, 1e-8, "h")])
+def test_simulate_checks_its_span_through_step_count(uniform_field, tau_end, h, name):
+    """tau_end > 0, h > 0 and the step cap are step_count's, each naming its argument first."""
+    with pytest.raises(ConfigError, match=f"^{name}: "):
+        simulate(ModelKind.M1, Particle(q=1.0, u0=(0, 0, 0)), uniform_field, ORIGIN, tau_end, RK4(), h)
+
+
+@pytest.mark.parametrize("build, name", [(lambda: ImplicitMidpoint(tol=0.0), "tol"),
+                                         (lambda: ImplicitMidpoint(max_iter=0), "max_iter"),
+                                         (lambda: RK45(atol=float("nan")), "atol"),
+                                         (lambda: RK45(rtol=-1.0), "rtol")])
+def test_integrator_parameters_are_checked_by_their_kind(build, name):
+    with pytest.raises(ConfigError, match=f"^{name}: "):
+        build()
 
 
 def test_linear_flow_exact(uniform_field):
