@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, NonNegativeField, SubluminalViolation, SuperluminalInit
-from .fields import VacuumField, as_vec3
+from .fields import VacuumField, as_vec3, dot3
 
 #: strict positivity threshold for every square-root guard W^2 - |mom|^2
 SUBLUMINAL_EPS = 1e-12
@@ -95,7 +95,7 @@ def emergent_rest_mass(particle: Particle, fld: VacuumField, r0) -> float:
     """
     r0 = as_vec3(r0)
     w0 = checked_w(fld, r0, 0.0)
-    return -w0 * math.sqrt(1.0 - float(particle.u0 @ particle.u0))
+    return -w0 * math.sqrt(1.0 - float(dot3(particle.u0, particle.u0)))
 
 
 def init_phase(model: ModelKind, particle: Particle, fld: VacuumField, r0) -> PhasePoint:
@@ -143,14 +143,14 @@ def model_terms(model: ModelKind, w, k2, ap, q: float, root):
 
 def phase_terms(model: ModelKind, phase: PhasePoint, fld: VacuumField):
     """model_terms at a phase point of M1-M3 from one field evaluation (W alone for M1,
-    which runs with q_test = 0), with |k|^2 and <A,P> as numpy 3-vector dots."""
+    which runs with q_test = 0), with |k|^2 and <A,P> summed left to right."""
     r, t = phase.r, phase.t
     w, a = fld._eval(r, t, "wa") if model is not ModelKind.M1 else (fld._eval(r, t, "w")[0], None)
     w = _negative_w(float(w), r, t)
     p, q = phase.mom, fld.q_test
     k = p - q * a if model is ModelKind.M3 else p
-    ap = float(a @ p) if model is ModelKind.M2 else 0.0
-    return model_terms(model, w, float(k @ k), ap, q, guarded_root)
+    ap = float(dot3(a, p)) if model is ModelKind.M2 else 0.0
+    return model_terms(model, w, float(dot3(k, k)), ap, q, guarded_root)
 
 
 def clock_rate(model: ModelKind, phase: PhasePoint, fld: VacuumField) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import SUBLUMINAL_EPS, ModelKind, PhasePoint, checked_w, guarded_root, phase_terms
 from .errors import NonNegativeField, SubluminalViolation, SuperluminalInit, TooShort
-from .fields import VacuumField, as_vec3
+from .fields import VacuumField, as_vec3, dot3, jac_t_dot
 
 
 class ForceKind(Enum):
@@ -57,8 +57,9 @@ def _hard_w(w: float) -> float:
 def _mover_velocity(q: float, a: np.ndarray, w: float) -> np.ndarray:
     """Effective external-mover velocity u_eff = qA/W recovered from the field."""
     u = q * a / w
-    if float(u @ u) >= 1.0:
-        raise SubluminalViolation(f"effective mover speed |qA/W| = {np.linalg.norm(u)} >= 1")
+    uf2 = float(dot3(u, u))
+    if uf2 >= 1.0:
+        raise SubluminalViolation(f"effective mover speed |qA/W| = {math.sqrt(uf2)} >= 1")
     return u
 
 
@@ -82,7 +83,7 @@ def m2_xidot(r, rdot, fld: VacuumField, tau_time: float = 0.0) -> np.ndarray:
     rdot = as_vec3(rdot)
     w = checked_w(fld, r, tau_time)
     u_eff = _mover_velocity(fld.q_test, fld.a(r, tau_time), w)
-    return u_eff * _relative_rate(float(rdot @ u_eff), float(u_eff @ u_eff), float(rdot @ rdot))
+    return u_eff * _relative_rate(float(dot3(rdot, u_eff)), float(dot3(u_eff, u_eff)), float(dot3(rdot, rdot)))
 
 
 # -- Lagrangian side ----------------------------------------------------------
@@ -97,11 +98,11 @@ def _velocity_terms(model: ModelKind, r, rdot, fld: VacuumField, tau_time: float
     w = checked_w(fld, r, tau_time)
     if model is ModelKind.M2 and xidot is None:
         u_eff = _mover_velocity(fld.q_test, fld.a(r, tau_time), w)
-        s = _relative_rate(float(rdot @ u_eff), float(u_eff @ u_eff), float(rdot @ rdot))
+        s = _relative_rate(float(dot3(rdot, u_eff)), float(dot3(u_eff, u_eff)), float(dot3(rdot, rdot)))
         return w, s, rdot - u_eff * s, None
     eta = rdot - as_vec3(xidot) if model is ModelKind.M2 else rdot
     a = fld.a(r, tau_time) if model is ModelKind.M3 else None
-    return w, math.sqrt(1.0 + float(eta @ eta)), eta, a
+    return w, math.sqrt(1.0 + float(dot3(eta, eta))), eta, a
 
 
 def lagrangian(
@@ -126,12 +127,12 @@ def lagrangian(
     rdot = as_vec3(rdot)
     if model is ModelKind.M0:
         m0 = _require_rest_mass(rest_mass)
-        u2 = float(rdot @ rdot)
+        u2 = float(dot3(rdot, rdot))
         if u2 >= 1.0:
             raise SuperluminalInit(f"M0 lagrangian needs |u| < 1, got |u|^2 = {u2}")
         return -m0 * math.sqrt(1.0 - u2)
     w, s, _eta, a = _velocity_terms(model, r, rdot, fld, tau_time, xidot)
-    return -w * s if a is None else -w * s + fld.q_test * float(a @ rdot)
+    return -w * s if a is None else -w * s + fld.q_test * float(dot3(a, rdot))
 
 
 def legendre_momentum(
@@ -154,7 +155,7 @@ def legendre_momentum(
     rdot = as_vec3(rdot)
     if model is ModelKind.M0:
         m0 = _require_rest_mass(rest_mass)
-        u2 = float(rdot @ rdot)
+        u2 = float(dot3(rdot, rdot))
         if u2 >= 1.0:
             raise SuperluminalInit(f"M0 momentum needs |u| < 1, got |u|^2 = {u2}")
         return m0 * rdot / math.sqrt(1.0 - u2)
@@ -177,7 +178,7 @@ def hamiltonian(
         return -phase_terms(model, phase, fld)[4]
     w = checked_w(fld, phase.r, phase.t)
     m0 = _require_rest_mass(rest_mass)
-    return math.sqrt(m0 * m0 + float(phase.mom @ phase.mom)) + (w - fld.w_inf)
+    return math.sqrt(m0 * m0 + float(dot3(phase.mom, phase.mom))) + (w - fld.w_inf)
 
 
 def invariant_energy(
@@ -297,14 +298,15 @@ def force(kind: ForceKind, fld: VacuumField, r, u, q: float, t: float = 0.0) -> 
     carrying the extra -q grad<A,u> term (u held fixed in the gradient)."""
     r = as_vec3(r)
     u = as_vec3(u)
-    if float(u @ u) >= 1.0:
-        raise SuperluminalInit(f"force needs |u| < 1, got {np.linalg.norm(u)}")
+    u2 = float(dot3(u, u))
+    if u2 >= 1.0:
+        raise SuperluminalInit(f"force needs |u| < 1, got {math.sqrt(u2)}")
     gw, adot, jac = fld._eval(r, t, "gdj")
     e, b = fld.assemble_e_b(gw, adot, jac)
     lorentz = q * (e + np.cross(u, b))
     if kind is ForceKind.ClassicalLorentz:
         return lorentz
-    return lorentz - q * (jac.T @ u)
+    return lorentz - q * jac_t_dot(jac, u)
 
 
 # -- Variational diagnostics --------------------------------------------------

@@ -38,6 +38,21 @@ def as_vec3(x) -> np.ndarray:
     return v
 
 
+# numpy's @ and np.linalg.norm hand 3-vectors to BLAS, whose kernel (with or
+# without FMA) is picked per CPU; these sums give the same bits on every CPU,
+# and each row of an (n, 3) call equals the (3,) call.
+
+
+def dot3(a, b):
+    """<a, b> over the last axis of (3,) or (n, 3) arrays, summed left to right."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def jac_t_dot(jac, u):
+    """J^T u for (3, 3) or (n, 3, 3) J: (J^T u)_i = J_0i u_0 + J_1i u_1 + J_2i u_2, left to right."""
+    return jac[..., 0, :] * u[..., 0:1] + jac[..., 1, :] * u[..., 1:2] + jac[..., 2, :] * u[..., 2:3]
+
+
 @dataclass(frozen=True)
 class FieldSource:
     """One softened Coulomb source on a straight-line orbit R(t) = r0 + uf*t."""

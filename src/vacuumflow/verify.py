@@ -32,7 +32,7 @@ from .dynamics import (
     m2_xidot,
     vector_field,
 )
-from .fields import VacuumField
+from .fields import VacuumField, dot3, jac_t_dot
 from .integrate import RK45, ImplicitMidpoint, RK4, TrajectoryRecord, compare_trajectories, simulate
 from .maxwell import advected_integral, evolve_wave, maxwell_residuals, sample_scalar_series, solution_error
 from .quantum import (
@@ -90,7 +90,7 @@ def flyby_m1(scenario=None) -> TrajectoryRecord:
 def m0_lab_span(particle, tau_end: float, h: float) -> tuple[float, float]:
     """(span, step) of an M0 run, which runs on the lab clock, beside a run of tau_end at h:
     tau_end stretched by the start gamma, in as many steps (at least 2)."""
-    u = float(np.linalg.norm(particle.u0))
+    u = math.sqrt(dot3(particle.u0, particle.u0))
     span = tau_end * (1.0 / math.sqrt(1.0 - u * u))
     return span, span / max(2, int(round(tau_end / h)))
 
@@ -133,13 +133,13 @@ def force_gap_stats(seed: int = 0, n_states: int = 1000, fld: VacuumField | None
     for row in rows:
         r = rng.uniform(-1.5, 1.5, 3)
         u = rng.uniform(-1.0, 1.0, 3)
-        nu = np.linalg.norm(u)
+        nu = math.sqrt(dot3(u, u))
         if nu >= 0.95:
             u *= 0.9 / nu
         t = rng.uniform(0.0, 2.0)
         fc = force(ForceKind.ClassicalLorentz, fld, r, u, q, t)
         fm = force(ForceKind.ModifiedLorentz, fld, r, u, q, t)
-        grad_au = fld.a_jac(r, t).T @ u
+        grad_au = jac_t_dot(fld.a_jac(r, t), u)
         dev = float(np.max(np.abs(fc - fm - q * grad_au)))
         worst = max(worst, dev)
         row[:] = (*r, *u, t, *fc, *fm, dev)
@@ -182,7 +182,7 @@ def _random_state(rng, model: ModelKind, fld: VacuumField):
     t = rng.uniform(0.0, 2.0)
     rdot = rng.uniform(-1.5, 1.5, 3)
     if model is ModelKind.M0:
-        nu = np.linalg.norm(rdot)
+        nu = math.sqrt(dot3(rdot, rdot))
         if nu >= 0.85:
             rdot *= 0.8 / nu
     return r, rdot, t
@@ -227,7 +227,7 @@ def legendre_consistency(seed: int = 1, n_states: int = 1000) -> dict:
             mom = legendre_momentum(model, r, rdot, fld, t, rest_mass=rest_mass)
             lag = lagrangian(model, r, rdot, fld, t, rest_mass=rest_mass)
             ham = hamiltonian(model, PhasePoint(r, mom, 0.0, t), fld, rest_mass=rest_mass)
-            gap = abs(float(mom @ rdot) - lag - ham) / max(abs(ham), 1e-12)
+            gap = abs(float(dot3(mom, rdot)) - lag - ham) / max(abs(ham), 1e-12)
             worst_h = max(worst_h, gap)
             fd = _fd_momentum(model, r, rdot, fld, t, rest_mass)
             perr = float(np.max(np.abs(mom - fd))) / max(float(np.max(np.abs(mom))), 1.0)

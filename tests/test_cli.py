@@ -2,6 +2,9 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from vacuumflow.dynamics import ForceKind, force
 from vacuumflow.errors import ConfigError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SRC = SCENARIOS.parent / "src"
 
 
 def _free_config(tmp_path, **overrides):
@@ -312,13 +316,14 @@ def _old_forces_csv(cfg) -> str:
     for _ in range(cfg.forces["states"]):
         r = rng.uniform(-1.5, 1.5, 3)
         u = rng.uniform(-1.0, 1.0, 3)
-        nu = float(np.linalg.norm(u))
+        nu = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
         if nu >= 0.95:
             u *= 0.9 / nu
         t = rng.uniform(0.0, 2.0)
         fc = force(ForceKind.ClassicalLorentz, cfg.field, r, u, cfg.particle.q, t)
         fm = force(ForceKind.ModifiedLorentz, cfg.field, r, u, cfg.particle.q, t)
-        gap = cfg.field.a_jac(r, t).T @ u * cfg.particle.q
+        jac = cfg.field.a_jac(r, t)
+        gap = np.array([jac[0, i] * u[0] + jac[1, i] * u[1] + jac[2, i] * u[2] for i in range(3)]) * cfg.particle.q
         dev = float(np.max(np.abs(fc - fm - gap)))
         lines.append(",".join(f"{v:.17g}" for v in [*r, *u, t, *fc, *fm, dev]) + "\n")
     return "".join(lines)
@@ -332,6 +337,23 @@ def test_forces_csv_matches_the_old_sampling_loop(tmp_path):
     assert main(["forces", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
     expected = _old_forces_csv(load_config(path)).encode()
     assert (tmp_path / "forces_forces.csv").read_bytes() == expected
+
+
+def test_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
+    """The forces and checks artifacts written under OpenBLAS's kernel for a CPU
+    without FMA (a child process, since the kernel is picked at import) equal the
+    bytes written in this process: no 3-vector sum goes through BLAS."""
+    runs = (("forces", "forces", "forces_forces.csv"), ("checks", "verification", "verification_checks.json"))
+    child = "import sys; from vacuumflow.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    for command, scenario, artifact in runs:
+        argv = [command, "--config", str(SCENARIOS / f"{scenario}.json"), "--quiet"]
+        assert main([*argv, "--out", str(tmp_path / "here")]) == 0
+        done = subprocess.run([sys.executable, "-c", child, *argv, "--out", str(tmp_path / "nehalem")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "nehalem" / artifact).read_bytes() == (tmp_path / "here" / artifact).read_bytes()
 
 
 def test_maxwell_none_ratio_fails(tmp_path, monkeypatch):
