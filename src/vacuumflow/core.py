@@ -76,15 +76,22 @@ def guarded_root(arg: float) -> float:
     return math.sqrt(arg)
 
 
-def _negative_w(w: float, r: np.ndarray, t: float) -> float:
-    if w >= 0.0:
-        raise NonNegativeField(f"W(r,t) = {w:g} >= 0 at r = {r.tolist()}, t = {t:g}")
+def guarded_sqrt(arg):
+    """guarded_root on numpy columns: one check of every argument, then np.sqrt."""
+    if not np.all(arg > SUBLUMINAL_EPS):
+        raise SubluminalViolation(f"W^2 - |mom|^2 = {np.min(arg):g} <= {SUBLUMINAL_EPS:g}")
+    return np.sqrt(arg)
+
+
+def negative_w(w, r, t):
+    """w after the trajectory invariant W < 0, at one state or on columns (r (..., 3), t
+    scalar or per state); the error names the first state that breaks it."""
+    bad = np.asarray(w) >= 0.0
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonNegativeField(f"W(r,t) = {np.asarray(w)[i]:g} >= 0 at r = {np.asarray(r)[i].tolist()}, "
+                               f"t = {np.broadcast_to(t, bad.shape)[i]:g}")
     return w
-
-
-def checked_w(fld: VacuumField, r: np.ndarray, t: float) -> float:
-    """Evaluate W and enforce the trajectory invariant W < 0."""
-    return _negative_w(fld.w(r, t), r, t)
 
 
 def emergent_rest_mass(particle: Particle, fld: VacuumField, r0) -> float:
@@ -94,7 +101,7 @@ def emergent_rest_mass(particle: Particle, fld: VacuumField, r0) -> float:
     stores m0 directly.
     """
     r0 = as_vec3(r0)
-    w0 = checked_w(fld, r0, 0.0)
+    w0 = negative_w(fld.w(r0, 0.0), r0, 0.0)
     return -w0 * math.sqrt(1.0 - float(dot3(particle.u0, particle.u0)))
 
 
@@ -117,8 +124,9 @@ def init_phase(model: ModelKind, particle: Particle, fld: VacuumField, r0) -> Ph
     phase = PhasePoint(r=r0, mom=mom, tau=0.0, t=0.0)
     if model is not ModelKind.M0:
         try:
-            with np.errstate(over="ignore"):  # an overflowing |k|^2 fails the guard as nan or -inf
-                phase_terms(model, phase, fld)
+            # an overflowing W^2 or |k|^2 fails the guard as nan or -inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                phase_terms(model, phase.r, phase.mom, phase.t, fld)
         except SubluminalViolation as exc:
             raise SubluminalViolation(f"model: {model.value} start state breaks its guard, {exc}") from None
     return phase
@@ -141,16 +149,19 @@ def model_terms(model: ModelKind, w, k2, ap, q: float, root):
     return guard, g, kappa, root(1.0 + k2 * kappa * kappa / (g * g)), g + q * ap / g
 
 
-def phase_terms(model: ModelKind, phase: PhasePoint, fld: VacuumField):
-    """model_terms at a phase point of M1-M3 from one field evaluation (W alone for M1,
-    which runs with q_test = 0), with |k|^2 and <A,P> summed left to right."""
-    r, t = phase.r, phase.t
+def phase_terms(model: ModelKind, r, mom, t, fld: VacuumField, root=guarded_root):
+    """model_terms of M1-M3 at phase points (r, mom, t) from one field evaluation (W alone
+    for M1, which runs with q_test = 0), with |k|^2 and <A,P> summed left to right.
+
+    One point's (3,) vectors and time take root = guarded_root; (..., 3) columns with t
+    scalar or one per point take root = guarded_sqrt, and each row equals the one-point call.
+    """
     w, a = fld._eval(r, t, "wa") if model is not ModelKind.M1 else (fld._eval(r, t, "w")[0], None)
-    w = _negative_w(float(w), r, t)
-    p, q = phase.mom, fld.q_test
-    k = p - q * a if model is ModelKind.M3 else p
-    ap = float(dot3(a, p)) if model is ModelKind.M2 else 0.0
-    return model_terms(model, w, float(dot3(k, k)), ap, q, guarded_root)
+    w = negative_w(w, r, t)
+    q = fld.q_test
+    k = mom - q * a if model is ModelKind.M3 else mom
+    ap = dot3(a, mom) if model is ModelKind.M2 else 0.0
+    return model_terms(model, w, dot3(k, k), ap, q, root)
 
 
 def clock_rate(model: ModelKind, phase: PhasePoint, fld: VacuumField) -> float:
@@ -161,4 +172,4 @@ def clock_rate(model: ModelKind, phase: PhasePoint, fld: VacuumField) -> float:
     """
     if model is ModelKind.M0:
         return 1.0
-    return phase_terms(model, phase, fld)[3]
+    return float(phase_terms(model, phase.r, phase.mom, phase.t, fld)[3])

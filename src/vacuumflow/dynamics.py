@@ -15,6 +15,17 @@ The momdot expressions are exact partial derivatives of the Hamiltonians, so
 finite differences of hamiltonian() reproduce vector_field() to discretization
 error.  M0 is the exception: its stored momentum is kinetic, and its momdot is
 the Lorentz force, not -dH/dr.
+
+Two column kernels carry the Lagrangian and the Hamiltonian side, as
+VacuumField._eval carries the field.  _lagrangian_eval gives L, dL/drdot and
+dL/dr at (..., 3) columns of states from one batched field evaluation, and
+velocity probes of the same states are column arithmetic on it;
+_hamiltonian_eval gives H through core.model_terms.  Every 3-vector sum runs
+left to right, so each row is bit-identical to a one-row call: lagrangian,
+legendre_momentum and hamiltonian are those one-row selections, and the
+trajectory diagnostics and the random-state criteria 4-5 (verify) call the
+kernels on whole columns.  point_rhs, the integrator hot path, stays a
+plain-float kernel of its own.
 """
 
 from __future__ import annotations
@@ -24,8 +35,16 @@ from enum import Enum
 
 import numpy as np
 
-from .core import SUBLUMINAL_EPS, ModelKind, PhasePoint, checked_w, guarded_root, phase_terms
-from .errors import NonNegativeField, SubluminalViolation, SuperluminalInit, TooShort
+from .core import (
+    SUBLUMINAL_EPS,
+    ModelKind,
+    PhasePoint,
+    guarded_root,
+    guarded_sqrt,
+    negative_w,
+    phase_terms,
+)
+from .errors import SubluminalViolation, SuperluminalInit, TooShort
 from .fields import VacuumField, as_vec3, dot3, jac_t_dot
 
 
@@ -54,55 +73,87 @@ def _hard_w(w: float) -> float:
     return w
 
 
-def _mover_velocity(q: float, a: np.ndarray, w: float) -> np.ndarray:
+def _mover_velocity(q: float, a, w):
     """Effective external-mover velocity u_eff = qA/W recovered from the field."""
-    u = q * a / w
-    uf2 = float(dot3(u, u))
-    if uf2 >= 1.0:
-        raise SubluminalViolation(f"effective mover speed |qA/W| = {math.sqrt(uf2)} >= 1")
+    u = q * a / np.expand_dims(w, -1)
+    uf2 = dot3(u, u)
+    if np.any(uf2 >= 1.0):
+        raise SubluminalViolation(f"effective mover speed |qA/W| = {np.sqrt(np.max(uf2))} >= 1")
     return u
 
 
-def _relative_rate(b, uf2, rd2, root=math.sqrt):
+def _relative_rate(b, uf2, rd2):
     """Solve s = sqrt(1 + |rdot - u_eff*s|^2) for the M2 clock factor s = dt/dtau.
 
-    b = <rdot, u_eff>, uf2 = |u_eff|^2 and rd2 = |rdot|^2: floats, or numpy
-    sample columns with root = np.sqrt.
+    b = <rdot, u_eff>, uf2 = |u_eff|^2 and rd2 = |rdot|^2: floats or columns.
     """
-    return (-b + root(b * b + (1.0 - uf2) * (1.0 + rd2))) / (1.0 - uf2)
+    return (-b + np.sqrt(b * b + (1.0 - uf2) * (1.0 + rd2))) / (1.0 - uf2)
 
 
-def m2_xidot(r, rdot, fld: VacuumField, tau_time: float = 0.0) -> np.ndarray:
-    """Self-consistent mover velocity xidot at an M2 state (r, rdot).
+def _mover(q: float, a, w, rdot):
+    """(xidot, s) of M2 at velocity rdot: the mover velocity u_eff * s and the clock factor s."""
+    u_eff = _mover_velocity(q, a, w)
+    s = _relative_rate(dot3(rdot, u_eff), dot3(u_eff, u_eff), dot3(rdot, rdot))
+    return u_eff * np.expand_dims(s, -1), s
+
+
+def m2_xidot(r, rdot, fld: VacuumField, tau_time=0.0) -> np.ndarray:
+    """Self-consistent mover velocity xidot at M2 states (r, rdot), one or (..., 3) columns.
 
     In the variational treatment xidot is external data: variations of rdot
     hold it fixed.  Freeze this value when probing the M2 Lagrangian by finite
     differences.
     """
-    r = as_vec3(r)
-    rdot = as_vec3(rdot)
-    w = checked_w(fld, r, tau_time)
-    u_eff = _mover_velocity(fld.q_test, fld.a(r, tau_time), w)
-    return u_eff * _relative_rate(float(dot3(rdot, u_eff)), float(dot3(u_eff, u_eff)), float(dot3(rdot, rdot)))
+    w, a = fld._eval(r, tau_time, "wa")
+    return _mover(fld.q_test, a, negative_w(w, r, tau_time), np.asarray(rdot, dtype=float))[0]
 
 
 # -- Lagrangian side ----------------------------------------------------------
 
 
-def _velocity_terms(model: ModelKind, r, rdot, fld: VacuumField, tau_time: float, xidot):
-    """(W, s, eta, A) of a vacuum model at (r, rdot), with s = sqrt(1 + |eta|^2).
+def _lagrangian_eval(model: ModelKind, r, rdot, t, fld: VacuumField, rest_mass=None, xidot=None,
+                     derivatives: bool = False):
+    """The Lagrangian kernel: L at states (r, rdot, t), or with derivatives=True
+    (L, dL/drdot, dL/dr).
 
-    L = -W s and dL/drdot = -W eta / s, plus q<A, rdot> and qA for M3 (A is
-    None for M1/M2).  M2's eta = rdot - xidot, with xidot = u_eff * s by default.
+    r is (..., 3) with t scalar or one time per state, and rdot broadcasts
+    against r: velocity probes (k, n, 3) of n states (n, 3) share one field
+    evaluation at the states.  Every 3-vector sum runs left to right, so each
+    row equals the one-row call bit for bit.  M2's mover velocity xidot is
+    resolved at (r, rdot) unless given; the derivatives hold it fixed.
     """
-    w = checked_w(fld, r, tau_time)
-    if model is ModelKind.M2 and xidot is None:
-        u_eff = _mover_velocity(fld.q_test, fld.a(r, tau_time), w)
-        s = _relative_rate(float(dot3(rdot, u_eff)), float(dot3(u_eff, u_eff)), float(dot3(rdot, rdot)))
-        return w, s, rdot - u_eff * s, None
-    eta = rdot - as_vec3(xidot) if model is ModelKind.M2 else rdot
-    a = fld.a(r, tau_time) if model is ModelKind.M3 else None
-    return w, math.sqrt(1.0 + float(dot3(eta, eta))), eta, a
+    if model is ModelKind.M0:
+        m0 = _require_rest_mass(rest_mass)
+        u2 = dot3(rdot, rdot)
+        if np.any(u2 >= 1.0):
+            raise SuperluminalInit(f"M0 Lagrangian needs |u| < 1, got |u|^2 = {np.max(u2)}")
+        root = np.sqrt(1.0 - u2)
+        if not derivatives:
+            return -m0 * root
+        dldr = np.zeros(np.broadcast_shapes(np.shape(r), rdot.shape))
+        return -m0 * root, m0 * rdot / np.expand_dims(root, -1), dldr
+    self_consistent = model is ModelKind.M2 and xidot is None
+    parts = "wg" if derivatives else "w"
+    if model is ModelKind.M3 or self_consistent:
+        parts += "aj" if derivatives and model is ModelKind.M3 else "a"
+    f = dict(zip(parts, fld._eval(r, t, parts)))
+    w = negative_w(f["w"], r, t)
+    q = fld.q_test
+    if self_consistent:
+        xidot, s = _mover(q, f["a"], w, rdot)
+        eta = rdot - xidot
+    else:
+        eta = rdot - xidot if model is ModelKind.M2 else rdot
+        s = np.sqrt(1.0 + dot3(eta, eta))
+    lag = -w * s
+    if model is ModelKind.M3:
+        lag = lag + q * dot3(f["a"], rdot)
+    if not derivatives:
+        return lag
+    w, s = np.expand_dims(w, -1), np.expand_dims(s, -1)
+    if model is not ModelKind.M3:
+        return lag, -w * eta / s, -f["g"] * s
+    return lag, -w * eta / s + q * f["a"], -f["g"] * s + q * jac_t_dot(f["j"], rdot)
 
 
 def lagrangian(
@@ -115,7 +166,7 @@ def lagrangian(
     rest_mass: float | None = None,
     xidot=None,
 ) -> float:
-    """Model Lagrangian at (r, rdot).
+    """Model Lagrangian at (r, rdot): one row of _lagrangian_eval.
 
     rdot is the proper-time velocity for M1/M2/M3 (unbounded) and the lab
     velocity u (|u| < 1) for M0.  tau_time is the field evaluation time (the
@@ -123,16 +174,8 @@ def lagrangian(
     external mover velocity; by default it is resolved self-consistently at
     (r, rdot) (see m2_xidot).
     """
-    r = as_vec3(r)
-    rdot = as_vec3(rdot)
-    if model is ModelKind.M0:
-        m0 = _require_rest_mass(rest_mass)
-        u2 = float(dot3(rdot, rdot))
-        if u2 >= 1.0:
-            raise SuperluminalInit(f"M0 lagrangian needs |u| < 1, got |u|^2 = {u2}")
-        return -m0 * math.sqrt(1.0 - u2)
-    w, s, _eta, a = _velocity_terms(model, r, rdot, fld, tau_time, xidot)
-    return -w * s if a is None else -w * s + fld.q_test * float(dot3(a, rdot))
+    xidot = None if xidot is None else as_vec3(xidot)
+    return float(_lagrangian_eval(model, as_vec3(r), as_vec3(rdot), tau_time, fld, rest_mass, xidot))
 
 
 def legendre_momentum(
@@ -145,25 +188,31 @@ def legendre_momentum(
     rest_mass: float | None = None,
     xidot=None,
 ) -> np.ndarray:
-    """Closed-form dL/drdot; matches central finite differences of lagrangian.
+    """Closed-form dL/drdot, one row of _lagrangian_eval; matches central finite
+    differences of lagrangian.
 
     For M2 the derivative holds the mover velocity fixed (xidot is external
     data in the variational treatment); probe the finite differences with the
     same frozen xidot.
     """
-    r = as_vec3(r)
-    rdot = as_vec3(rdot)
-    if model is ModelKind.M0:
-        m0 = _require_rest_mass(rest_mass)
-        u2 = float(dot3(rdot, rdot))
-        if u2 >= 1.0:
-            raise SuperluminalInit(f"M0 momentum needs |u| < 1, got |u|^2 = {u2}")
-        return m0 * rdot / math.sqrt(1.0 - u2)
-    w, s, eta, a = _velocity_terms(model, r, rdot, fld, tau_time, xidot)
-    return -w * eta / s if a is None else -w * eta / s + fld.q_test * a
+    xidot = None if xidot is None else as_vec3(xidot)
+    return _lagrangian_eval(model, as_vec3(r), as_vec3(rdot), tau_time, fld, rest_mass, xidot, True)[1]
 
 
 # -- Hamiltonian side ---------------------------------------------------------
+
+
+def _hamiltonian_eval(model: ModelKind, r, mom, t, fld: VacuumField, rest_mass=None):
+    """H at phase points (r, mom, t): (..., 3) columns with t scalar or one per point.
+
+    M1-M3 are -energy of core.model_terms under the column guard guarded_sqrt;
+    M0 is sqrt(m0^2 + |p|^2) + qphi.  Each row equals the one-point call.
+    """
+    if model is not ModelKind.M0:
+        return -phase_terms(model, r, mom, t, fld, guarded_sqrt)[4]
+    w = negative_w(fld._eval(r, t, "w")[0], r, t)
+    m0 = _require_rest_mass(rest_mass)
+    return np.sqrt(m0 * m0 + dot3(mom, mom)) + (w - fld.w_inf)
 
 
 def hamiltonian(
@@ -174,11 +223,7 @@ def hamiltonian(
     rest_mass: float | None = None,
 ) -> float:
     """Model Hamiltonian at the phase point (M0 returns +energy, M1-M3 -energy of model_terms)."""
-    if model is not ModelKind.M0:
-        return -phase_terms(model, phase, fld)[4]
-    w = checked_w(fld, phase.r, phase.t)
-    m0 = _require_rest_mass(rest_mass)
-    return math.sqrt(m0 * m0 + float(dot3(phase.mom, phase.mom))) + (w - fld.w_inf)
+    return float(_hamiltonian_eval(model, phase.r, phase.mom, phase.t, fld, rest_mass))
 
 
 def invariant_energy(
@@ -293,20 +338,24 @@ def vector_field(
 # -- Force laws ---------------------------------------------------------------
 
 
+def _force_eval(fld: VacuumField, r, u, q: float, t):
+    """(q(E + u x B), q J^T u) at probes r (..., 3) with velocities u, from one field
+    evaluation: the classical Lorentz force and the term the modified law subtracts."""
+    u2 = dot3(u, u)
+    if np.any(u2 >= 1.0):
+        raise SuperluminalInit(f"force needs |u| < 1, got {np.sqrt(np.max(u2))}")
+    gw, adot, jac = fld._eval(r, t, "gdj")
+    e, b = fld.assemble_e_b(gw, adot, jac)
+    (ux, uy, uz), (bx, by, bz) = np.moveaxis(u, -1, 0), np.moveaxis(b, -1, 0)
+    u_cross_b = np.stack([uy * bz - uz * by, uz * bx - ux * bz, ux * by - uy * bx], axis=-1)
+    return q * (e + u_cross_b), q * jac_t_dot(jac, u)
+
+
 def force(kind: ForceKind, fld: VacuumField, r, u, q: float, t: float = 0.0) -> np.ndarray:
     """Pointwise force law: classical qE + q u x B, or the modified variant
     carrying the extra -q grad<A,u> term (u held fixed in the gradient)."""
-    r = as_vec3(r)
-    u = as_vec3(u)
-    u2 = float(dot3(u, u))
-    if u2 >= 1.0:
-        raise SuperluminalInit(f"force needs |u| < 1, got {math.sqrt(u2)}")
-    gw, adot, jac = fld._eval(r, t, "gdj")
-    e, b = fld.assemble_e_b(gw, adot, jac)
-    lorentz = q * (e + np.cross(u, b))
-    if kind is ForceKind.ClassicalLorentz:
-        return lorentz
-    return lorentz - q * jac_t_dot(jac, u)
+    lorentz, grad_au = _force_eval(fld, as_vec3(r), as_vec3(u), q, t)
+    return lorentz if kind is ForceKind.ClassicalLorentz else lorentz - grad_au
 
 
 # -- Variational diagnostics --------------------------------------------------
@@ -323,51 +372,11 @@ def _sample_rdots(taus: np.ndarray, rs: np.ndarray) -> np.ndarray:
 
 def _lagrangian_samples(model: ModelKind, traj, fld: VacuumField, rest_mass: float | None,
                         rows=slice(None), derivatives: bool = False):
-    """L at the samples rows of traj, or with derivatives=True the rows (dL/drdot, dL/dr).
-
-    Velocities come from _sample_rdots; one batched field evaluation serves
-    all rows.  For M2 the derivatives hold the mover velocity xidot = u_eff * s
-    fixed (external data).
-    """
+    """_lagrangian_eval at the samples rows of traj, with velocities from _sample_rdots."""
     rs = np.asarray(traj.r)
     rdots = _sample_rdots(np.asarray(traj.tau), rs)[rows]
-    rs, ts = rs[rows], np.asarray(traj.t)[rows]
-    rd2 = np.einsum("ij,ij->i", rdots, rdots)
-    if model is ModelKind.M0:
-        m0 = _require_rest_mass(rest_mass)
-        if np.any(rd2 >= 1.0):
-            raise SuperluminalInit("M0 sample velocity reached |u| >= 1")
-        root = np.sqrt(1.0 - rd2)
-        if derivatives:
-            return m0 * rdots / root[:, None], np.zeros_like(rdots)
-        return -m0 * root
-    parts = "wg" if derivatives else "w"
-    if model is not ModelKind.M1:
-        parts += "aj" if derivatives and model is ModelKind.M3 else "a"
-    f = dict(zip(parts, fld._eval(rs, ts, parts)))
-    w = f["w"]
-    if np.any(w >= 0.0):
-        raise NonNegativeField(f"W(r,t) = {np.max(w):g} >= 0 at a sample")
-    q = fld.q_test
-    eta = rdots
-    if model is ModelKind.M2:
-        u_eff = q * f["a"] / w[:, None]
-        uf2 = np.einsum("ij,ij->i", u_eff, u_eff)
-        if np.any(uf2 >= 1.0):
-            raise SubluminalViolation(f"effective mover speed |qA/W| = {np.sqrt(np.max(uf2))} >= 1")
-        s = _relative_rate(np.einsum("ij,ij->i", rdots, u_eff), uf2, rd2, np.sqrt)
-        eta = rdots - u_eff * s[:, None]
-    else:
-        s = np.sqrt(1.0 + rd2)
-    if not derivatives:
-        lag = -w * s
-        return lag + q * np.einsum("ij,ij->i", f["a"], rdots) if model is ModelKind.M3 else lag
-    pi = -w[:, None] * eta / s[:, None]
-    dldr = -f["g"] * s[:, None]
-    if model is ModelKind.M3:
-        pi += q * f["a"]
-        dldr += q * np.einsum("nji,nj->ni", f["j"], rdots)
-    return pi, dldr
+    return _lagrangian_eval(model, rs[rows], rdots, np.asarray(traj.t)[rows], fld, rest_mass,
+                            derivatives=derivatives)
 
 
 def action(model: ModelKind, traj, fld: VacuumField, *, rest_mass: float | None = None) -> float:
@@ -396,6 +405,6 @@ def euler_lagrange_residual(
         raise TooShort(f"euler_lagrange_residual needs at least 5 samples, got {n}")
     # momenta at samples 1..n-2 (centered velocities available there), the
     # defect at samples 2..n-3
-    pis, dldr = _lagrangian_samples(model, traj, fld, rest_mass, slice(1, n - 1), derivatives=True)
+    _, pis, dldr = _lagrangian_samples(model, traj, fld, rest_mass, slice(1, n - 1), derivatives=True)
     dpi = (pis[2:] - pis[:-2]) / (taus[3:-1] - taus[1:-3])[:, None]
     return float(np.max(np.abs(dpi - dldr[1:-1]), initial=0.0))

@@ -21,18 +21,16 @@ import numpy as np
 
 from . import presets
 from .config import DEFAULT_TOLERANCES
-from .core import ModelKind, PhasePoint
+from .core import ModelKind
 from .dynamics import (
-    ForceKind,
+    _force_eval,
+    _hamiltonian_eval,
+    _lagrangian_eval,
     euler_lagrange_residual,
-    force,
-    hamiltonian,
-    lagrangian,
-    legendre_momentum,
     m2_xidot,
-    vector_field,
+    point_rhs,
 )
-from .fields import VacuumField, dot3, jac_t_dot
+from .fields import VacuumField, dot3
 from .integrate import RK45, ImplicitMidpoint, RK4, TrajectoryRecord, compare_trajectories, simulate
 from .maxwell import advected_integral, evolve_wave, maxwell_residuals, sample_scalar_series, solution_error
 from .quantum import (
@@ -122,28 +120,22 @@ def gyration_deviations(periods: float = 5.0) -> dict:
 def force_gap_stats(seed: int = 0, n_states: int = 1000, fld: VacuumField | None = None) -> dict:
     """max |force(classical) - force(modified) - q grad<A,u>| over random states.
 
-    rows is an (n_states, 14) array holding r, u, t, F_classical, F_modified
-    and the deviation of each state.
+    All states are drawn first, in the per-state order r, u, t, and one field
+    evaluation serves them all.  rows is an (n_states, 14) array holding r, u,
+    t, F_classical, F_modified and the deviation of each state.
     """
     fld = fld or presets.moving_source_field()
     rng = np.random.default_rng(seed)
-    q = fld.q_test
-    worst = 0.0
-    rows = np.empty((n_states, 14))
-    for row in rows:
-        r = rng.uniform(-1.5, 1.5, 3)
-        u = rng.uniform(-1.0, 1.0, 3)
-        nu = math.sqrt(dot3(u, u))
-        if nu >= 0.95:
-            u *= 0.9 / nu
-        t = rng.uniform(0.0, 2.0)
-        fc = force(ForceKind.ClassicalLorentz, fld, r, u, q, t)
-        fm = force(ForceKind.ModifiedLorentz, fld, r, u, q, t)
-        grad_au = jac_t_dot(fld.a_jac(r, t), u)
-        dev = float(np.max(np.abs(fc - fm - q * grad_au)))
-        worst = max(worst, dev)
-        row[:] = (*r, *u, t, *fc, *fm, dev)
-    return {"max_identity_dev": worst, "states": n_states, "rows": rows}
+    states = rng.uniform([-1.5] * 3 + [-1.0] * 3 + [0.0], [1.5] * 3 + [1.0] * 3 + [2.0], (n_states, 7))
+    r, u, t = states[:, 0:3], states[:, 3:6], states[:, 6]
+    nu = np.sqrt(dot3(u, u))
+    fast = nu >= 0.95
+    u[fast] *= (0.9 / nu[fast])[:, None]
+    fc, grad_au = _force_eval(fld, r, u, fld.q_test, t)
+    fm = fc - grad_au
+    dev = np.max(np.abs(fc - fm - grad_au), axis=1)
+    rows = np.column_stack([states, fc, fm, dev])
+    return {"max_identity_dev": float(np.max(dev, initial=0.0)), "states": n_states, "rows": rows}
 
 
 def uniform_a_deviation(a_mag: float = 1e-5) -> dict:
@@ -177,33 +169,25 @@ def nonuniform_a_deviation() -> dict:
 # -- criterion 5: Legendre / Hamiltonian consistency -------------------------------
 
 
-def _random_state(rng, model: ModelKind, fld: VacuumField):
-    r = rng.uniform(-1.5, 1.5, 3)
-    t = rng.uniform(0.0, 2.0)
-    rdot = rng.uniform(-1.5, 1.5, 3)
-    if model is ModelKind.M0:
-        nu = math.sqrt(dot3(rdot, rdot))
-        if nu >= 0.85:
-            rdot *= 0.8 / nu
-    return r, rdot, t
+def _random_states(rng, n_states: int, v_max: float):
+    """(r, v, t) columns of n_states draws made in the per-state order r, t, v:
+    r in [-1.5, 1.5]^3, t in [0, 2] and v in [-v_max, v_max]^3."""
+    x = rng.uniform([-1.5] * 3 + [0.0] + [-v_max] * 3, [1.5] * 3 + [2.0] + [v_max] * 3, (n_states, 7))
+    return x[:, 0:3], x[:, 4:7], x[:, 3]
 
 
-def _central_diff(f, x: np.ndarray, step: float) -> np.ndarray:
-    """(f(x + step e_i) - f(x - step e_i)) / (2 step) for i = 0, 1, 2."""
-    out = np.empty(3)
-    for i in range(3):
-        up, dn = x.copy(), x.copy()
-        up[i] += step
-        dn[i] -= step
-        out[i] = (f(up) - f(dn)) / (2.0 * step)
-    return out
+def _probes(step: float) -> np.ndarray:
+    """Central-difference offsets (6, 1, 3): step * e_i for i = 0, 1, 2, then -step * e_i."""
+    return step * np.concatenate([np.eye(3), -np.eye(3)])[:, None, :]
 
 
-def _fd_momentum(model, r, rdot, fld, t, rest_mass, step=1e-6):
-    # the M2 mover data is external under velocity variations: freeze it
-    xidot = m2_xidot(r, rdot, fld, t) if model is ModelKind.M2 else None
-    return _central_diff(lambda v: lagrangian(model, r, v, fld, t, rest_mass=rest_mass, xidot=xidot),
-                         rdot, step)
+def _central_diff(f_probes: np.ndarray, step: float) -> np.ndarray:
+    """(f(x + step e_i) - f(x - step e_i)) / (2 step) per state, (n, 3), from f at x + _probes(step)."""
+    return ((f_probes[:3] - f_probes[3:]) / (2.0 * step)).T
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(a), axis=1)
 
 
 def legendre_consistency(seed: int = 1, n_states: int = 1000) -> dict:
@@ -211,7 +195,39 @@ def legendre_consistency(seed: int = 1, n_states: int = 1000) -> dict:
 
     M0 runs on a source-free field (its Lagrangian is the free form, so the
     identity holds where the potential term vanishes); the vacuum models run on
-    the generic moving-source field.
+    the generic moving-source field.  Each model draws all its states, then
+    evaluates them and their velocity probes in column calls.
+    """
+    rng = np.random.default_rng(seed)
+    field_vac = presets.moving_source_field()
+    field_m0 = presets.gyration().field
+    rest_mass = 0.8
+    step = 1e-6
+    out = {}
+    for model in presets.ALL_MODELS:
+        fld = field_m0 if model is ModelKind.M0 else field_vac
+        r, rdot, t = _random_states(rng, n_states, 1.5)
+        if model is ModelKind.M0:
+            nu = np.sqrt(dot3(rdot, rdot))
+            fast = nu >= 0.85
+            rdot[fast] *= (0.8 / nu[fast])[:, None]
+        lag, mom, _ = _lagrangian_eval(model, r, rdot, t, fld, rest_mass, derivatives=True)
+        ham = _hamiltonian_eval(model, r, mom, t, fld, rest_mass)
+        gap = np.abs(dot3(mom, rdot) - lag - ham) / np.maximum(np.abs(ham), 1e-12)
+        # the M2 mover data is external under velocity variations: freeze it
+        xidot = m2_xidot(r, rdot, fld, t) if model is ModelKind.M2 else None
+        fd = _central_diff(_lagrangian_eval(model, r, rdot + _probes(step), t, fld, rest_mass, xidot), step)
+        perr = _row_max(mom - fd) / np.maximum(_row_max(mom), 1.0)
+        out[model.value] = {"hamiltonian_rel": float(np.max(gap, initial=0.0)),
+                            "momentum_fd_rel": float(np.max(perr, initial=0.0))}
+    return out
+
+
+def vector_field_fd(seed: int = 2, n_states: int = 200, step: float = 1e-6) -> dict:
+    """Canonical right-hand side vs central finite differences of hamiltonian.
+
+    Each model draws all its states first; the 12 probes of every state go
+    through one column Hamiltonian call, the right-hand side through point_rhs.
     """
     rng = np.random.default_rng(seed)
     field_vac = presets.moving_source_field()
@@ -220,52 +236,22 @@ def legendre_consistency(seed: int = 1, n_states: int = 1000) -> dict:
     out = {}
     for model in presets.ALL_MODELS:
         fld = field_m0 if model is ModelKind.M0 else field_vac
-        worst_h = 0.0
-        worst_p = 0.0
-        for _ in range(n_states):
-            r, rdot, t = _random_state(rng, model, fld)
-            mom = legendre_momentum(model, r, rdot, fld, t, rest_mass=rest_mass)
-            lag = lagrangian(model, r, rdot, fld, t, rest_mass=rest_mass)
-            ham = hamiltonian(model, PhasePoint(r, mom, 0.0, t), fld, rest_mass=rest_mass)
-            gap = abs(float(dot3(mom, rdot)) - lag - ham) / max(abs(ham), 1e-12)
-            worst_h = max(worst_h, gap)
-            fd = _fd_momentum(model, r, rdot, fld, t, rest_mass)
-            perr = float(np.max(np.abs(mom - fd))) / max(float(np.max(np.abs(mom))), 1.0)
-            worst_p = max(worst_p, perr)
-        out[model.value] = {"hamiltonian_rel": worst_h, "momentum_fd_rel": worst_p}
-    return out
-
-
-def vector_field_fd(seed: int = 2, n_states: int = 200, step: float = 1e-6) -> dict:
-    """Canonical right-hand side vs central finite differences of hamiltonian."""
-    rng = np.random.default_rng(seed)
-    field_vac = presets.moving_source_field()
-    field_m0 = presets.gyration().field
-    rest_mass = 0.8
-    out = {}
-    for model in presets.ALL_MODELS:
-        fld = field_m0 if model is ModelKind.M0 else field_vac
-        worst = 0.0
-        for _ in range(n_states):
-            r = rng.uniform(-1.5, 1.5, 3)
-            t = rng.uniform(0.0, 2.0)
-            w = fld.w(r, t)
-            mom = rng.uniform(-0.5, 0.5, 3) * abs(w)
-            if model is ModelKind.M2:
-                # keep the guard healthy after the qA shift
-                mom *= 0.8
-            rdot, momdot = vector_field(model, PhasePoint(r, mom, 0.0, t), fld, rest_mass=rest_mass)
-            fd_r = _central_diff(lambda p: hamiltonian(model, PhasePoint(r, p, 0.0, t), fld,
-                                                       rest_mass=rest_mass), mom, step)
-            fd_m = -_central_diff(lambda x: hamiltonian(model, PhasePoint(x, mom, 0.0, t), fld,
-                                                        rest_mass=rest_mass), r, step)
-            scale = max(float(np.max(np.abs(rdot))), 1.0)
-            dev = float(np.max(np.abs(rdot - fd_r))) / scale
-            if model is not ModelKind.M0:  # M0 momdot is the Lorentz force, not -dH/dr
-                scale_m = max(float(np.max(np.abs(momdot))), 1.0)
-                dev = max(dev, float(np.max(np.abs(momdot - fd_m))) / scale_m)
-            worst = max(worst, dev)
-        out[model.value] = worst
+        r, mom, t = _random_states(rng, n_states, 0.5)
+        mom *= np.abs(fld._eval(r, t, "w")[0])[:, None]
+        if model is ModelKind.M2:
+            # keep the guard healthy after the qA shift
+            mom *= 0.8
+        rhs = np.array([point_rhs(model, y, fld, rest_mass) for y in np.column_stack([r, mom, t]).tolist()])
+        rdot, momdot = rhs[:, 0:3], rhs[:, 3:6]
+        probes = _probes(step)
+        r6, mom6 = np.broadcast_to(r, (6, *r.shape)), np.broadcast_to(mom, (6, *mom.shape))
+        ham = _hamiltonian_eval(model, np.concatenate([r6, r + probes]), np.concatenate([mom + probes, mom6]),
+                                t, fld, rest_mass)
+        dev = _row_max(rdot - _central_diff(ham[:6], step)) / np.maximum(_row_max(rdot), 1.0)
+        if model is not ModelKind.M0:  # M0 momdot is the Lorentz force, not -dH/dr
+            dev_m = _row_max(momdot + _central_diff(ham[6:], step)) / np.maximum(_row_max(momdot), 1.0)
+            dev = np.maximum(dev, dev_m)
+        out[model.value] = float(np.max(dev, initial=0.0))
     return out
 
 

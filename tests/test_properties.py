@@ -1,11 +1,16 @@
-"""Property tests: the batched field kernel and the plain-float model kernel.
+"""Property tests: the batched field kernel, the plain-float model kernel, the
+column Lagrangian and Hamiltonian kernels and the midpoint integrator.
 
 Over random fields (1-3 static or moving sources, uniform A and B,
 q_test != 1): every row of the batched evaluator VacuumField._eval, and of
 the selections over it, is bit-identical to VacuumField.point_state;
 dynamics.point_rhs reproduces the per-model flows written with numpy below to
 round-off, and its G, kappa and clock rate are core.model_terms' bit for bit;
-and core.model_terms gives the same bits on sample columns as row by row.
+core.model_terms gives the same bits on sample columns as row by row; every
+row of the column kernels _lagrangian_eval and _hamiltonian_eval is
+bit-identical to the one-row call, and <P, rdot> - L = H holds row by row;
+an implicit-midpoint step is undone by the step back; and M1 and M3 run the
+same trajectory where A = 0.
 """
 
 import math
@@ -15,9 +20,20 @@ import numpy.testing as npt
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vacuumflow.core import ModelKind, guarded_root, model_terms
-from vacuumflow.dynamics import model_rhs, point_rhs
-from vacuumflow.fields import FOUR_PI, FieldSource, VacuumField
+from vacuumflow.core import ModelKind, Particle, PhasePoint, guarded_root, init_phase, model_terms
+from vacuumflow.dynamics import (
+    _hamiltonian_eval,
+    _lagrangian_eval,
+    hamiltonian,
+    lagrangian,
+    legendre_momentum,
+    m2_xidot,
+    model_rhs,
+    point_rhs,
+)
+from vacuumflow.errors import SubluminalViolation
+from vacuumflow.fields import FOUR_PI, FieldSource, VacuumField, dot3
+from vacuumflow.integrate import ImplicitMidpoint, simulate, step
 
 PROPERTY = settings(max_examples=150)
 
@@ -27,27 +43,33 @@ def vec(lo, hi):
 
 
 @st.composite
-def sources(draw):
-    moving = draw(st.booleans())
+def sources(draw, moving=st.booleans()):
     return FieldSource(
         qs=draw(st.floats(-1.0, 1.0)),
         r0=draw(vec(-1.0, 1.0)),
-        uf=draw(vec(-0.5, 0.5)) if moving else (0.0, 0.0, 0.0),
+        uf=draw(vec(-0.5, 0.5)) if draw(moving) else (0.0, 0.0, 0.0),
         eps=draw(st.floats(0.05, 0.5)),
     )
 
 
 @st.composite
-def fields(draw):
+def fields(draw, moving=st.booleans(), potential=vec(-0.3, 0.3), magnetic=vec(-0.5, 0.5)):
+    """Random fields; moving, potential and magnetic draw each source's motion and the uniform A and B."""
     sign = draw(st.sampled_from((-1.0, 1.0)))
     q = sign * draw(st.floats(0.2, 2.5).filter(lambda v: v != 1.0))
     return VacuumField(
         w_inf=draw(st.floats(-2.0, -0.3)),
-        sources=tuple(draw(st.lists(sources(), min_size=1, max_size=3))),
+        sources=tuple(draw(st.lists(sources(moving), min_size=1, max_size=3))),
         q_test=q,
-        a_uniform=draw(vec(-0.3, 0.3)),
-        b_uniform=draw(vec(-0.5, 0.5)),
+        a_uniform=draw(potential),
+        b_uniform=draw(magnetic),
     )
+
+
+static_fields = fields(moving=st.just(False))
+#: static sources and no uniform terms: A = 0 everywhere
+zero_a_fields = fields(moving=st.just(False), potential=st.just((0.0, 0.0, 0.0)),
+                       magnetic=st.just((0.0, 0.0, 0.0)))
 
 
 probes = st.tuples(vec(-2.0, 2.0), st.floats(0.0, 3.0))
@@ -181,3 +203,127 @@ def test_model_terms_columns_match_rows(model, q, data):
         row = model_terms(model, float(w[i]), float(k2[i]), float(ap[i]), q, guarded_root)
         for col, value in zip(cols, row):
             assert np.broadcast_to(col, (n,))[i] == value
+
+
+# -- the column Lagrangian and Hamiltonian kernels -------------------------------
+
+
+@st.composite
+def states(draw, fld, model):
+    """n states (r, rdot, t) of a model on fld, with W < -0.05 at every r; M0 velocities have |u| < 1."""
+    n = draw(st.integers(1, 24))  # numpy may sum long columns in another order than short ones
+    r = np.array(draw(st.lists(vec(-2.0, 2.0), min_size=n, max_size=n)))
+    t = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    speed = 0.6 if model is ModelKind.M0 else 1.5
+    rdot = np.array(draw(st.lists(vec(-speed, speed), min_size=n, max_size=n)))
+    assume(np.all(fld.w(r, t) < -0.05))
+    return r, rdot, t
+
+
+M0_REST_MASS = 0.8
+
+
+@PROPERTY
+@given(fields(), st.sampled_from(list(ModelKind)), st.data())
+def test_lagrangian_kernel_rows_are_one_row_calls(fld, model, data):
+    """Each row of _lagrangian_eval, on states and on a stack of velocity probes
+    of them, is lagrangian / legendre_momentum / the one-row kernel bit for bit;
+    for M2 with the self-consistent and with a frozen xidot."""
+    r, rdot, t = data.draw(states(fld, model))
+    probes = rdot + np.array(data.draw(st.lists(vec(-0.1, 0.1), min_size=2, max_size=2)))[:, None, :]
+    try:
+        xidot = m2_xidot(r, rdot, fld, t) if model is ModelKind.M2 else None
+        lag, mom, dldr = _lagrangian_eval(model, r, rdot, t, fld, M0_REST_MASS, derivatives=True)
+        lag_probes = _lagrangian_eval(model, r, probes, t, fld, M0_REST_MASS, xidot)
+    except SubluminalViolation:  # an M2 mover at |qA/W| >= 1
+        assume(False)
+    for i in range(len(r)):
+        args = (model, r[i], rdot[i], fld, t[i])
+        assert lagrangian(*args, rest_mass=M0_REST_MASS) == lag[i]
+        assert np.array_equal(legendre_momentum(*args, rest_mass=M0_REST_MASS), mom[i])
+        row = _lagrangian_eval(model, r[i], rdot[i], t[i], fld, M0_REST_MASS, derivatives=True)
+        assert np.array_equal(row[2], dldr[i])
+        if xidot is not None:
+            assert np.array_equal(m2_xidot(r[i], rdot[i], fld, t[i]), xidot[i])
+        for k in range(len(probes)):
+            frozen = None if xidot is None else xidot[i]
+            assert lagrangian(model, r[i], probes[k, i], fld, t[i], rest_mass=M0_REST_MASS,
+                              xidot=frozen) == lag_probes[k, i]
+
+
+@PROPERTY
+@given(fields(), st.sampled_from(list(ModelKind)), st.data())
+def test_hamiltonian_kernel_rows_are_one_row_calls(fld, model, data):
+    r, u, t = data.draw(states(fld, ModelKind.M0))
+    mom = -fld.w(r, t)[:, None] * u
+    if model in (ModelKind.M2, ModelKind.M3):
+        mom = mom + fld.q_test * fld.a(r, t)
+    try:
+        ham = _hamiltonian_eval(model, r, mom, t, fld, M0_REST_MASS)
+    except SubluminalViolation:  # an M2 guard W^2 - |P|^2 broken by the qA shift
+        assume(False)
+    for i in range(len(r)):
+        assert hamiltonian(model, PhasePoint(r[i], mom[i], 0.0, t[i]), fld, rest_mass=M0_REST_MASS) == ham[i]
+
+
+@PROPERTY
+@given(fields(), st.sampled_from(list(ModelKind)), st.data())
+def test_legendre_transform_of_l_is_h(fld, model, data):
+    """<P, rdot> - L = H at each state, with P = dL/drdot.  M0's Lagrangian is
+    the free form, so it runs on the field without its sources (W = w_inf)."""
+    if model is ModelKind.M0:
+        fld = VacuumField(w_inf=fld.w_inf, q_test=fld.q_test, a_uniform=fld.a_uniform,
+                          b_uniform=fld.b_uniform)
+    r, rdot, t = data.draw(states(fld, model))
+    try:
+        lag, mom, _ = _lagrangian_eval(model, r, rdot, t, fld, M0_REST_MASS, derivatives=True)
+        ham = _hamiltonian_eval(model, r, mom, t, fld, M0_REST_MASS)
+    except SubluminalViolation:
+        assume(False)
+    legendre = dot3(mom, rdot) - lag
+    scale = np.abs(dot3(mom, rdot)) + np.abs(lag) + np.abs(ham)
+    npt.assert_allclose(legendre, ham, rtol=0.0, atol=1e-13 * float(np.max(scale)))
+
+
+# -- the implicit-midpoint integrator -----------------------------------------------
+
+
+def start_state(data, fld, model):
+    """(particle, r0) with W(r0, 0) < -0.05 and |u0| <= 0.5 whose start state passes the model's guard."""
+    r0 = np.array(data.draw(vec(-2.0, 2.0)))
+    assume(fld.w(r0, 0.0) < -0.05)
+    particle = Particle(q=fld.q_test, u0=data.draw(vec(-0.25, 0.25)))
+    try:
+        init_phase(model, particle, fld, r0)
+    except SubluminalViolation:
+        assume(False)
+    return particle, r0
+
+
+@settings(max_examples=100)
+@given(static_fields, st.sampled_from([ModelKind.M1, ModelKind.M2, ModelKind.M3]), st.data())
+def test_midpoint_step_is_reversible(fld, model, data):
+    """An implicit-midpoint step of h followed by one of -h returns to the start."""
+    particle, r0 = start_state(data, fld, model)
+    ph0 = init_phase(model, particle, fld, r0)
+    integ = ImplicitMidpoint(tol=1e-14)
+    h = data.draw(st.floats(0.005, 0.02))
+    back = step(integ, model, step(integ, model, ph0, fld, h), fld, -h)
+    scale = 1.0 + float(np.max(np.abs(ph0.mom)))
+    npt.assert_allclose(back.r, ph0.r, rtol=0.0, atol=1e-12 * scale)
+    npt.assert_allclose(back.mom, ph0.mom, rtol=0.0, atol=1e-12 * scale)
+    npt.assert_allclose(back.t, ph0.t, rtol=0.0, atol=1e-12 * scale)
+
+
+@settings(max_examples=50)
+@given(zero_a_fields, st.data())
+def test_m1_and_m3_agree_where_a_vanishes(fld, data):
+    """With static sources and no uniform A or B, P = p and the M3 flow is the M1 flow."""
+    particle, r0 = start_state(data, fld, ModelKind.M1)
+    integ = ImplicitMidpoint()
+    m1 = simulate(ModelKind.M1, particle, fld, r0, 0.5, integ, 0.01)
+    m3 = simulate(ModelKind.M3, particle, fld, r0, 0.5, integ, 0.01)
+    assert "termination" not in m1.meta and "termination" not in m3.meta
+    scale = 1.0 + float(np.max(np.abs(m1.mom)))
+    for a, b in ((m1.r, m3.r), (m1.mom, m3.mom), (m1.t, m3.t)):
+        npt.assert_allclose(a, b, rtol=0.0, atol=1e-11 * scale)
