@@ -89,6 +89,9 @@ class VacuumField:
     def __post_init__(self):
         if not self.w_inf < 0.0:
             raise ConfigError(f"w_inf: baseline must be negative, got {self.w_inf}")
+        # the models square W; an overflowing W^2 would pass a guard as inf
+        if not math.isfinite(self.w_inf * self.w_inf):
+            raise ConfigError(f"w_inf: w_inf^2 must be finite, got {self.w_inf}")
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "a_uniform", as_vec3(self.a_uniform))
         object.__setattr__(self, "b_uniform", as_vec3(self.b_uniform))

@@ -109,8 +109,8 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
                        "field": {"w_inf": -1.0, "a_uniform": [0.9, 0.0, 0.0]}}),
     ("particle.u0", {"particle": {"q": 1.0, "u0": [1e308, 0.0, 0.0]}}),
     ("field.sources[0].uf", {"field": {"w_inf": -1.0, "sources": [{**_SOURCE, "uf": [1e308, 0.0, 0.0]}]}}),
-    # W^2 overflows, so the start guard W^2 - |p|^2 is nan
-    ("models[0]: M1", {"field": {"w_inf": -1e308}}),
+    # W^2 overflows at r0 (a source of huge charge), so the start guard W^2 - |p|^2 is nan
+    ("models[0]: M1", {"field": {"w_inf": -1.0, "sources": [{**_SOURCE, "qs": -1e160}]}}),
     ("integrator.tol", {"integrator": {"kind": "implicit_midpoint", "tol": 0}}),
     ("integrator.max_iter", {"integrator": {"kind": "implicit_midpoint", "max_iter": 0}}),
     ("integrator.atol", {"integrator": {"kind": "rk45", "atol": 0}}),
@@ -120,6 +120,8 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
     ("field.w_inf", {"field": {"w_inf": 0.0}}),
     ("particle.q", {"particle": {"q": 2.0, "u0": [0.5, 0.0, 0.0]}}),
     ("r0", {"field": {"w_inf": -1e-3, "sources": [{**_SOURCE, "r0": [0.0, 0.0, 0.0]}]}}),
+    # w_inf^2 overflows: rejected at load, even where the start momentum is 0
+    ("field.w_inf", {"particle": {"q": 1.0, "u0": [0.0, 0.0, 0.0]}, "field": {"w_inf": -1e308}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
@@ -136,6 +138,24 @@ def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_baseline_is_rejected_at_load(tmp_path, capsys):
+    """flyby.json with w_inf = -1e308 at rest exits 2 naming field.w_inf; it used
+    to pass the M1 start guard as inf and exit 1 with NaN drift."""
+    raw = copy.deepcopy(FLYBY)
+    raw["field"]["w_inf"] = -1e308
+    raw["particle"]["u0"] = [0.0, 0.0, 0.0]
+    path = tmp_path / "flyby.json"
+    path.write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: field.w_inf" in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    with pytest.raises(ConfigError, match="field.w_inf"):
+        validate_config(raw)
 
 
 @pytest.mark.parametrize("model", ["M2", "M3"])
