@@ -77,7 +77,7 @@ def guarded_root(arg: float) -> float:
 
 
 def guarded_sqrt(arg):
-    """guarded_root on numpy columns: one check of every argument, then np.sqrt."""
+    """guarded_root for numpy values and columns: one check of every argument, then np.sqrt."""
     if not np.all(arg > SUBLUMINAL_EPS):
         raise SubluminalViolation(f"W^2 - |mom|^2 = {np.min(arg):g} <= {SUBLUMINAL_EPS:g}")
     return np.sqrt(arg)
@@ -139,7 +139,8 @@ def model_terms(model: ModelKind, w, k2, ap, q: float, root):
     G = root(guard), kappa = 1 - q<A,P>/G^2 (1 for M1/M3), rate = dt/dtau and
     energy = -H.  k2 = |k|^2 and ap = <A,P> (M2 only) come from the caller,
     summed in its own order.  Only + - * / and root are used, so it runs on
-    floats (root = guarded_root) and on numpy sample columns (root = np.sqrt).
+    floats (root = guarded_root), on phase points and their columns (root =
+    guarded_sqrt, see phase_terms) and on sample columns (root = np.sqrt).
     """
     guard = w * w - k2
     g = root(guard)
@@ -149,19 +150,19 @@ def model_terms(model: ModelKind, w, k2, ap, q: float, root):
     return guard, g, kappa, root(1.0 + k2 * kappa * kappa / (g * g)), g + q * ap / g
 
 
-def phase_terms(model: ModelKind, r, mom, t, fld: VacuumField, root=guarded_root):
+def phase_terms(model: ModelKind, r, mom, t, fld: VacuumField):
     """model_terms of M1-M3 at phase points (r, mom, t) from one field evaluation (W alone
     for M1, which runs with q_test = 0), with |k|^2 and <A,P> summed left to right.
 
-    One point's (3,) vectors and time take root = guarded_root; (..., 3) columns with t
-    scalar or one per point take root = guarded_sqrt, and each row equals the one-point call.
+    r and mom are one point's (3,) vectors or (..., 3) columns, with t scalar or one
+    per point; each row equals the one-point call.
     """
     w, a = fld._eval(r, t, "wa") if model is not ModelKind.M1 else (fld._eval(r, t, "w")[0], None)
     w = negative_w(w, r, t)
     q = fld.q_test
     k = mom - q * a if model is ModelKind.M3 else mom
     ap = dot3(a, mom) if model is ModelKind.M2 else 0.0
-    return model_terms(model, w, dot3(k, k), ap, q, root)
+    return model_terms(model, w, dot3(k, k), ap, q, guarded_sqrt)
 
 
 def clock_rate(model: ModelKind, phase: PhasePoint, fld: VacuumField) -> float:

@@ -35,15 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    SUBLUMINAL_EPS,
-    ModelKind,
-    PhasePoint,
-    guarded_root,
-    guarded_sqrt,
-    negative_w,
-    phase_terms,
-)
+from .core import SUBLUMINAL_EPS, ModelKind, PhasePoint, guarded_root, negative_w, phase_terms
 from .errors import SubluminalViolation, SuperluminalInit, TooShort
 from .fields import VacuumField, as_vec3, dot3, jac_t_dot
 
@@ -205,11 +197,11 @@ def legendre_momentum(
 def _hamiltonian_eval(model: ModelKind, r, mom, t, fld: VacuumField, rest_mass=None):
     """H at phase points (r, mom, t): (..., 3) columns with t scalar or one per point.
 
-    M1-M3 are -energy of core.model_terms under the column guard guarded_sqrt;
-    M0 is sqrt(m0^2 + |p|^2) + qphi.  Each row equals the one-point call.
+    M1-M3 are -energy of core.phase_terms, M0 is sqrt(m0^2 + |p|^2) + qphi.
+    Each row equals the one-point call.
     """
     if model is not ModelKind.M0:
-        return -phase_terms(model, r, mom, t, fld, guarded_sqrt)[4]
+        return -phase_terms(model, r, mom, t, fld)[4]
     w = negative_w(fld._eval(r, t, "w")[0], r, t)
     m0 = _require_rest_mass(rest_mass)
     return np.sqrt(m0 * m0 + dot3(mom, mom)) + (w - fld.w_inf)
