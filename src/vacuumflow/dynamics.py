@@ -16,16 +16,17 @@ finite differences of hamiltonian() reproduce vector_field() to discretization
 error.  M0 is the exception: its stored momentum is kinetic, and its momdot is
 the Lorentz force, not -dH/dr.
 
-Two column kernels carry the Lagrangian and the Hamiltonian side, as
-VacuumField._eval carries the field.  _lagrangian_eval gives L, dL/drdot and
-dL/dr at (..., 3) columns of states from one batched field evaluation, and
-velocity probes of the same states are column arithmetic on it;
-_hamiltonian_eval gives H through core.model_terms.  Every 3-vector sum runs
-left to right, so each row is bit-identical to a one-row call: lagrangian,
-legendre_momentum and hamiltonian are those one-row selections, and the
-trajectory diagnostics and the random-state criteria 4-5 (verify) call the
-kernels on whole columns.  point_rhs, the integrator hot path, stays a
-plain-float kernel of its own.
+Two column kernels carry the Lagrangian and the Hamiltonian side.  Their field
+values come from the one field kernel, VacuumField.point_state, which
+VacuumField._eval runs on coordinate columns.  _lagrangian_eval gives L,
+dL/drdot and dL/dr at (..., 3) columns of states from one batched field
+evaluation, and velocity probes of the same states are column arithmetic on
+it; _hamiltonian_eval gives H through core.model_terms.  Every 3-vector sum
+runs left to right, so each row is bit-identical to a one-row call:
+lagrangian, legendre_momentum and hamiltonian are those one-row selections,
+and the trajectory diagnostics and the random-state criteria 4-5 (verify)
+call the kernels on whole columns.  point_rhs, the integrator hot path, calls
+point_state on plain floats and keeps its own inline model arithmetic.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .core import SUBLUMINAL_EPS, ModelKind, PhasePoint, guarded_root, negative_w, phase_terms
-from .errors import SubluminalViolation, SuperluminalInit, TooShort
+from .errors import NonNegativeField, SubluminalViolation, SuperluminalInit, TooShort
 from .fields import VacuumField, as_vec3, dot3, jac_t_dot
 
 
@@ -61,7 +62,7 @@ def _soft_w(w: float) -> float:
 
 def _hard_w(w: float) -> float:
     if w >= 0.0:
-        raise SubluminalViolation(f"W = {w:g} >= 0 reached by trajectory")
+        raise NonNegativeField(f"W = {w:g} >= 0 reached by trajectory")
     return w
 
 

@@ -8,14 +8,13 @@ not attributable to any mover); optional static uniform terms a_uniform and
 uniform magnetic field.  E and B are assembled from the analytic gradient,
 time derivative and Jacobian of the potentials.
 
-Two kernels evaluate the potentials.  point_state is the fused single-probe
-kernel of the integrator hot path: it works on plain floats and returns W,
-grad W, A, dA/dt and the Jacobian of A in one pass over the sources.  _eval is
-the batched kernel over probes r of shape (..., 3) with a scalar time or one
-time per probe; it computes only the parts asked for, and each row is
-bit-identical to point_state.  w, grad_w, coulomb, a, a_dot, a_jac and e_b are
-selections over _eval and broadcast over leading axes of r.  All evaluators
-are pure; VacuumField instances are immutable after construction.
+One kernel evaluates the potentials: point_state returns W, grad W, A, dA/dt
+and the Jacobian of A in one pass over the sources, on plain floats for the
+integrator hot path and on coordinate columns, where it computes only the
+parts asked for.  _eval runs it over probes r (..., 3) with a scalar time or
+one time per probe, each row bit-identical to a float call; w, grad_w,
+coulomb, a, a_dot, a_jac and e_b select from _eval and broadcast over leading
+axes of r.  All evaluators are pure; VacuumField instances are immutable.
 """
 
 from __future__ import annotations
@@ -115,12 +114,10 @@ class VacuumField:
 
         parts picks the results, in order: "w" W, "g" grad W, "a" A, "d" dA/dt,
         "j" the Jacobian dA_i/dr_j; w has shape r.shape[:-1], the vectors
-        (..., 3) and the Jacobian (..., 3, 3).  Each row follows point_state's
-        arithmetic on coordinate columns in the same order, so it is
-        bit-identical to point_state; sources are accumulated one at a time,
-        so no (..., n_sources) temporaries are made.  A single probe at a
-        single time goes through point_state itself, which is faster there.
-        Asking for A or its derivatives with q_test = 0 raises ZeroTestCharge.
+        (..., 3) and the Jacobian (..., 3, 3), all fresh arrays.  point_state computes
+        only those parts on the coordinate columns, so each row is its float call
+        bit for bit; a single probe at a single time takes the float call itself.
+        A or its derivatives with q_test = 0 raise ZeroTestCharge.
         """
         if self.q_test == 0.0 and any(c in parts for c in "adj"):
             raise ZeroTestCharge("vector potential requested with q_test = 0")
@@ -129,56 +126,15 @@ class VacuumField:
         if r.shape == (3,) and t.ndim == 0:
             state = dict(zip("wgadj", self.point_state(*r.tolist(), float(t))))
             return [np.array(state[c]) for c in parts]
-        x, y, z = r[..., 0], r[..., 1], r[..., 2]
-        shape = r.shape[:-1]
-        q = self.q_test
-        # accumulators start where point_state's do; None for parts not asked for
-        w = np.full(shape, self.w_inf) if "w" in parts else None
-        g = [np.zeros(shape) for _ in "xyz"] if "g" in parts else None
-        a = [np.full(shape, v) for v in self._a0] if "a" in parts else None
-        if a is not None and self._has_b:
-            hx, hy, hz = self._hb
-            for ai, term in zip(a, (hy * z - hz * y, hz * x - hx * z, hx * y - hy * x)):
-                ai += term
-        adot = [np.zeros(shape) for _ in "xyz"] if "d" in parts else None
-        jac = [[np.full(shape, v) for v in row] for row in self._jac0] if "j" in parts else None
-        vector_parts = a is not None or adot is not None or jac is not None
-        for x0, y0, z0, ux, uy, uz, k, eps2, is_moving in self._src:
-            if is_moving:
-                d = (x - x0 - ux * t, y - y0 - uy * t, z - z0 - uz * t)
-            else:
-                d = (x - x0, y - y0, z - z0)
-            s2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + eps2
-            root = np.sqrt(s2)
-            if w is not None:
-                w += q * k / root
-            needs_vector = is_moving and vector_parts
-            if g is None and not needs_vector:
-                continue
-            inv3 = k / (s2 * root)
-            if g is not None:
-                c = q * inv3
-                for gi, di in zip(g, d):
-                    gi -= c * di
-            if not needs_vector:
-                continue
-            u = (ux, uy, uz)
-            if a is not None:
-                kr = k / root
-                for ai, ui in zip(a, u):
-                    ai += kr * ui
-            if adot is not None:
-                p = inv3 * (d[0] * ux + d[1] * uy + d[2] * uz)
-                for adi, ui in zip(adot, u):
-                    adi += p * ui
-            if jac is not None:
-                for row, ui in zip(jac, u):
-                    for jij, dj in zip(row, d):
-                        jij -= ui * (inv3 * dj)
-        vectors = {"g": g, "a": a, "d": adot}
-        return [w if c == "w"
-                else np.stack([np.stack(row, axis=-1) for row in jac], axis=-2) if c == "j"
-                else np.stack(vectors[c], axis=-1) for c in parts]
+        wanted = tuple(c in parts for c in "wgadj")
+        state = dict(zip("wgadj", self.point_state(r[..., 0], r[..., 1], r[..., 2], t, np.sqrt, wanted)))
+
+        def stacked(v):  # a component no source reached is still the float it started as
+            if isinstance(v, tuple):
+                return np.stack([stacked(c) for c in v], axis=r.ndim - 1)
+            return v if isinstance(v, np.ndarray) else np.full(r.shape[:-1], v)
+
+        return [stacked(state[c]) for c in parts]
 
     # -- selections ----------------------------------------------------------
 
@@ -217,24 +173,25 @@ class VacuumField:
                       j[..., 1, 0] - j[..., 0, 1]], axis=-1)
         return e, b
 
-    def point_state(self, x: float, y: float, z: float, t: float):
-        """Fused single-probe kernel on plain floats: (w, grad_w, a, a_dot, jac).
+    def point_state(self, x, y, z, t, _sqrt=math.sqrt, _wanted=(True,) * 5):
+        """The field kernel: (w, grad_w, a, a_dot, jac) in one pass over the sources.
 
-        One pass over the sources; grad_w, a and a_dot are 3-tuples and jac is
-        a tuple of three rows with jac[i][j] = dA_i/dr_j.  This is the
-        integrator hot path, so static sources skip the vector-potential work
-        and no numpy call is made.
+        grad_w, a and a_dot are 3-tuples, jac has rows jac[i][j] = dA_i/dr_j.  On
+        plain floats (the integrator hot path) every part is computed and no numpy
+        call is made.  _eval passes coordinate columns, np.sqrt and one flag per
+        part of "wgadj"; a part not wanted, or reached by no source, keeps its start.
         """
+        want_w, want_g, want_a, want_d, want_j = _wanted
+        vector = want_a or want_d or want_j
         q = self.q_test
         w = self.w_inf
-        gx = gy = gz = 0.0
+        gx = gy = gz = adx = ady = adz = 0.0
         ax, ay, az = self._a0
-        if self._has_b:
+        if self._has_b and want_a:
             hx, hy, hz = self._hb
             ax += hy * z - hz * y
             ay += hz * x - hx * z
             az += hx * y - hy * x
-        adx = ady = adz = 0.0
         (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = self._jac0
         for x0, y0, z0, ux, uy, uz, k, eps2, is_moving in self._src:
             if is_moving:
@@ -246,22 +203,31 @@ class VacuumField:
                 dy = y - y0
                 dz = z - z0
             s2 = dx * dx + dy * dy + dz * dz + eps2
-            root = math.sqrt(s2)
+            root = _sqrt(s2)
+            if want_w:
+                w += q * k / root
+            moving = is_moving and vector
+            if not (want_g or moving):
+                continue
             inv3 = k / (s2 * root)
-            w += q * k / root
-            c = q * inv3
-            gx -= c * dx
-            gy -= c * dy
-            gz -= c * dz
-            if is_moving:
+            if want_g:
+                c = q * inv3
+                gx -= c * dx
+                gy -= c * dy
+                gz -= c * dz
+            if not moving:
+                continue
+            if want_a:
                 kr = k / root
                 ax += kr * ux
                 ay += kr * uy
                 az += kr * uz
+            if want_d:
                 p = inv3 * (dx * ux + dy * uy + dz * uz)
                 adx += p * ux
                 ady += p * uy
                 adz += p * uz
+            if want_j:
                 cx, cy, cz = inv3 * dx, inv3 * dy, inv3 * dz
                 j00 -= ux * cx
                 j01 -= ux * cy

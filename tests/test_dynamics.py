@@ -13,10 +13,11 @@ from vacuumflow.dynamics import (
     lagrangian,
     legendre_momentum,
     m2_xidot,
+    point_rhs,
     vector_field,
 )
-from vacuumflow.errors import SubluminalViolation, SuperluminalInit, TooShort
-from vacuumflow.fields import VacuumField
+from vacuumflow.errors import NonNegativeField, SubluminalViolation, SuperluminalInit, TooShort
+from vacuumflow.fields import FieldSource, VacuumField
 from vacuumflow.integrate import RK4, ImplicitMidpoint, TrajectoryRecord, simulate
 from vacuumflow.presets import standard_flyby
 
@@ -54,6 +55,19 @@ def test_hamiltonian_examples(uniform_field):
     )
     with pytest.raises(SubluminalViolation):
         hamiltonian(ModelKind.M1, PhasePoint(ORIGIN, (1.2, 0, 0)), uniform_field)
+
+
+def test_non_negative_w_raises_one_error_class():
+    """At W >= 0 the float right-hand side and the Hamiltonian raise the same error."""
+    fld = VacuumField(w_inf=-1.0, sources=(FieldSource(qs=5.0, r0=ORIGIN, uf=ORIGIN, eps=0.1),))
+    assert fld.w(ORIGIN, 0.0) > 2.9
+    y = [0.0] * 7
+    with pytest.raises(NonNegativeField, match="reached by trajectory"):
+        point_rhs(ModelKind.M0, y, fld, rest_mass=1.0)
+    with pytest.raises(NonNegativeField, match="reached by trajectory"):
+        point_rhs(ModelKind.M1, y, fld)
+    with pytest.raises(NonNegativeField):
+        hamiltonian(ModelKind.M1, PhasePoint(ORIGIN, ORIGIN), fld)
 
 
 def test_invariant_energy_examples(uniform_field):

@@ -374,6 +374,22 @@ def test_snapshot_csv(tmp_path):
     assert rows[0] == "x,re_psi,im_psi,density"
     assert len(rows) == 65
 
+    # byte-identical to csv.writer rows of f"{v:.17g}" cells, on special values too
+    import csv
+
+    special = [-0.0, 5e-324, 1e300, float("nan")]
+    psi = [complex(a, b) for a in special for b in special]
+    for st_ in (state, WaveState(psi=psi, dx=5e-324, hbar=0.1), WaveState(psi=psi[::-1], dx=1e300, hbar=0.1)):
+        ref = tmp_path / "ref.csv"
+        with np.errstate(over="ignore"):  # |1e300|^2
+            snapshot_csv(st_, path)
+            with open(ref, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(("x", "re_psi", "im_psi", "density"))
+                for x, p in zip(st_.x, st_.psi):
+                    writer.writerow([f"{x:.17g}", f"{p.real:.17g}", f"{p.imag:.17g}", f"{abs(p) ** 2:.17g}"])
+        assert path.read_bytes() == ref.read_bytes()
+
 
 def test_wave_state_normalization():
     state = WaveState(psi=np.full(100, 3.0 + 0j), dx=0.01, hbar=0.05)
