@@ -1,4 +1,4 @@
-"""Shared domain types, unit conventions, clocks and the per-model scalar terms.
+"""Shared domain types, unit conventions, clocks and the per-model phase-space terms.
 
 Natural units with light speed c = 1 throughout; hbar is configurable where it
 enters (quantum module).  A particle's dynamical mass is m = -W(r,t), so the
@@ -13,12 +13,18 @@ Model dictionary:
       mover velocity folded in through A;
   M3  dual model, canonical (r, P), reproduces the classical Lorentz force.
 
+phase_terms is the one column definition of every model's phase-space terms,
+checking nothing; checked_phase_terms adds a phase point's checks (W < 0,
+then the guard).  dynamics.point_rhs and the RK45 guard event keep their own
+float arithmetic, each pinned to phase_terms bit for bit by a property test.
+
 All types here are immutable values; every operation is pure.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -76,13 +82,6 @@ def guarded_root(arg: float) -> float:
     return math.sqrt(arg)
 
 
-def guarded_sqrt(arg):
-    """guarded_root for numpy values and columns: one check of every argument, then np.sqrt."""
-    if not np.all(arg > SUBLUMINAL_EPS):
-        raise SubluminalViolation(f"W^2 - |mom|^2 = {np.min(arg):g} <= {SUBLUMINAL_EPS:g}")
-    return np.sqrt(arg)
-
-
 def negative_w(w, r, t):
     """w after the trajectory invariant W < 0, at one state or on columns (r (..., 3), t
     scalar or per state); the error names the first state that breaks it."""
@@ -125,44 +124,64 @@ def init_phase(model: ModelKind, particle: Particle, fld: VacuumField, r0) -> Ph
     if model is not ModelKind.M0:
         try:
             # an overflowing W^2 or |k|^2 fails the guard as nan or -inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                phase_terms(model, phase.r, phase.mom, phase.t, fld)
+            checked_phase_terms(model, phase.r, phase.mom, phase.t, fld)
         except SubluminalViolation as exc:
             raise SubluminalViolation(f"model: {model.value} start state breaks its guard, {exc}") from None
     return phase
 
 
-def model_terms(model: ModelKind, w, k2, ap, q: float, root):
-    """(guard, G, kappa, rate, energy) of a vacuum model M1-M3: the one definition.
+def _require_rest_mass(rest_mass: float | None) -> float:
+    if rest_mass is None:
+        raise ValueError("M0 operations need the emergent rest mass (see emergent_rest_mass)")
+    return float(rest_mass)
 
-    guard = W^2 - |k|^2 (k = P - qA for M3, the stored momentum otherwise),
-    G = root(guard), kappa = 1 - q<A,P>/G^2 (1 for M1/M3), rate = dt/dtau and
-    energy = -H.  k2 = |k|^2 and ap = <A,P> (M2 only) come from the caller,
-    summed in its own order.  Only + - * / and root are used, so it runs on
-    floats (root = guarded_root), on phase points and their columns (root =
-    guarded_sqrt, see phase_terms) and on sample columns (root = np.sqrt).
+
+#: a model's phase-space terms at phase points; see phase_terms
+PhaseTerms = namedtuple("PhaseTerms", "w a k guard g kappa rate energy")
+
+
+def phase_terms(model: ModelKind, r, mom, t, fld: VacuumField, rest_mass=None) -> PhaseTerms:
+    """The one definition of every model's phase-space terms, checking nothing.
+
+    From one field evaluation at phase points (r, mom, t) (W alone for M0 and
+    M1, which runs with q_test = 0): W, A (None for M0/M1), the guarded
+    momentum k (P - qA for M3, mom otherwise), the guard W^2 - |k|^2 (None for
+    M0), G = sqrt(guard) (sqrt(m0^2 + |p|^2) for M0), kappa = 1 - q<A,P>/G^2
+    (1 but for M2), the clock rate dt/dtau and the conserved energy (-H; H for
+    M0).  r and mom are (3,) or (..., 3), t scalar or one per point; sums run
+    left to right, so each row is the one-point call.  A broken guard shows as
+    nan or inf, without numpy warnings; checked_phase_terms raises instead.
     """
-    guard = w * w - k2
-    g = root(guard)
-    if model is not ModelKind.M2:
-        return guard, g, 1.0, -w / g, g
-    kappa = 1.0 - q * ap / (g * g)
-    return guard, g, kappa, root(1.0 + k2 * kappa * kappa / (g * g)), g + q * ap / g
-
-
-def phase_terms(model: ModelKind, r, mom, t, fld: VacuumField):
-    """model_terms of M1-M3 at phase points (r, mom, t) from one field evaluation (W alone
-    for M1, which runs with q_test = 0), with |k|^2 and <A,P> summed left to right.
-
-    r and mom are one point's (3,) vectors or (..., 3) columns, with t scalar or one
-    per point; each row equals the one-point call.
-    """
-    w, a = fld._eval(r, t, "wa") if model is not ModelKind.M1 else (fld._eval(r, t, "w")[0], None)
-    w = negative_w(w, r, t)
+    if model in (ModelKind.M2, ModelKind.M3):
+        w, a = fld._eval(r, t, "wa")
+    else:
+        (w,), a = fld._eval(r, t, "w"), None
     q = fld.q_test
-    k = mom - q * a if model is ModelKind.M3 else mom
-    ap = dot3(a, mom) if model is ModelKind.M2 else 0.0
-    return model_terms(model, w, dot3(k, k), ap, q, guarded_sqrt)
+    with np.errstate(all="ignore"):
+        k = mom - q * a if model is ModelKind.M3 else mom
+        k2 = dot3(k, k)
+        if model is ModelKind.M0:
+            m0 = _require_rest_mass(rest_mass)
+            g = np.sqrt(m0 * m0 + k2)
+            return PhaseTerms(w, a, k, None, g, 1.0, 1.0, g + (w - fld.w_inf))
+        guard = w * w - k2
+        g = np.sqrt(guard)
+        if model is not ModelKind.M2:
+            return PhaseTerms(w, a, k, guard, g, 1.0, -w / g, g)
+        ap = dot3(a, mom)
+        kappa = 1.0 - q * ap / (g * g)
+        rate = np.sqrt(1.0 + k2 * kappa * kappa / (g * g))
+        return PhaseTerms(w, a, k, guard, g, kappa, rate, g + q * ap / g)
+
+
+def checked_phase_terms(model: ModelKind, r, mom, t, fld: VacuumField, rest_mass=None) -> PhaseTerms:
+    """phase_terms at phase points that keep W < 0 (negative_w) and, but for M0,
+    guard > SUBLUMINAL_EPS; the first broken invariant raises."""
+    terms = phase_terms(model, r, mom, t, fld, rest_mass)
+    negative_w(terms.w, r, t)
+    if terms.guard is not None and not np.all(terms.guard > SUBLUMINAL_EPS):
+        raise SubluminalViolation(f"W^2 - |mom|^2 = {np.min(terms.guard):g} <= {SUBLUMINAL_EPS:g}")
+    return terms
 
 
 def clock_rate(model: ModelKind, phase: PhasePoint, fld: VacuumField) -> float:
@@ -173,4 +192,4 @@ def clock_rate(model: ModelKind, phase: PhasePoint, fld: VacuumField) -> float:
     """
     if model is ModelKind.M0:
         return 1.0
-    return float(phase_terms(model, phase.r, phase.mom, phase.t, fld)[3])
+    return float(checked_phase_terms(model, phase.r, phase.mom, phase.t, fld).rate)

@@ -21,12 +21,14 @@ values come from the one field kernel, VacuumField.point_state, which
 VacuumField._eval runs on coordinate columns.  _lagrangian_eval gives L,
 dL/drdot and dL/dr at (..., 3) columns of states from one batched field
 evaluation, and velocity probes of the same states are column arithmetic on
-it; _hamiltonian_eval gives H through core.model_terms.  Every 3-vector sum
-runs left to right, so each row is bit-identical to a one-row call:
+it; _hamiltonian_eval gives H from core.checked_phase_terms.  Every 3-vector
+sum runs left to right, so each row is bit-identical to a one-row call:
 lagrangian, legendre_momentum and hamiltonian are those one-row selections,
 and the trajectory diagnostics and the random-state criteria 4-5 (verify)
 call the kernels on whole columns.  point_rhs, the integrator hot path, calls
-point_state on plain floats and keeps its own inline model arithmetic.
+point_state on plain floats and keeps its own inline model arithmetic, pinned
+bit for bit to core.phase_terms by a property test; it raises on a broken
+guard, and the RK45 driver turns that into a rejected trial stage.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import SUBLUMINAL_EPS, ModelKind, PhasePoint, guarded_root, negative_w, phase_terms
+from .core import ModelKind, PhasePoint, _require_rest_mass, checked_phase_terms, guarded_root, negative_w
 from .errors import NonNegativeField, SubluminalViolation, SuperluminalInit, TooShort
 from .fields import VacuumField, as_vec3, dot3, jac_t_dot
 
@@ -44,20 +46,6 @@ from .fields import VacuumField, as_vec3, dot3, jac_t_dot
 class ForceKind(Enum):
     ClassicalLorentz = "classical"
     ModifiedLorentz = "modified"
-
-
-def _require_rest_mass(rest_mass: float | None) -> float:
-    if rest_mass is None:
-        raise ValueError("M0 operations need the emergent rest mass (see emergent_rest_mass)")
-    return float(rest_mass)
-
-
-def _soft_root(arg: float) -> float:
-    return math.sqrt(arg if arg > SUBLUMINAL_EPS else SUBLUMINAL_EPS)
-
-
-def _soft_w(w: float) -> float:
-    return w if w < -SUBLUMINAL_EPS else -SUBLUMINAL_EPS
 
 
 def _hard_w(w: float) -> float:
@@ -196,16 +184,10 @@ def legendre_momentum(
 
 
 def _hamiltonian_eval(model: ModelKind, r, mom, t, fld: VacuumField, rest_mass=None):
-    """H at phase points (r, mom, t): (..., 3) columns with t scalar or one per point.
-
-    M1-M3 are -energy of core.phase_terms, M0 is sqrt(m0^2 + |p|^2) + qphi.
-    Each row equals the one-point call.
-    """
-    if model is not ModelKind.M0:
-        return -phase_terms(model, r, mom, t, fld)[4]
-    w = negative_w(fld._eval(r, t, "w")[0], r, t)
-    m0 = _require_rest_mass(rest_mass)
-    return np.sqrt(m0 * m0 + dot3(mom, mom)) + (w - fld.w_inf)
+    """H at phase points (r, mom, t), (..., 3) columns with t scalar or one per point:
+    core.checked_phase_terms' energy for M0, minus it for M1-M3.  Each row is the one-point call."""
+    energy = checked_phase_terms(model, r, mom, t, fld, rest_mass).energy
+    return energy if model is ModelKind.M0 else -energy
 
 
 def hamiltonian(
@@ -215,7 +197,7 @@ def hamiltonian(
     *,
     rest_mass: float | None = None,
 ) -> float:
-    """Model Hamiltonian at the phase point (M0 returns +energy, M1-M3 -energy of model_terms)."""
+    """Model Hamiltonian at the phase point: one row of _hamiltonian_eval."""
     return float(_hamiltonian_eval(model, phase.r, phase.mom, phase.t, fld, rest_mass))
 
 
@@ -227,8 +209,7 @@ def invariant_energy(
     rest_mass: float | None = None,
 ) -> float:
     """The conserved energy of the model (positive for the vacuum models)."""
-    h = hamiltonian(model, phase, fld, rest_mass=rest_mass)
-    return h if model is ModelKind.M0 else -h
+    return float(checked_phase_terms(model, phase.r, phase.mom, phase.t, fld, rest_mass).energy)
 
 
 def point_rhs(
@@ -236,25 +217,20 @@ def point_rhs(
     y,
     fld: VacuumField,
     rest_mass: float | None = None,
-    soft: bool = False,
 ) -> list[float]:
     """Fused canonical right-hand side on plain floats: [r, mom, t] -> [rdot, momdot, dt/dtau].
 
     y holds 7 floats.  For M0 the derivatives are with respect to lab time and
     the rate is 1.  One field evaluation (VacuumField.point_state) is shared by
-    all pieces; this is the integrator hot path.  soft=True clamps the
-    square-root guards instead of raising; the adaptive driver uses it for
-    trial stages only, with a terminal guard event deciding where the reported
-    trajectory actually stops.
+    all pieces; this is the integrator hot path.  It keeps its own float
+    arithmetic, which a property test pins bit for bit to core.phase_terms.
     """
     x, yy, z, px, py, pz, t = y
     w, (gx, gy, gz), a, adot, jac = fld.point_state(x, yy, z, t)
     q = fld.q_test
-    root = _soft_root if soft else guarded_root
     if model is ModelKind.M0:
         m0 = _require_rest_mass(rest_mass)
-        if not soft:
-            _hard_w(w)
+        _hard_w(w)
         ekin = math.sqrt(m0 * m0 + (px * px + py * py + pz * pz))
         ux, uy, uz = px / ekin, py / ekin, pz / ekin
         (_j00, j01, j02), (j10, _j11, j12), (j20, j21, _j22) = jac
@@ -267,9 +243,9 @@ def point_rhs(
             (-gz - q * adz) + q * (ux * by - uy * bx),
             1.0,
         ]
-    w = _soft_w(w) if soft else _hard_w(w)
+    w = _hard_w(w)
     if model is ModelKind.M1:
-        g = root(w * w - (px * px + py * py + pz * pz))
+        g = guarded_root(w * w - (px * px + py * py + pz * pz))
         c = w / g
         return [px / g, py / g, pz / g, c * gx, c * gy, c * gz, -w / g]
 
@@ -277,7 +253,7 @@ def point_rhs(
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac
     if model is ModelKind.M3:
         kx, ky, kz = px - q * ax, py - q * ay, pz - q * az
-        g = root(w * w - (kx * kx + ky * ky + kz * kz))
+        g = guarded_root(w * w - (kx * kx + ky * ky + kz * kz))
         return [
             kx / g, ky / g, kz / g,
             (w * gx + q * (j00 * kx + j10 * ky + j20 * kz)) / g,
@@ -288,7 +264,7 @@ def point_rhs(
 
     # M2: exact gradients of H = -G - q<A,P>/G
     p2 = px * px + py * py + pz * pz
-    g = root(w * w - p2)
+    g = guarded_root(w * w - p2)
     kappa = 1.0 - q * (ax * px + ay * py + az * pz) / (g * g)
     kw = kappa * w
     return [

@@ -8,7 +8,9 @@ clock rate within each step; for RK4/RK45 the clock inherits the integrator's
 own order.
 
 Implicit midpoint (fixed-point iteration) is the symplectic default; RK4 is
-the fixed-step explicit alternative; RK45 wraps scipy's adaptive solver.
+the fixed-step explicit alternative; RK45 wraps scipy's adaptive solver, which
+rejects a trial stage past a guard (NaN derivatives) and whose terminal guard
+event (_guard_margin) ends the record.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core import (
     PhasePoint,
     emergent_rest_mass,
     init_phase,
-    model_terms,
+    phase_terms,
 )
 from .dynamics import point_rhs
 from .errors import ConfigError, NoConvergence, NonNegativeField, NoOverlap, SubluminalViolation
@@ -208,45 +210,26 @@ def step(
 # -- full runs -----------------------------------------------------------------
 
 
-def _record_columns(model, fld, state, rest_mass):
-    """(energy, w, u_lab, guard) at every sample from one batched field evaluation.
-
-    The sums keep the operation order of a per-sample evaluation on
-    point_state, and the M1-M3 terms come from core.model_terms, so every
-    value is bit-identical to it; guard is the square root's argument
-    W^2 - |k|^2 (k = mom for M1/M2, P - qA for M3; None for M0).
-    """
-    px, py, pz, t = state[:, 3], state[:, 4], state[:, 5], state[:, 6]
-    q = fld.q_test
-    if model in (ModelKind.M2, ModelKind.M3):
-        w, a = fld._eval(state[:, 0:3], t, "wa")
-        ax, ay, az = a.T
-    else:
-        (w,) = fld._eval(state[:, 0:3], t, "w")
-    if model is ModelKind.M0:
-        ekin = np.sqrt(rest_mass * rest_mass + (px * px + py * py + pz * pz))
-        return ekin + (w - fld.w_inf), w, np.stack([px / ekin, py / ekin, pz / ekin], axis=1), None
-    kx, ky, kz = (px - q * ax, py - q * ay, pz - q * az) if model is ModelKind.M3 else (px, py, pz)
-    ap = ax * px + ay * py + az * pz if model is ModelKind.M2 else 0.0
-    guard, g, kappa, rate, energy = model_terms(model, w, kx * kx + ky * ky + kz * kz, ap, q, np.sqrt)
-    if model is not ModelKind.M2:
-        return energy, w, np.stack([kx / -w, ky / -w, kz / -w], axis=1), guard
-    grate = g * rate
-    u = [(kappa * pi - q * ai) / grate for pi, ai in ((px, ax), (py, ay), (pz, az))]
-    return energy, w, np.stack(u, axis=1), guard
-
-
 def _build_record(model, integ, h, fld, taus, state, rest_mass, stats, termination=None):
     """Record from the (n, 7) stepped states; M0 samples take tau as their lab clock.
 
-    stats gains guard_min, the smallest guard W^2 - |k|^2 over the samples
-    (not for M0, which has no such guard).
+    Energy, W and the lab velocity (k/G for M0, k/(-W) for M1 and M3,
+    (kappa P - qA)/(G rate) for M2) come from one core.phase_terms call over
+    the samples.  stats gains guard_min, the smallest guard W^2 - |k|^2 over
+    the samples (not for M0, which has no such guard).
     """
     if model is ModelKind.M0:
         state[:, 6] = taus  # lab clock is the independent variable
-    energy, wvals, u_lab, guard = _record_columns(model, fld, state, rest_mass)
-    if guard is not None:
-        stats["guard_min"] = float(np.min(guard))
+    terms = phase_terms(model, state[:, 0:3], state[:, 3:6], state[:, 6], fld, rest_mass)
+    if terms.guard is not None:
+        stats["guard_min"] = float(np.min(terms.guard))
+    # column by column: numpy broadcasts over a trailing axis of 3 slowly
+    if model is ModelKind.M2:
+        grate = terms.g * terms.rate
+        u = [(terms.kappa * p - fld.q_test * a) / grate for p, a in zip(terms.k.T, terms.a.T)]
+    else:
+        d = terms.g if model is ModelKind.M0 else -terms.w
+        u = [p / d for p in terms.k.T]
     meta = {
         "model": model.value,
         "integrator": integrator_name(integ),
@@ -258,7 +241,7 @@ def _build_record(model, integ, h, fld, taus, state, rest_mass, stats, terminati
         meta["termination"] = termination
     return TrajectoryRecord(
         tau=taus, t=state[:, 6], r=state[:, 0:3], mom=state[:, 3:6],
-        energy=energy, w=wvals, u_lab=u_lab, meta=meta,
+        energy=terms.energy, w=terms.w, u_lab=np.stack(u, axis=1), meta=meta,
     )
 
 
@@ -274,8 +257,7 @@ def simulate(
     """Integrate from init_phase to tau_end, recording every h.
 
     Terminates early with a diagnostic in meta["termination"] if a model
-    invariant trips (fixed-step integrators only; the adaptive path stops via
-    a terminal guard event).
+    invariant trips (fixed-step integrators) or the guard event fires (RK45).
     """
     n_steps = step_count(tau_end, h)
     r0 = as_vec3(r0)
@@ -333,18 +315,17 @@ def _guard_margin(model, fld):
 
 def _simulate_adaptive(model, fld, phase0, rest_mass, integ, h, n_steps):
     tau_grid = h * np.arange(n_steps + 1)
-    # trial stages are soft-guarded; the terminal event decides where the
-    # reported trajectory stops
-    sol = solve_ivp(
-        lambda _s, y: point_rhs(model, y.tolist(), fld, rest_mass, soft=True),
-        (0.0, tau_grid[-1]),
-        np.array(_pack(phase0)),
-        method="RK45",
-        t_eval=tau_grid,
-        rtol=integ.rtol,
-        atol=integ.atol,
-        events=_guard_margin(model, fld),
-    )
+
+    def rhs(_s, y):
+        try:
+            return point_rhs(model, y.tolist(), fld, rest_mass)
+        except (SubluminalViolation, NonNegativeField):
+            # a trial stage past a guard: RK45's step-size control rejects
+            # the step; the terminal event decides where the record stops
+            return [math.nan] * 7
+
+    sol = solve_ivp(rhs, (0.0, tau_grid[-1]), np.array(_pack(phase0)), method="RK45", t_eval=tau_grid,
+                    rtol=integ.rtol, atol=integ.atol, events=_guard_margin(model, fld))
     if sol.status < 0:
         raise NoConvergence(f"adaptive integration failed: {sol.message}")
     termination = None

@@ -31,6 +31,10 @@ from scipy.linalg import lapack
 from .errors import NonPositiveMass, SolveFailure, SuperluminalMode
 
 
+#: the boundary conditions of a grid and of an operator
+DOMAINS = ("periodic", "fixed")
+
+
 class QuantumKind(Enum):
     FreeVacuum = "free_vacuum"
     MinimalCoupling = "minimal_coupling"
@@ -55,7 +59,7 @@ class WaveState:
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=complex))
         if self.dx <= 0.0 or self.hbar <= 0.0:
             raise ValueError("WaveState needs dx > 0 and hbar > 0")
-        if self.domain not in ("periodic", "fixed"):
+        if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
 
     @property
@@ -75,7 +79,8 @@ class WaveState:
 
 @dataclass(frozen=True)
 class QuantumModel:
-    """Operator choice plus the sampled W(x), A(x) profiles and the charge."""
+    """Operator choice plus the sampled W(x), A(x) profiles and the charge; the
+    profiles are read-only float copies, so the check m = -W > 0 stays true."""
 
     kind: QuantumKind
     w_profile: np.ndarray
@@ -83,8 +88,10 @@ class QuantumModel:
     q: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "w_profile", np.asarray(self.w_profile, dtype=float))
-        object.__setattr__(self, "a_profile", np.asarray(self.a_profile, dtype=float))
+        for name in ("w_profile", "a_profile"):
+            profile = np.array(getattr(self, name), dtype=float)
+            profile.setflags(write=False)
+            object.__setattr__(self, name, profile)
         if self.w_profile.shape != self.a_profile.shape:
             raise ValueError("w_profile and a_profile must have the same length")
         m = -self.w_profile
@@ -96,9 +103,9 @@ class QuantumModel:
 class TridiagonalOperator:
     """Hermitian tridiagonal operator, with cyclic corners on a periodic domain.
 
-    The band arrays are read-only, so the Crank-Nicolson factors cached per
-    dtau cannot go stale.  ``stats`` counts the Cayley steps taken and the
-    factorizations made with this operator.
+    domain is one of DOMAINS.  The band arrays are read-only, so the
+    Crank-Nicolson factors cached per dtau cannot go stale.  ``stats`` counts
+    the Cayley steps taken and the factorizations made with this operator.
     """
 
     diag: np.ndarray        # (n,)
@@ -114,6 +121,8 @@ class TridiagonalOperator:
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.domain not in DOMAINS:
+            raise ValueError(f"unknown domain {self.domain!r}")
         for name in ("diag", "upper", "lower"):
             band = np.asarray(getattr(self, name), dtype=complex)
             band.setflags(write=False)
@@ -154,8 +163,6 @@ def build_hamiltonian(model: QuantumModel, dx: float, hbar: float, domain: str =
     q = model.q
     n = w.size
     m = -w
-    if np.any(m <= 0.0):
-        raise NonPositiveMass(f"mass profile min(-W) = {m.min():g} <= 0")
     periodic = domain == "periodic"
     c = 0.5 / m  # 1/(2m)
     k2 = hbar * hbar / (dx * dx)
@@ -324,8 +331,6 @@ def dispersion_check(k: float, w_const: float, hbar: float) -> tuple[float, floa
 
 def model_gap(state: WaveState, w_profile, a_profile, q: float) -> float:
     """||(H_modified - H_minimal) psi|| / ||psi|| on identical profiles."""
-    w_profile = np.asarray(w_profile, dtype=float)
-    a_profile = np.asarray(a_profile, dtype=float)
     h_min = build_hamiltonian(
         QuantumModel(QuantumKind.MinimalCoupling, w_profile, a_profile, q),
         state.dx, state.hbar, state.domain,

@@ -342,8 +342,13 @@ def dispersion_report(hbar: float = presets.HBAR_DEFAULT, w_const: float = -1.0)
         k = hk / hbar
         exact, truncated, err = dispersion_check(k, w_const, hbar)
         rows.append({"hk": hk, "exact": exact, "truncated": truncated, "error": err})
-    logs = np.log([r["error"] for r in rows])
-    exponent = float(np.polyfit(np.log(presets.DISPERSION_SWEEP_HK), logs, 1)[0])
+    # the least-squares slope of log error over log hbar k in closed form, on
+    # floats with math.fsum: the same bits on every CPU, unlike a LAPACK fit
+    xs = [math.log(hk) for hk in presets.DISPERSION_SWEEP_HK]
+    ys = [math.log(r["error"]) for r in rows]
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    exponent = (math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+                / math.fsum((x - x_mean) * (x - x_mean) for x in xs))
     return {"rows": rows, "exponent": exponent, "error_at_0p2": rows[-1]["error"]}
 
 

@@ -360,10 +360,12 @@ def test_forces_csv_matches_the_old_sampling_loop(tmp_path):
 
 
 def test_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
-    """The forces and checks artifacts written under OpenBLAS's kernel for a CPU
-    without FMA (a child process, since the kernel is picked at import) equal the
-    bytes written in this process: no 3-vector sum goes through BLAS."""
-    runs = (("forces", "forces", "forces_forces.csv"), ("checks", "verification", "verification_checks.json"))
+    """The forces, checks and quantum artifacts written under OpenBLAS's kernel for
+    a CPU without FMA (a child process, since the kernel is picked at import) equal
+    the bytes written in this process: no 3-vector sum and no fit goes through
+    BLAS or LAPACK."""
+    runs = (("forces", "forces", "forces_forces.csv"), ("checks", "verification", "verification_checks.json"),
+            ("quantum", "verification", "verification_quantum.json"))
     child = "import sys; from vacuumflow.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
            "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
@@ -387,6 +389,26 @@ def test_maxwell_none_ratio_fails(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "out" / "free_maxwell.json").read_text())["passed"] is False
     suite["plane"]["ratio"]["ampere"] = 4.0
     assert main(["maxwell", "--config", str(cfg), "--quiet"]) == 0
+
+
+def test_maxwell_dump_grids_writes_the_newest_dipole_level(tmp_path, monkeypatch):
+    """maxwell.dump_grids writes each potential of an evolved dipole_grid(n_coarse)
+    as an int64 [n, n, n] header and the newest level's float64 samples."""
+    from vacuumflow.maxwell import evolve_wave
+    from vacuumflow.presets import dipole_grid
+
+    ratios = {key: 4.0 for key in ("gauss", "faraday", "ampere", "nomono")}
+    suite = {"plane": {"ratio": ratios}, "dipole": {"ratio": ratios},
+             "violated": {"ratio": {**ratios, "gauss": 1.0}}, "seconds": 0.0}
+    monkeypatch.setattr(verify, "prop1_suite", lambda **_: suite)
+    cfg = _free_config(tmp_path, maxwell={"n_coarse": 8, "advected": False, "dump_grids": True})
+    assert main(["maxwell", "--config", str(cfg), "--quiet"]) == 0
+    grid, steps, _ = dipole_grid(8)
+    evolve_wave(grid, steps)
+    header = np.array([8, 8, 8], dtype=np.int64).tobytes()
+    for name in grid.FIELD_NAMES:
+        samples = np.ascontiguousarray(grid.levels[-1].field(name), dtype=np.float64).tobytes()
+        assert (tmp_path / "out" / f"free_grid_{name}.bin").read_bytes() == header + samples
 
 
 def test_seconds_go_to_the_timing_sidecar(tmp_path, monkeypatch):

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vacuumflow.core import ModelKind, Particle, init_phase
-from vacuumflow.errors import ConfigError, NoConvergence, NoOverlap
+from vacuumflow import integrate
+from vacuumflow.core import ModelKind, Particle, PhasePoint, init_phase
+from vacuumflow.dynamics import hamiltonian
+from vacuumflow.errors import ConfigError, NoConvergence, NoOverlap, SubluminalViolation
 from vacuumflow.fields import FieldSource, VacuumField
 from vacuumflow.integrate import (
     RK4,
@@ -191,6 +195,47 @@ def test_early_termination_diagnostics():
     assert tr.meta.get("termination") and tr.tau[-1] < 30.0
     tr2 = simulate(ModelKind.M1, particle, fld, ORIGIN, 30.0, RK45(), 1e-2)
     assert tr2.meta.get("termination") and tr2.tau[-1] < 30.0
+
+
+def test_rk45_rejects_trial_stages_past_the_guard(monkeypatch):
+    """Near the guard, RK45 trial stages step past it; their NaN derivatives make
+    the step-size control reject them, and the run goes on to tau_end.  The
+    fixed-step integrators stop at their first step here."""
+    fld = VacuumField(w_inf=-1.0, sources=(FieldSource(qs=2.0, r0=(0, 0, 0), uf=(0, 0, 0), eps=0.05),))
+    particle = Particle(q=1.0, u0=(0.9999, 0, 0))
+    r0 = (-0.3, 0.01, 0.0)
+    tripped = []
+    point_rhs = integrate.point_rhs
+
+    def counted(*args):
+        try:
+            return point_rhs(*args)
+        except SubluminalViolation:
+            tripped.append(args[1][6])
+            raise
+
+    monkeypatch.setattr(integrate, "point_rhs", counted)
+    rec = simulate(ModelKind.M1, particle, fld, r0, 1.0, RK45(), 1e-2)
+    assert tripped and len(rec) == 101 and "termination" not in rec.meta
+    assert rec.meta["stats"]["guard_min"] > 0.0
+    for integ in (RK4(), ImplicitMidpoint()):
+        assert simulate(ModelKind.M1, particle, fld, r0, 1.0, integ, 1e-2).meta["termination"].startswith("step 1:")
+
+
+def test_broken_guard_warns_nothing():
+    """A checked call on a broken guard raises, and a truncated run whose last
+    sample lies past the guard records it, without a numpy warning."""
+    fld = VacuumField(
+        w_inf=-1.0,
+        sources=(FieldSource(qs=30.0, r0=(6.0, 0, 0), uf=(-0.8, 0, 0), eps=0.05),),
+        q_test=1.0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SubluminalViolation):
+            hamiltonian(ModelKind.M1, PhasePoint(ORIGIN, (1.5, 0, 0)), fld)
+        rec = simulate(ModelKind.M1, Particle(q=1.0, u0=(-0.5, 0, 0)), fld, ORIGIN, 30.0, RK4(), 0.05)
+    assert rec.meta["termination"].startswith(f"step {len(rec)}: ")
 
 
 def test_trajectory_csv_roundtrip(tmp_path, uniform_field):

@@ -1,17 +1,19 @@
-"""Property tests: the field kernel, the plain-float model kernel, the column
-Lagrangian and Hamiltonian kernels and the midpoint integrator.
+"""Property tests: the field kernel, the phase-space kernel, the plain-float
+model kernel, the column Lagrangian and Hamiltonian kernels and the midpoint
+integrator.
 
 Over random fields (1-3 static or moving sources, uniform A and B,
 q_test != 1): every row of the batched evaluator VacuumField._eval, and of
 the selections over it, is bit-identical to VacuumField.point_state on
 floats, and every parts string returns the same bits as the all-parts call;
 dynamics.point_rhs reproduces the per-model flows written with numpy below to
-round-off, and its G, kappa and clock rate are core.model_terms' bit for bit;
-core.model_terms gives the same bits on sample columns as row by row; every
-row of the column kernels _lagrangian_eval and _hamiltonian_eval is
-bit-identical to the one-row call, and <P, rdot> - L = H holds row by row;
-an implicit-midpoint step is undone by the step back; M1 and M3 run the
-same trajectory where A = 0; and a uniform shift of A leaves M3's r(t).
+round-off, and its k/G and clock rate, like the RK45 guard event's margin,
+are core.phase_terms' bit for bit; every term of core.phase_terms on columns
+is the one-point call's; every row of the column kernels _lagrangian_eval and
+_hamiltonian_eval is bit-identical to the one-row call, and
+<P, rdot> - L = H holds row by row; an implicit-midpoint step is undone by the
+step back; M1 and M3 run the same trajectory where A = 0; and a uniform shift
+of A leaves M3's r(t).
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy.testing as npt
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vacuumflow.core import ModelKind, Particle, PhasePoint, guarded_root, init_phase, model_terms
+from vacuumflow.core import SUBLUMINAL_EPS, ModelKind, Particle, PhasePoint, init_phase, phase_terms
 from vacuumflow.dynamics import (
     _hamiltonian_eval,
     _lagrangian_eval,
@@ -34,7 +36,7 @@ from vacuumflow.dynamics import (
 )
 from vacuumflow.errors import NoConvergence, SubluminalViolation
 from vacuumflow.fields import FOUR_PI, FieldSource, VacuumField, dot3
-from vacuumflow.integrate import ImplicitMidpoint, simulate, step
+from vacuumflow.integrate import _EVENT_MARGIN, ImplicitMidpoint, _guard_margin, simulate, step
 
 PROPERTY = settings(max_examples=150)
 
@@ -173,50 +175,36 @@ def test_point_rhs_matches_reference_flows(fld, probe, u, model):
     assert a_rdot.tolist() == out[0:3] and a_momdot.tolist() == out[3:6] and a_rate == out[6]
 
 
-VACUUM_MODELS = [ModelKind.M1, ModelKind.M2, ModelKind.M3]
-
-
 @PROPERTY
-@given(fields(), probes, vec(-0.5, 0.5), st.sampled_from(VACUUM_MODELS))
-def test_point_rhs_uses_model_terms(fld, probe, u, model):
-    """point_rhs keeps its own inline arithmetic on the hot path; its k/G (M2:
-    (kappa P - qA)/G) and rate are model_terms' bit for bit, with |k|^2 and
-    <A,P> summed left to right as point_rhs sums them."""
+@given(fields(), probes, vec(-0.5, 0.5), st.sampled_from(list(ModelKind)))
+def test_point_rhs_and_guard_event_match_the_kernel(fld, probe, u, model):
+    """point_rhs and the RK45 guard event keep their own float arithmetic on
+    the hot path; point_rhs's k/G (M2: (kappa P - qA)/G) and rate, and the
+    event's margin (the guard minus its floor; -W minus the margin for M0),
+    are core.phase_terms' bit for bit."""
     (x, y, z), t = probe
-    w, _gw, (ax, ay, az), _adot, _jac = fld.point_state(x, y, z, t)
+    w, _gw, a, _adot, _jac = fld.point_state(x, y, z, t)
     assume(w < -0.05)
-    q = fld.q_test
-    px, py, pz = (-w * ui for ui in u)
+    u = np.array(u)
+    mom = -w * u
     if model is ModelKind.M3:
-        px, py, pz = px + q * ax, py + q * ay, pz + q * az
-    kx, ky, kz = (px - q * ax, py - q * ay, pz - q * az) if model is ModelKind.M3 else (px, py, pz)
-    ap = ax * px + ay * py + az * pz if model is ModelKind.M2 else 0.0
-    _guard, g, kappa, rate, _energy = model_terms(model, w, kx * kx + ky * ky + kz * kz, ap, q,
-                                                  guarded_root)
+        mom = mom + fld.q_test * np.array(a)
+    rest_mass = -w * math.sqrt(1.0 - float(dot3(u, u))) if model is ModelKind.M0 else None
+    terms = phase_terms(model, np.array([x, y, z]), mom, t, fld, rest_mass)
 
-    out = point_rhs(model, [x, y, z, px, py, pz, t], fld)
+    state = [x, y, z, *mom.tolist(), t]
+    out = point_rhs(model, state, fld, rest_mass)
     if model is ModelKind.M2:
-        assert out[0:3] == [(kappa * px - q * ax) / g, (kappa * py - q * ay) / g, (kappa * pz - q * az) / g]
+        assert out[0:3] == ((terms.kappa * mom - fld.q_test * terms.a) / terms.g).tolist()
     else:
-        assert out[0:3] == [kx / g, ky / g, kz / g]
-    assert out[6] == rate
+        assert out[0:3] == (terms.k / terms.g).tolist()
+    assert out[6] == terms.rate
 
-
-@PROPERTY
-@given(st.sampled_from(VACUUM_MODELS), st.floats(-2.5, 2.5).filter(bool), st.data())
-def test_model_terms_columns_match_rows(model, q, data):
-    """np.sqrt over sample columns (the record path) and guarded_root per row
-    (the phase-point path) give the same guard, G, kappa, rate and energy."""
-    n = data.draw(st.integers(1, 8))
-    floats = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=n, max_size=n)
-    w = np.array(data.draw(floats(-3.0, -0.05)))
-    k2 = np.array(data.draw(floats(0.0, 0.99))) * w * w  # a healthy guard
-    ap = np.array(data.draw(floats(-2.0, 2.0)))
-    cols = model_terms(model, w, k2, ap, q, np.sqrt)
-    for i in range(n):
-        row = model_terms(model, float(w[i]), float(k2[i]), float(ap[i]), q, guarded_root)
-        for col, value in zip(cols, row):
-            assert np.broadcast_to(col, (n,))[i] == value
+    margin = _guard_margin(model, fld)(0.0, np.array(state))
+    if model is ModelKind.M0:
+        assert margin == -terms.w - _EVENT_MARGIN
+    else:
+        assert margin == terms.guard - max(_EVENT_MARGIN, 10.0 * SUBLUMINAL_EPS)
 
 
 # -- the column Lagrangian and Hamiltonian kernels -------------------------------
@@ -235,6 +223,27 @@ def states(draw, fld, model):
 
 
 M0_REST_MASS = 0.8
+
+
+@PROPERTY
+@given(fields(), st.sampled_from(list(ModelKind)), st.data())
+def test_phase_terms_columns_match_rows(fld, model, data):
+    """Every term of core.phase_terms on columns (the record path) is the
+    one-point call's, also where the qA shift breaks an M2 guard (nan)."""
+    r, u, t = data.draw(states(fld, ModelKind.M0))
+    mom = -fld.w(r, t)[:, None] * u
+    if model in (ModelKind.M2, ModelKind.M3):
+        mom = mom + fld.q_test * fld.a(r, t)
+    cols = phase_terms(model, r, mom, t, fld, M0_REST_MASS)
+    for i in range(len(r)):
+        row = phase_terms(model, r[i], mom[i], t[i], fld, M0_REST_MASS)
+        for col, value in zip(cols, row, strict=True):
+            if value is None:
+                assert col is None
+            else:
+                want = np.asarray(value)
+                got = np.broadcast_to(col, (len(r), *want.shape))[i]
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 @PROPERTY
