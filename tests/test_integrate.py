@@ -1,10 +1,13 @@
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from vacuumflow import integrate
+from vacuumflow.config import load_config
 from vacuumflow.core import ModelKind, Particle, PhasePoint, init_phase
 from vacuumflow.dynamics import hamiltonian
 from vacuumflow.errors import ConfigError, NoConvergence, NoOverlap, SubluminalViolation
@@ -182,6 +185,61 @@ def test_m2_m3_split_with_nonuniform_a():
     assert uniform_a_deviation()["pos_dev"] <= 1e-8
 
 
+@pytest.mark.parametrize("integ", [RK4(), ImplicitMidpoint()], ids=["rk4", "midpoint"])
+@pytest.mark.parametrize("tau_end", [30.0, 2.4])
+def test_truncated_record_ends_at_its_last_valid_sample(integ, tau_end):
+    """The state after step 48 lies past the guard, and step 49's first evaluation
+    raises there.  The record ends at sample 47, with that error as its
+    termination, also when tau_end = 2.4 ends the run at step 48."""
+    fld = VacuumField(
+        w_inf=-1.0,
+        sources=(FieldSource(qs=30.0, r0=(6.0, 0, 0), uf=(-0.8, 0, 0), eps=0.05),),
+        q_test=1.0,
+    )
+    rec = simulate(ModelKind.M1, Particle(q=1.0, u0=(-0.5, 0, 0)), fld, ORIGIN, tau_end, integ, 0.05)
+    assert len(rec) == 48 and rec.meta["termination"].startswith("step 49: W^2 - |mom|^2 = -")
+    assert rec.meta["stats"]["guard_min"] > 0.0
+    assert np.all(np.isfinite(rec.energy)) and math.isfinite(rec.max_relative_energy_drift())
+
+
+def test_flyby_scenario_evaluation_count():
+    """Each model of scenarios/flyby.json (10^4 steps) takes one evaluation per step
+    and a few more; the Euler start of every step took 36,190."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "scenarios" / "flyby.json")
+    for model in cfg.models:
+        rec = simulate(model, cfg.particle, cfg.field, cfg.r0, cfg.tau_end, cfg.integrator, cfg.h)
+        assert len(rec) == 10_001 and "termination" not in rec.meta
+        assert rec.meta["stats"]["rhs_evals"] <= 10_100 and rec.meta["stats"]["fp_restarts"] == 0
+
+
+def test_a_failed_extrapolated_start_restarts_from_the_euler_start(monkeypatch, static_source_field):
+    """A guard error on the extrapolated start of a step retries that step from
+    f(y_n): the run goes on, fp_restarts counts the step, and its evaluations
+    keep the counter identity.  The states match the clean run to round-off."""
+    sc = standard_flyby()
+
+    def run():
+        return simulate(ModelKind.M1, sc.particle, static_source_field, sc.r0, 1.0, ImplicitMidpoint(), 1e-2)
+
+    clean = run()
+    point_rhs = integrate.point_rhs
+    calls = []
+
+    def tripping(*args):
+        calls.append(None)
+        if len(calls) == 50:  # an iteration of step 20 or so, from an extrapolated start
+            raise SubluminalViolation("injected")
+        return point_rhs(*args)
+
+    monkeypatch.setattr(integrate, "point_rhs", tripping)
+    rec = run()
+    stats = rec.meta["stats"]
+    assert "termination" not in rec.meta and stats["fp_restarts"] == 1
+    assert stats["rhs_evals"] == len(calls) == 3 + 1 + round(100 * stats["fp_iter_mean"])
+    npt.assert_allclose(rec.r, clean.r, rtol=0.0, atol=1e-12)
+    npt.assert_allclose(rec.mom, clean.mom, rtol=0.0, atol=1e-12)
+
+
 def test_early_termination_diagnostics():
     """A strong moving source overruns the particle; both drivers must stop
     with a diagnostic instead of stepping through the guard."""
@@ -224,7 +282,8 @@ def test_rk45_rejects_trial_stages_past_the_guard(monkeypatch):
 
 def test_broken_guard_warns_nothing():
     """A checked call on a broken guard raises, and a truncated run whose last
-    sample lies past the guard records it, without a numpy warning."""
+    state lies past the guard builds its record, which drops that state,
+    without a numpy warning."""
     fld = VacuumField(
         w_inf=-1.0,
         sources=(FieldSource(qs=30.0, r0=(6.0, 0, 0), uf=(-0.8, 0, 0), eps=0.05),),
@@ -235,7 +294,7 @@ def test_broken_guard_warns_nothing():
         with pytest.raises(SubluminalViolation):
             hamiltonian(ModelKind.M1, PhasePoint(ORIGIN, (1.5, 0, 0)), fld)
         rec = simulate(ModelKind.M1, Particle(q=1.0, u0=(-0.5, 0, 0)), fld, ORIGIN, 30.0, RK4(), 0.05)
-    assert rec.meta["termination"].startswith(f"step {len(rec)}: ")
+    assert rec.meta["termination"].startswith(f"step {len(rec) + 1}: ")
 
 
 def test_trajectory_csv_roundtrip(tmp_path, uniform_field):
@@ -293,8 +352,10 @@ def test_run_stats_counters(static_source_field):
     mid = rec.meta
     steps = 100
     stats = mid["stats"]
-    # one predictor evaluation plus one per fixed-point iteration
-    assert stats["rhs_evals"] == steps + round(steps * stats["fp_iter_mean"])
+    # an Euler-start evaluation in each of the three steps without a slope
+    # history and in each restarted step, plus one per fixed-point iteration
+    assert stats["fp_restarts"] == 0
+    assert stats["rhs_evals"] == 3 + stats["fp_restarts"] + round(steps * stats["fp_iter_mean"])
     assert 1 <= stats["fp_iter_mean"] <= stats["fp_iter_max"] <= ImplicitMidpoint().max_iter
     assert stats["guard_min"] == guard_min(rec) > 0.0
     assert run(ImplicitMidpoint(), 1e-2).meta == mid

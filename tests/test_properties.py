@@ -12,15 +12,16 @@ are core.phase_terms' bit for bit; every term of core.phase_terms on columns
 is the one-point call's; every row of the column kernels _lagrangian_eval and
 _hamiltonian_eval is bit-identical to the one-row call, and
 <P, rdot> - L = H holds row by row; an implicit-midpoint step is undone by the
-step back; M1 and M3 run the same trajectory where A = 0; and a uniform shift
-of A leaves M3's r(t).
+step back; M1 and M3 run the same trajectory where A = 0; a uniform shift
+of A leaves M3's r(t); and simulate's extrapolated midpoint start changes a
+run only by round-off against a chain of step() calls.
 """
 
 import math
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vacuumflow.core import SUBLUMINAL_EPS, ModelKind, Particle, PhasePoint, init_phase, phase_terms
@@ -34,7 +35,7 @@ from vacuumflow.dynamics import (
     model_rhs,
     point_rhs,
 )
-from vacuumflow.errors import NoConvergence, SubluminalViolation
+from vacuumflow.errors import NoConvergence, NonNegativeField, SubluminalViolation
 from vacuumflow.fields import FOUR_PI, FieldSource, VacuumField, dot3
 from vacuumflow.integrate import _EVENT_MARGIN, ImplicitMidpoint, _guard_margin, simulate, step
 
@@ -375,3 +376,86 @@ def test_uniform_a_shift_leaves_m3_positions(fld, c, data):
     npt.assert_allclose(moved.t, base.t, rtol=0.0, atol=atol)
     npt.assert_allclose(moved.mom - base.mom, np.broadcast_to(fld.q_test * np.array(c), base.mom.shape),
                         rtol=0.0, atol=atol)
+
+
+def stepped_run(model, particle, fld, r0, n_steps, integ, h):
+    """A chain of integrate.step calls, each from the Euler start f(y_n): the
+    states it reached, and the step that raised with its error (None, None if
+    every step ran)."""
+    ph = init_phase(model, particle, fld, r0)
+    states = [[*ph.r, *ph.mom, ph.t]]
+    for k in range(1, n_steps + 1):
+        try:
+            ph = step(integ, model, ph, fld, h)
+        except (SubluminalViolation, NonNegativeField, NoConvergence) as exc:
+            return states, k, exc
+        states.append([*ph.r, *ph.mom, ph.t])
+    return states, None, None
+
+
+def guard_breaks(model, y, fld) -> bool:
+    """Whether point_rhs, the first evaluation of a step from y, raises on a guard."""
+    try:
+        point_rhs(model, y, fld)
+    except (SubluminalViolation, NonNegativeField):
+        return True
+    return False
+
+
+#: a moving-source M3 run whose extrapolated start fails to converge at a step
+#: that the Euler start ends with a guard stop: without the restart from f(y_n),
+#: simulate raises NoConvergence there
+FALLBACK_CASE = dict(
+    fld=VacuumField(w_inf=-0.3567, sources=(FieldSource(qs=-0.9305, r0=(-0.031, 0.6084, -0.0458),
+                                                         uf=(0.1639, 0.3535, -0.3228), eps=0.4181),),
+                    q_test=2.1337, a_uniform=(0.0841, -0.1064, 0.2702), b_uniform=(0.4145, 0.4413, -0.0448)),
+    model=ModelKind.M3, h=1e-2, aim=(0, (-0.4655, 0.0057, -0.2317), 0.8062),
+)
+
+
+@settings(max_examples=150)
+@example(**FALLBACK_CASE)
+@given(fields(), st.sampled_from([ModelKind.M1, ModelKind.M2, ModelKind.M3]), st.sampled_from([1e-3, 1e-2]),
+       st.tuples(st.integers(0, 2), vec(-0.6, 0.6), st.floats(0.0, 0.99)))
+def test_extrapolated_start_changes_only_round_off(fld, model, h, aim):
+    """simulate starts each step from the slope extrapolated from the last three;
+    a chain of step() calls starts from f(y_n).  The particle starts at r0 =
+    source + d, heading for the source at |u0| < 0.99, so some runs end at a
+    guard.  Every state both reach agrees to 1e-9 (1 + |y|), and:
+
+    - a chain that runs through, or stops at a state past the guard, is
+      matched exactly (simulate's record drops that state);
+    - where the chain's own iteration fails from a state inside the guard (its
+      Euler predictor or an iterate crosses it, or it does not converge),
+      simulate gets at least as far, and raises NoConvergence only if the chain
+      did: its better start can converge where the Euler start fails.
+    """
+    src, d, speed = aim
+    d = np.array(d)
+    assume(math.sqrt(dot3(d, d)) > 0.01)
+    r0 = fld.sources[src % len(fld.sources)].r0 + d
+    assume(fld.w(r0, 0.0) < -0.05)
+    particle = Particle(q=fld.q_test, u0=-speed * d / math.sqrt(dot3(d, d)))
+    try:
+        init_phase(model, particle, fld, r0)
+    except SubluminalViolation:
+        assume(False)
+    integ, n_steps = ImplicitMidpoint(), 150
+    states, stop, exc = stepped_run(model, particle, fld, r0, n_steps, integ, h)
+    try:
+        rec = simulate(model, particle, fld, r0, n_steps * h, integ, h)
+    except NoConvergence:
+        assert isinstance(exc, NoConvergence)
+        return
+    if stop is None:
+        assert "termination" not in rec.meta and len(rec) == len(states)
+    elif not isinstance(exc, NoConvergence) and guard_breaks(model, states[-1], fld):
+        states.pop()
+        assert rec.meta["termination"].startswith(f"step {stop}: ") and len(rec) == len(states)
+    else:
+        assert len(rec) >= stop
+    n = min(len(rec), len(states))
+    ref = np.array(states[:n])
+    got = np.column_stack([rec.r, rec.mom, rec.t])[:n]
+    npt.assert_array_less(np.abs(got - ref), 1e-9 * (1.0 + np.abs(ref)))
+
