@@ -127,7 +127,10 @@ class VacuumField:
             state = dict(zip("wgadj", self.point_state(*r.tolist(), float(t))))
             return [np.array(state[c]) for c in parts]
         wanted = tuple(c in parts for c in "wgadj")
-        state = dict(zip("wgadj", self.point_state(r[..., 0], r[..., 1], r[..., 2], t, np.sqrt, wanted)))
+        # far from a source |r - R|^2 overflows to inf and its kernels go to their
+        # 0 limit: the float path does this silently, and so do the columns
+        with np.errstate(over="ignore"):
+            state = dict(zip("wgadj", self.point_state(r[..., 0], r[..., 1], r[..., 2], t, np.sqrt, wanted)))
 
         def stacked(v):  # a component no source reached is still the float it started as
             if isinstance(v, tuple):

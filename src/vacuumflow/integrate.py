@@ -59,11 +59,14 @@ MAX_STEPS = 10**7
 
 
 def step_count(tau_end: float, h: float) -> int:
-    """Recorded steps from 0 to tau_end > 0 at step h > 0, at most MAX_STEPS; ConfigError otherwise."""
+    """Recorded steps from 0 to tau_end > 0 at step 0 < h <= tau_end, at most MAX_STEPS;
+    ConfigError otherwise.  The last recorded tau is within h/2 of tau_end."""
     if not tau_end > 0.0:
         raise ConfigError(f"tau_end: must be > 0, got {tau_end}")
     if not h > 0.0:
         raise ConfigError(f"h: step must be > 0, got {h}")
+    if not h <= tau_end:  # one step of h would run the record to tau = h, past tau_end
+        raise ConfigError(f"h: step must be <= tau_end = {tau_end}, got {h}")
     ratio = tau_end / h
     if not ratio <= MAX_STEPS:  # also rejects inf
         raise ConfigError(f"h: tau_end / h = {ratio:g} steps, more than the cap of {MAX_STEPS}")
@@ -87,6 +90,10 @@ class ImplicitMidpoint:
             raise ConfigError(f"max_iter: must be >= 1, got {self.max_iter}")
 
 
+#: the smallest rtol scipy's RK45 honours; it raises a smaller one to this with a warning
+RK45_RTOL_MIN = 100.0 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class RK45:
     atol: float = 1e-10
@@ -95,8 +102,8 @@ class RK45:
     def __post_init__(self):
         if not self.atol > 0.0:
             raise ConfigError(f"atol: must be > 0, got {self.atol}")
-        if not self.rtol > 0.0:
-            raise ConfigError(f"rtol: must be > 0, got {self.rtol}")
+        if not self.rtol >= RK45_RTOL_MIN:
+            raise ConfigError(f"rtol: must be >= {RK45_RTOL_MIN:.6g}, got {self.rtol}")
 
 
 IntegratorKind = RK4 | ImplicitMidpoint | RK45
@@ -395,8 +402,11 @@ def _simulate_adaptive(model, fld, phase0, rest_mass, integ, h, n_steps):
             # the step; the terminal event decides where the record stops
             return [math.nan] * 7
 
-    sol = solve_ivp(rhs, (0.0, tau_grid[-1]), np.array(_pack(phase0)), method="RK45", t_eval=tau_grid,
-                    rtol=integ.rtol, atol=integ.atol, events=_guard_margin(model, fld))
+    # with a tiny atol, scipy's first-step estimate overflows (f0 / atol where y is
+    # 0); it then starts from its minimum step, and error control takes over
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (0.0, tau_grid[-1]), np.array(_pack(phase0)), method="RK45", t_eval=tau_grid,
+                        rtol=integ.rtol, atol=integ.atol, events=_guard_margin(model, fld))
     if sol.status < 0:
         raise NoConvergence(f"adaptive integration failed: {sol.message}")
     termination = None

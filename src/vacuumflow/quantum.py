@@ -12,11 +12,15 @@ term uses the centered first difference symmetrized as p M + M p; everything is
 tridiagonal (plus cyclic corners) and Hermitian by construction, so the Cayley
 step (1 + i dtau H / 2 hbar) psi' = (1 - i dtau H / 2 hbar) psi is unitary.
 
-The Cayley matrix is the same at every step, so each operator factors it once
-per dtau (LAPACK zgttrf) and every step back-substitutes (zgttrs); on a
-periodic domain the cyclic corners go through a Sherman-Morrison correction
-(Numerical Recipes 2.7) whose pieces are computed with the factor.  The
-result is bit-identical to a fresh tridiagonal solve (gtsv) at every step.
+Since (1 + zH)^-1 (1 - zH) = 2 (1 + zH)^-1 - 1 with z = i dtau / 2 hbar, a
+step is one solve and no product with H: psi' = 2 chi - psi, where
+(1 + zH) chi = psi (the Cayley form of Crank & Nicolson, 1947).  The Cayley
+matrix is the same at every step, so each operator factors it once per dtau
+(LAPACK zgttrf) and every step back-substitutes (zgttrs); on a periodic domain
+the cyclic corners go through a Sherman-Morrison correction (Numerical Recipes
+2.7) whose pieces are computed with the factor.  The result is bit-identical
+to 2 chi - psi with chi from a fresh banded solve at every step, and agrees
+with the (1 - zH) psi-then-solve form to round-off.
 """
 
 from __future__ import annotations
@@ -259,7 +263,7 @@ class _CayleyFactor:
         x = _gttrs(self.lu, rhs)
         if self.corr is not None:
             vy = x[0] + self.ratio * x[-1]
-            x = x - self.corr * (vy / self.denom)
+            x -= self.corr * (vy / self.denom)
         return x
 
 
@@ -274,7 +278,8 @@ def _gttrf(lower, diag, upper):
 
 def _gttrs(lu, rhs):
     x, info = lapack.zgttrs(*lu, rhs)
-    if info != 0 or not np.all(np.isfinite(x)):
+    # a complex value is finite when both its parts are: test the float view
+    if info != 0 or not np.isfinite(x.view(float)).all():
         raise SolveFailure("banded solve produced non-finite values (singular system)")
     return x
 
@@ -282,17 +287,19 @@ def _gttrs(lu, rhs):
 def cn_step_psi(op: TridiagonalOperator, psi: np.ndarray, dtau: float) -> np.ndarray:
     """One Cayley step of the samples: (1 + i dtau H/2hbar) psi' = (1 - i dtau H/2hbar) psi.
 
-    The first step with a given dtau factors the matrix; later ones reuse it.
-    A factor that fails raises SolveFailure and is not kept.
+    With z = i dtau/2hbar, (1 + zH)^-1 (1 - zH) = 2 (1 + zH)^-1 - 1, so the step
+    is psi' = 2 chi - psi with (1 + zH) chi = psi: one banded solve, no product
+    with H.  The first step with a given dtau factors the matrix; later ones
+    reuse it.  A factor that fails raises SolveFailure and is not kept.
     """
-    z = 1j * dtau / (2.0 * op.hbar)
-    rhs = psi - z * op.apply(psi)
     factor = op._factors.get(dtau)
     if factor is None:
-        factor = _CayleyFactor(op, z)
+        factor = _CayleyFactor(op, 1j * dtau / (2.0 * op.hbar))
         op._factors[dtau] = factor
         op.stats["factorizations"] += 1
-    psi1 = factor.solve(rhs)
+    psi1 = factor.solve(psi)
+    psi1 *= 2.0
+    psi1 -= psi
     op.stats["cn_steps"] += 1
     return psi1
 
@@ -340,8 +347,7 @@ def model_gap(state: WaveState, w_profile, a_profile, q: float) -> float:
         state.dx, state.hbar, state.domain,
     )
     diff = h_mod.apply(state.psi) - h_min.apply(state.psi)
-    denom = float(np.linalg.norm(state.psi))
-    return float(np.linalg.norm(diff)) / denom
+    return l2_norm(diff, 1.0) / l2_norm(state.psi, 1.0)
 
 
 # -- common states ---------------------------------------------------------------

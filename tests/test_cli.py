@@ -1,10 +1,14 @@
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -122,6 +126,10 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
     ("r0", {"field": {"w_inf": -1e-3, "sources": [{**_SOURCE, "r0": [0.0, 0.0, 0.0]}]}}),
     # w_inf^2 overflows: rejected at load, even where the start momentum is 0
     ("field.w_inf", {"particle": {"q": 1.0, "u0": [0.0, 0.0, 0.0]}, "field": {"w_inf": -1e308}}),
+    # one step of h would run the record to tau = h, past tau_end
+    ("integrator.h: step must be <= tau_end", {"integrator": {"kind": "rk45", "h": 5.0}}),
+    # below scipy's floor, which RK45 would raise it to with a warning
+    ("integrator.rtol", {"integrator": {"kind": "rk45", "rtol": 1e-16}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
@@ -138,6 +146,96 @@ def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+_ODD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, 1.0, -1.0, 1e-12,
+                     math.nan, math.inf, -math.inf, None, True, "1"]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-3, 100),
+)
+_STDERR_LINE = re.compile(r"(config error|error): |simulate M[0-3]: terminated early: ")
+
+
+def _vec3(bound):
+    return st.lists(st.floats(-bound, bound), min_size=3, max_size=3)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _number_paths(node, path=()):
+    """The key path of every number in a raw config."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from _number_paths(value, (*path, key))
+        elif _is_number(value):
+            yield (*path, key)
+
+
+@st.composite
+def fuzzed_simulate_configs(draw):
+    """A simulate config of the right shape with values in range, then up to two of
+    its numbers replaced by an odd value (zero, subnormal, huge, non-finite, not a
+    number) or scaled by a factor of either sign.  A run takes at most 200 steps.
+    RK45's work depends on the span and the field, not on its recorded steps, so
+    only its atol and rtol are fuzzed."""
+    kind = draw(st.sampled_from(["rk4", "implicit_midpoint", "rk45"]))
+    h = draw(st.floats(1e-3, 0.2))
+    integrator = {"kind": kind, "h": h}
+    if kind == "implicit_midpoint":
+        integrator.update(tol=draw(st.floats(1e-14, 1e-6)), max_iter=draw(st.integers(1, 60)))
+    elif kind == "rk45":
+        integrator.update(atol=draw(st.floats(1e-12, 1e-4)), rtol=draw(st.floats(1e-12, 1e-4)))
+    q = draw(st.floats(-2.0, 2.0))
+    source = st.fixed_dictionaries({"qs": st.floats(-2.0, 2.0), "r0": _vec3(3.0), "uf": _vec3(0.5),
+                                    "eps": st.floats(0.02, 0.5)})
+    raw = {
+        "name": "fuzz",
+        "models": draw(st.lists(st.sampled_from(["M0", "M1", "M2", "M3"]), min_size=1, max_size=4, unique=True)),
+        "particle": {"q": q, "u0": draw(_vec3(0.5))},
+        "r0": draw(_vec3(3.0)),
+        "field": {"w_inf": draw(st.floats(-3.0, -0.1)), "q_test": q, "sources": draw(st.lists(source, max_size=3)),
+                  "a_uniform": draw(_vec3(1.0)), "b_uniform": draw(_vec3(1.0))},
+        "integrator": integrator,
+        "tau_end": h * draw(st.integers(1, 200)),
+    }
+    paths = [p for p in _number_paths(raw) if kind != "rk45" or p[-1] in ("atol", "rtol")]
+    for _ in range(draw(st.integers(0, 2))):
+        *parents, key = draw(st.sampled_from(paths))
+        node = raw
+        for parent in parents:
+            node = node[parent]
+        if _is_number(node[key]) and draw(st.booleans()):
+            node[key] *= draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+        else:
+            node[key] = draw(_ODD_VALUES)
+    h, tau_end = raw["integrator"]["h"], raw["tau_end"]
+    if _is_number(h) and _is_number(tau_end) and h > 0.0 and tau_end > 200.0 * h:
+        raw["tau_end"] = 200.0 * h
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_simulate_configs())
+def test_simulate_exit_code_fuzz(raw):
+    """`vacuumflow simulate` on a fuzzed config exits 0, 1 or 2.  Its stderr holds
+    only its `config error:` or `error:` line and the `terminated early` line of a
+    truncated record: never a traceback, and no numpy or scipy warning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["simulate", "--config", str(path), "--out", tmp, "--quiet"])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert all(_STDERR_LINE.match(line) for line in lines), lines
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert not [w for w in caught if issubclass(w.category, (RuntimeWarning, UserWarning))]
 
 
 def test_overflowing_baseline_is_rejected_at_load(tmp_path, capsys):

@@ -26,9 +26,11 @@ from vacuumflow.presets import standard_flyby
 ORIGIN = np.zeros(3)
 
 
-@pytest.mark.parametrize("tau_end, h, name", [(0.0, 0.1, "tau_end"), (1.0, -0.1, "h"), (1.0, 1e-8, "h")])
+@pytest.mark.parametrize("tau_end, h, name", [(0.0, 0.1, "tau_end"), (1.0, -0.1, "h"), (1.0, 1e-8, "h"),
+                                               (1.0, 2.5, "h")])
 def test_simulate_checks_its_span_through_step_count(uniform_field, tau_end, h, name):
-    """tau_end > 0, h > 0 and the step cap are step_count's, each naming its argument first."""
+    """tau_end > 0, 0 < h <= tau_end and the step cap are step_count's, each naming
+    its argument first: a step longer than the span would run the record past it."""
     with pytest.raises(ConfigError, match=f"^{name}: "):
         simulate(ModelKind.M1, Particle(q=1.0, u0=(0, 0, 0)), uniform_field, ORIGIN, tau_end, RK4(), h)
 
