@@ -52,6 +52,10 @@ _INTEGRATOR_KINDS = tuple(_INTEGRATORS)
 _PARTICLE_KEYS = ("q", "u0")
 _FIELD_KEYS = ("w_inf", "q_test", "sources", "a_uniform", "b_uniform")
 _SOURCE_KEYS = ("qs", "r0", "uf", "eps")
+#: largest maxwell.n_fine, and so n_coarse: one 256^3 float64 array is
+#: 128 MiB, and the fine gauge-violated grid holds about 40 of them (8 levels
+#: of 4 fields, coordinates, source profiles, residual buffers), some 5 GiB
+MAX_GRID_N = 256
 _MAXWELL_DEFAULTS = {"n_coarse": 48, "n_fine": 96, "advected": True, "dump_grids": False}
 _QUANTUM_DEFAULTS = {"steps": 1000}
 _FORCES_DEFAULTS = {"states": 1000}
@@ -194,6 +198,7 @@ def _build_maxwell(raw) -> dict:
     # the residual norms skip a margin of max(3, n // 10) cells on each side
     _require(n_coarse >= 7, f"maxwell.n_coarse: must be >= 7 to leave an interior, got {n_coarse}")
     _require(n_fine > n_coarse, f"maxwell.n_fine: must be > n_coarse = {n_coarse}, got {n_fine}")
+    _require(n_fine <= MAX_GRID_N, f"maxwell.n_fine: must be <= {MAX_GRID_N} (the grid size cap), got {n_fine}")
     out["n_coarse"], out["n_fine"] = n_coarse, n_fine
     return out
 

@@ -11,10 +11,13 @@ concurrently on threads: numpy's float64 ufuncs release the interpreter lock.  A
 whole planes (about 37k cells, so the stencil's reads stay in cache), with the
 whole-grid step's operations in the same order, so every value is
 bit-identical to ``2u - prev + dt^2 (laplacian2(u) + src)`` whatever the band
-count.  The thread pool lives for one ``evolve_wave`` call.  A
-component with no source terms, a boundary pinned to 0 and two all-zero seeded
-levels stays exactly +0.0 and is not evolved (the dipole's ax/ay, the plane
-wave's phi); each new level gets a fresh zero array for it.
+count.  Each span forms its own part of ``src`` from the profiles, in the
+order ``SeparableSources`` sums them, so no whole-grid source array is built.
+The thread pool lives for one ``evolve_wave`` call.  A component is stepped
+only when the step can change it: one with no source terms, two all-zero
+newest levels and all-zero pinned faces at the new time gets a fresh zero
+array with those faces written (the dipole's ax/ay, the plane wave's phi and
+az, whose polarization has a z component of exactly 0.0).
 
 E and B are assembled from the potentials with the same 2nd-order centered
 stencils the evolution uses; the residual divergences and curls are evaluated
@@ -25,7 +28,8 @@ identities and vanish to roundoff, which would make convergence ratios
 meaningless).  Norms are L2 over an interior mask that excludes a 10% margin.
 Only that masked core is assembled, in halo'd x-slabs of 8 planes, with each
 cell's operations in the whole-grid order and each squared residual summed
-whole, so every norm is bit-identical to assembling the whole grid.
+whole, so every norm is bit-identical to assembling the whole grid.  The
+sources, too, are taken per slab: rho on the slab's core, j on its halo.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ def _d2(u, box, axis, h):
 def _d4(u, box, axis, h):
     """4th-order centered d/dx_axis of u on the cells of box."""
     p2, p1, m1, m2 = (_at(u, box, axis, k) for k in (2, 1, -1, -2))
-    return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+    return (8.0 * p1 - p2 - 8.0 * m1 + m2) / (12.0 * h)
 
 
 def _div(v, box, d, h):
@@ -92,8 +96,8 @@ def _curl(v, box, d, h):
 class SeparableSources:
     """rho(r,t) = sum profile * g(t) per component; zero components stay scalar 0.
 
-    With ``out`` the sum is written into that array (same operation order)
-    instead of a fresh one; a component with no terms still returns 0.0.
+    With ``box`` (a tuple of slices) the sum is taken on those cells only,
+    with each cell's operations in the whole-grid order.
     """
 
     def __init__(self, rho_terms=(), jx_terms=(), jy_terms=(), jz_terms=()):
@@ -102,20 +106,23 @@ class SeparableSources:
             "jy": list(jy_terms), "jz": list(jz_terms),
         }
 
-    def _eval(self, name: str, t: float, out=None):
+    def _eval(self, name: str, t: float, box=None):
         terms = self._terms[name]
         if not terms:
             return 0.0
-        acc = np.multiply(terms[0][0], terms[0][1](t), out=out)
+        def cut(profile):
+            return profile if box is None else profile[box]
+
+        acc = cut(terms[0][0]) * terms[0][1](t)
         for profile, g in terms[1:]:
-            acc = np.add(acc, profile * g(t), out=out)
+            acc = acc + cut(profile) * g(t)
         return acc
 
-    def rho(self, t, out=None):
-        return self._eval("rho", t, out)
+    def rho(self, t, box=None):
+        return self._eval("rho", t, box)
 
-    def j(self, t, out=(None, None, None)):
-        return tuple(self._eval(name, t, o) for name, o in zip(("jx", "jy", "jz"), out))
+    def j(self, t, box=None):
+        return tuple(self._eval(name, t, box) for name in ("jx", "jy", "jz"))
 
 
 class AnalyticFarField:
@@ -152,7 +159,10 @@ class GridField:
     """Collocated cube with a rolling history of potential levels."""
 
     FIELD_NAMES = ("phi", "ax", "ay", "az")
-    #: stored time levels; the residuals need 3
+    #: stored time levels.  A residual report needs three consecutive levels;
+    #: the presets report two levels before their last step's, so they need 5
+    #: (at n = 96, levels 29-33 with the report at 30), and more from n = 104
+    #: (presets._retained_levels)
     history = 5
 
     def __init__(self, n: int, h: float, dt: float, sources: SeparableSources,
@@ -225,22 +235,6 @@ class GridField:
 _SOURCE_OF = {"phi": "rho", "ax": "jx", "ay": "jy", "az": "jz"}
 
 
-def _stays_zero(grid: GridField, name: str) -> bool:
-    """True when the leapfrog keeps component ``name`` exactly +0.0.
-
-    That holds with no source terms, a boundary pinned to 0 (no analytic
-    callable) and two all-zero seeded levels: the scalar source 0.0 turns
-    every interior -0.0 into +0.0, and the faces are written as 0.0.
-    """
-    analytic = grid.analytic._phi if name == "phi" else grid.analytic._a
-    return (
-        not grid.sources._terms[_SOURCE_OF[name]]
-        and analytic is None
-        and not grid.levels[-1].field(name).any()
-        and not grid.levels[-2].field(name).any()
-    )
-
-
 #: cells per ufunc call of a band (4 planes at n = 96, 288 KB per scratch
 #: buffer): at 48^3 two threads on 4-plane spans waited on each other for the
 #: interpreter lock between calls and ran slower than one thread
@@ -257,7 +251,7 @@ def _band_count(n: int) -> int:
     return min(cores, max(1, (n - 2) * n * n // _SPAN_CELLS))
 
 
-def _step_band(uf, pf, src, sf, of, n: int, hh: float, dt2: float, x0: int, x1: int) -> None:
+def _step_band(uf, pf, terms, of, n: int, hh: float, dt2: float, x0: int, x1: int) -> None:
     """Leapfrog update of the interior x-planes x0 .. x1-1 of the flat arrays.
 
     It runs in spans of whole planes, about _SPAN_CELLS cells each, one ufunc
@@ -265,12 +259,15 @@ def _step_band(uf, pf, src, sf, of, n: int, hh: float, dt2: float, x0: int, x1: 
     row j = 1 of plane x to row j = n-2 of plane x+k-1, so it also covers the
     face rows j = n-1, j = 0 between its planes; the stencil reads the flat
     offsets +-1 (z), +-n (y) and +-n*n (x), which stay inside the array for
-    1 <= x and x+k <= n-1.
+    1 <= x and x+k <= n-1.  ``terms`` is ``[(flat profile, g(t)), ...]``: each
+    span forms its source as ``SeparableSources`` sums it, the first product
+    and then each further one added; with no terms it adds the scalar 0.0.
     """
     nn = n * n
     span = max(1, _SPAN_CELLS // nn)
     acc = np.empty(span * nn)
     tmp = np.empty(span * nn)
+    more = np.empty(span * nn) if len(terms) > 1 else None
     for x in range(x0, x1, span):
         c = x * nn + n
         e = min(x + span, x1) * nn - n
@@ -283,35 +280,42 @@ def _step_band(uf, pf, src, sf, of, n: int, hh: float, dt2: float, x0: int, x1: 
         np.add(uf[c + 1:e + 1], uf[c - 1:e - 1], out=t)
         a += t
         a /= hh
-        a += src if sf is None else sf[c:e]
+        if terms:
+            np.multiply(terms[0][0][c:e], terms[0][1], out=t)
+            for profile, g in terms[1:]:
+                t += np.multiply(profile[c:e], g, out=more[:e - c])
+            a += t
+        else:
+            a += 0.0
         a *= dt2
         np.multiply(uf[c:e], 2.0, out=t)
         t -= pf[c:e]
         np.add(t, a, out=of[c:e])
 
 
-def _step_field(u: np.ndarray, prev: np.ndarray, src, h: float, dt2: float,
+def _step_field(u: np.ndarray, prev: np.ndarray, terms, h: float, dt2: float,
                 pool: ThreadPoolExecutor | None = None, bands: int = 1) -> np.ndarray:
     """One leapfrog update of one field, its interior x-planes split into bands.
 
-    Every interior value is bit-identical to
-    ``2.0*u - prev + dt2*(laplacian2(u, h) + src)``, whatever the band count:
-    each cell's operations run in the same order.  The bands are contiguous
-    runs of x-planes: the calling thread steps the first and ``pool``'s
-    threads the others, concurrently (numpy's float64 ufuncs release the
-    interpreter lock); with no pool they run one after another.  The
-    x = 0, x = n-1 planes stay unwritten and the other face cells get
+    ``terms`` is the field's source as ``[(flat profile, g(t)), ...]``.  Every
+    interior value is bit-identical to
+    ``2.0*u - prev + dt2*(laplacian2(u, h) + src)``, with ``src`` the
+    ``SeparableSources`` sum of the terms (0.0 for none), whatever the band
+    count: each cell's operations run in the same order.  The bands are
+    contiguous runs of x-planes: the calling thread steps the first and
+    ``pool``'s threads the others, concurrently (numpy's float64 ufuncs
+    release the interpreter lock); with no pool they run one after another.
+    The x = 0, x = n-1 planes stay unwritten and the other face cells get
     wrap-around values: the caller pins all six faces.
     """
     n = u.shape[0]
     uf, pf = u.reshape(-1), prev.reshape(-1)
-    sf = None if np.ndim(src) == 0 else np.broadcast_to(src, u.shape).reshape(-1)
     out = np.empty(u.shape)
     of = out.reshape(-1)
     edges = [1 + (n - 2) * b // bands for b in range(bands + 1)]
 
     def band(b):
-        _step_band(uf, pf, src, sf, of, n, h * h, dt2, edges[b], edges[b + 1])
+        _step_band(uf, pf, terms, of, n, h * h, dt2, edges[b], edges[b + 1])
 
     if pool is None:
         for b in range(bands):
@@ -324,54 +328,80 @@ def _step_field(u: np.ndarray, prev: np.ndarray, src, h: float, dt2: float,
     return out
 
 
+def _pinned_faces(grid: GridField, t: float) -> list[dict]:
+    """Per face of grid._faces, the analytic values of the components that
+    have an analytic callable at time t."""
+    faces = []
+    for face in grid._faces:
+        xf, yf, zf = grid.X[face], grid.Y[face], grid.Z[face]
+        pinned = {}
+        if grid.analytic._phi is not None:
+            pinned["phi"] = grid.analytic.phi(xf, yf, zf, t)
+        if grid.analytic._a is not None:
+            pinned["ax"], pinned["ay"], pinned["az"] = grid.analytic.a(xf, yf, zf, t)
+        faces.append(pinned)
+    return faces
+
+
 def evolve_wave(grid: GridField, steps: int) -> GridField:
     """Second-order leapfrog for all four wave equations, Dirichlet analytic shell.
 
-    Components that stay exactly zero (see ``_stays_zero``) are not evolved:
-    each new level holds a fresh ``np.zeros`` for them.  Each field update is
-    split into ``_band_count(n)`` bands, all but the first stepped on a thread
-    pool that lives for this call only (no pool for one band).
+    Only arithmetic that reaches a stored value is done.  Each step first
+    computes the pinned face values at the new time.  A component with no
+    source terms, two all-zero newest levels and all-zero pinned faces is not
+    stepped: its new level is ``np.zeros`` with the pinned faces written (if
+    it has an analytic callable), which is bit for bit what the step gives,
+    since the scalar source 0.0 turns every interior -0.0 into +0.0.  The
+    levels' zero-ness is checked once per call; the first kernel step of a
+    component marks it non-zero for the rest of the call.  Sources are formed
+    inside the bands (``_step_band``) from the profiles, flattened once per
+    call.  Each field update is split into ``_band_count(n)`` bands, all but
+    the first stepped on a thread pool that lives for this call only (no pool
+    for one band).  The oldest level is dropped before the new one is
+    allocated, so a step holds at most ``grid.history`` levels.
     ``grid.stats`` accumulates ``grid_steps`` and the sorted names of the
-    evolved components.
+    components the kernel stepped.
     """
     if grid.dt > grid.h / _SQRT3:
         raise CFLViolation(f"dt = {grid.dt:g} > h/sqrt(3) = {grid.h / _SQRT3:g}")
     if len(grid.levels) < 2:
         raise InsufficientHistory("grid needs two seeded time levels")
     dt2 = grid.dt * grid.dt
-    n = grid.n
-    evolved = [name for name in grid.FIELD_NAMES if not _stays_zero(grid, name)]
-    zero = [name for name in grid.FIELD_NAMES if name not in evolved]
-    src = {name: np.empty((n,) * 3) if grid.sources._terms[_SOURCE_OF[name]] else None
-           for name in grid.FIELD_NAMES}
-    bands = _band_count(n)
+    shape = (grid.n,) * 3
+    profiles = {name: [(np.broadcast_to(p, shape).reshape(-1), g)
+                       for p, g in grid.sources._terms[_SOURCE_OF[name]]]
+                for name in grid.FIELD_NAMES}
+    # sourceless components whose two newest levels are all zero
+    zero = {name for name in grid.FIELD_NAMES if not profiles[name]
+            and not grid.levels[-1].field(name).any() and not grid.levels[-2].field(name).any()}
+    evolved = set()
+    bands = _band_count(grid.n)
     with ThreadPoolExecutor(bands - 1) if bands > 1 else nullcontext() as pool:
         for _ in range(steps):
             cur, prev = grid.levels[-1], grid.levels[-2]
             t_new = cur.time + grid.dt
-            rho = grid.sources.rho(cur.time, out=src["phi"])
-            jx, jy, jz = grid.sources.j(cur.time, out=(src["ax"], src["ay"], src["az"]))
-            srcs = {"phi": rho, "ax": jx, "ay": jy, "az": jz}
-            new_fields = {name: np.zeros((n,) * 3) for name in zero}
-            for name in evolved:
-                new_fields[name] = _step_field(cur.field(name), prev.field(name), srcs[name],
-                                               grid.h, dt2, pool, bands)
-            for face in grid._faces:
-                xf, yf, zf = grid.X[face], grid.Y[face], grid.Z[face]
-                pinned = {}
-                if grid.analytic._phi is not None:
-                    pinned["phi"] = grid.analytic.phi(xf, yf, zf, t_new)
-                if grid.analytic._a is not None:
-                    pinned["ax"], pinned["ay"], pinned["az"] = grid.analytic.a(xf, yf, zf, t_new)
-                for name in evolved:
+            faces = _pinned_faces(grid, t_new)
+            if len(grid.levels) >= grid.history:
+                grid.levels.pop(0)
+            new_fields = {}
+            for name in grid.FIELD_NAMES:
+                if name in zero and not any(np.any(f[name]) for f in faces if name in f):
+                    new_fields[name] = np.zeros(shape)
+                    if name not in faces[0]:
+                        continue  # no analytic callable: the faces stay +0.0
+                else:
+                    terms = [(p, g(cur.time)) for p, g in profiles[name]]
+                    new_fields[name] = _step_field(cur.field(name), prev.field(name), terms,
+                                                   grid.h, dt2, pool, bands)
+                    zero.discard(name)
+                    evolved.add(name)
+                for face, pinned in zip(grid._faces, faces):
                     new_fields[name][face] = pinned.get(name, 0.0)
             grid.levels.append(Level(cur.index + 1, t_new, new_fields["phi"],
                                      new_fields["ax"], new_fields["ay"], new_fields["az"]))
-            if len(grid.levels) > grid.history:
-                grid.levels.pop(0)
     if steps > 0:
         grid.stats["grid_steps"] += steps
-        grid.stats["evolved"] = sorted(set(grid.stats["evolved"]) | set(evolved))
+        grid.stats["evolved"] = sorted(set(grid.stats["evolved"]) | evolved)
     return grid
 
 
@@ -428,11 +458,8 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
     # squares of gauss, faraday x/y/z, ampere x/y/z, nomono, gauge, continuity
     sq = np.empty((10,) + (max(hi - lo, 0),) * 3)
 
-    rho = grid.sources.rho(cur.time)
-    j = grid.sources.j(cur.time)
-    rho_p = grid.sources.rho(prev.time)
-    rho_n = grid.sources.rho(nxt.time)
-    sourced = np.ndim(rho_n) > 0 or any(np.ndim(c) > 0 for c in j)
+    terms = grid.sources._terms
+    sourced = any(terms[name] for name in ("rho", "jx", "jy", "jz"))
     a_cur = (cur.ax, cur.ay, cur.az)
 
     def part(src, box):
@@ -455,21 +482,27 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
                    for f in ("ax", "ay", "az")]
         de_dt = [-d2a_dt2[i] - _d2(dphi_dt, inner, i, h) for i in range(3)]
 
+        # sources on this slab: rho on the core, j on the halo for div j
+        rho = grid.sources.rho(cur.time, core)
+        j = grid.sources.j(cur.time, halo)
+
         # residual operators (4th order)
-        np.square(_div(e, inner, _d4, h) - part(rho, core), out=slab[0])
+        np.square(_div(e, inner, _d4, h) - rho, out=slab[0])
         curl_e = _curl(e, inner, _d4, h)
         curl_b = _curl(b, inner, _d4, h)
         for i in range(3):
             np.square(curl_e[i] + db_dt[i], out=slab[1 + i])
-            np.square(curl_b[i] - de_dt[i] - part(j[i], core), out=slab[4 + i])
+            np.square(curl_b[i] - de_dt[i] - part(j[i], inner), out=slab[4 + i])
         np.square(_div(b, inner, _d4, h), out=slab[7])
         np.square(dphi_dt[inner] + _div(a_cur, core, _d4, h), out=slab[8])
         if sourced:
-            drho_dt = (rho_n[core] - rho_p[core]) / (2.0 * dt) if np.ndim(rho_n) > 0 else 0.0
+            drho_dt = 0.0
+            if terms["rho"]:
+                drho_dt = (grid.sources.rho(nxt.time, core) - grid.sources.rho(prev.time, core)) / (2.0 * dt)
             div_j = 0.0
             for axis, comp in enumerate(j):
                 if np.ndim(comp) > 0:
-                    div_j = div_j + _d4(comp, core, axis, h)
+                    div_j = div_j + _d4(comp, inner, axis, h)
             np.square(drho_dt + div_j, out=slab[9])
 
     return ResidualReport(

@@ -158,6 +158,13 @@ def _grid_steps(n: int) -> tuple[float, float, int, int]:
     return h, dt, steps, report_index
 
 
+def _retained_levels(steps: int, report_index: int) -> int:
+    """Levels a preset grid keeps: the residual report needs levels
+    report_index - 1 .. steps + 1 (the newest).  GridField.history (5) covers
+    n <= 103; from n = 104 some sizes need 6, and n = 256 needs 8."""
+    return max(GridField.history, steps + 3 - report_index)
+
+
 def plane_wave_grid(n: int = 48) -> tuple[GridField, int, int]:
     """Oblique transverse plane wave, zero sources; returns (grid, steps, report)."""
     h, dt, steps, report_index = _grid_steps(n)
@@ -174,6 +181,7 @@ def plane_wave_grid(n: int = 48) -> tuple[GridField, int, int]:
         return amp * pol[0] * phase, amp * pol[1] * phase, amp * pol[2] * phase
 
     grid = GridField(n, h, dt, SeparableSources(), AnalyticFarField(a=a_fn))
+    grid.history = _retained_levels(steps, report_index)
     grid.seed_from_analytic()
     return grid, steps, report_index
 
@@ -210,6 +218,7 @@ def dipole_grid(n: int = 48, gauge_violation: float = 0.0) -> tuple[GridField, i
         )
 
     grid = GridField(n, h, dt, SeparableSources(), AnalyticFarField())
+    grid.history = _retained_levels(steps, report_index)
     gauss_prof = amp * np.exp(-(grid.X**2 + grid.Y**2 + grid.Z**2) / (2.0 * sigma * sigma))
     rho_prof = gauss_prof * grid.Z / (sigma * sigma)  # -d/dz of the blob
     grid.sources = SeparableSources(

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from vacuumflow import verify
 from vacuumflow.cli import main
-from vacuumflow.config import DEFAULT_TOLERANCES, load_config, validate_config
+from vacuumflow.config import DEFAULT_TOLERANCES, MAX_GRID_N, load_config, validate_config
 from vacuumflow.dynamics import ForceKind, force
 from vacuumflow.errors import ConfigError
 
@@ -254,6 +254,16 @@ def test_overflowing_baseline_is_rejected_at_load(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     with pytest.raises(ConfigError, match="field.w_inf"):
         validate_config(raw)
+
+
+def test_maxwell_grid_size_above_the_cap_exit_2(tmp_path, capsys):
+    """n_fine = 100000 used to end in numpy's _ArrayMemoryError and exit 1; the
+    cap rejects it at load (far above the cap, so nothing could allocate)."""
+    cfg = _free_config(tmp_path, maxwell={"n_fine": 100000})
+    assert main(["maxwell", "--config", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: maxwell.n_fine: must be <= {MAX_GRID_N}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("model", ["M2", "M3"])

@@ -29,7 +29,8 @@ from vacuumflow.maxwell import (
     sample_scalar_series,
     solution_error,
 )
-from vacuumflow.presets import advected_setup, dipole_grid, plane_wave_grid
+from vacuumflow.config import MAX_GRID_N
+from vacuumflow.presets import _grid_steps, _retained_levels, advected_setup, dipole_grid, plane_wave_grid
 from vacuumflow.verify import prop1_suite
 
 
@@ -317,8 +318,9 @@ def _signed_zeros(rng, shape):
 
 @st.composite
 def random_grids(draw, sizes=st.integers(5, 12)):
-    """(grid, steps, expected evolved names) with random seeded levels, 0-2
-    separable source terms per component and optional analytic callables."""
+    """(grid, steps, expected evolved names) with random seeded levels, 0-3
+    separable source terms per component and optional analytic callables,
+    whose faces are zero (signed) outside a drawn switch-on window."""
     n = draw(sizes)
     h = draw(st.floats(0.05, 0.5))
     dt = draw(st.floats(0.05, 1.0)) * h / math.sqrt(3.0)
@@ -329,17 +331,19 @@ def random_grids(draw, sizes=st.integers(5, 12)):
     terms = {}
     for key in ("rho", "jx", "jy", "jz"):
         terms[key] = []
-        for _ in range(draw(st.integers(0, 2))):
+        for _ in range(draw(st.integers(0, 3))):
             amp, w, p = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 6.3))
             terms[key].append((rng.standard_normal(shape), lambda t, amp=amp, w=w, p=p: amp * math.cos(w * t + p)))
     k = draw(st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    t_on = draw(st.floats(0.0, 6.0)) * dt
+    t_off = t_on + draw(st.floats(0.0, 6.0)) * dt
     phi = a = None
     if draw(st.booleans()):
         def phi(x, y, z, t):
-            return np.sin(k[0] * x + k[1] * y + k[2] * z - 2.0 * t)
+            return np.sin(k[0] * x + k[1] * y + k[2] * z - 2.0 * t) * float(t_on <= t < t_off)
     if draw(st.booleans()):
         def a(x, y, z, t):
-            c = np.cos(k[0] * x - k[1] * y + k[2] * z - 1.5 * t)
+            c = np.cos(k[0] * x - k[1] * y + k[2] * z - 1.5 * t) * float(t_on <= t < t_off)
             return 0.5 * c, -c, 0.0 * c
     grid = GridField(n, h, dt, SeparableSources(terms["rho"], terms["jx"], terms["jy"], terms["jz"]),
                      AnalyticFarField(phi=phi, a=a))
@@ -352,13 +356,31 @@ def random_grids(draw, sizes=st.integers(5, 12)):
                 u = rng.standard_normal(shape)
                 fields[name] = np.where(rng.random(shape) < 0.1, _signed_zeros(rng, shape), u)
         grid.levels.append(Level(idx, idx * dt, **fields))
+    steps = draw(st.integers(1, 4))
+    stepped = [dt]  # the new levels' times, as evolve_wave accumulates them
+    for _ in range(steps):
+        stepped.append(stepped[-1] + dt)
     source_of = {"phi": "rho", "ax": "jx", "ay": "jy", "az": "jz"}
-    analytic_of = {"phi": phi, "ax": a, "ay": a, "az": a}
+
+    def face_nonzero(name, t):
+        for face in grid._faces:
+            xyz = grid.X[face], grid.Y[face], grid.Z[face]
+            if name == "phi":
+                values = () if phi is None else (phi(*xyz, t),)
+            else:
+                values = () if a is None else (a(*xyz, t)["xyz".index(name[1])],)
+            if any(np.any(v) for v in values):
+                return True
+        return False
+
+    # a sourceless component with two zero seeded levels is stepped only once
+    # one of its faces is non-zero at a stepped time
     evolved = sorted(
         name for name in GridField.FIELD_NAMES
-        if not (zero_levels[name] == (0, 1) and not terms[source_of[name]] and analytic_of[name] is None)
+        if zero_levels[name] != (0, 1) or terms[source_of[name]]
+        or any(face_nonzero(name, t) for t in stepped[1:])
     )
-    return grid, draw(st.integers(1, 4)), evolved
+    return grid, steps, evolved
 
 
 def _copy_grid(grid):
@@ -386,12 +408,12 @@ def test_band_split_matches_whole_grid_step(case, bands, span_planes, threaded):
     grid, _, _ = case
     want = _reference_evolve(_copy_grid(grid), 1).levels[-1]
     cur, prev = grid.levels[-1], grid.levels[-2]
-    srcs = dict(zip(grid.FIELD_NAMES, (grid.sources.rho(cur.time), *grid.sources.j(cur.time))))
     core = (slice(1, -1),) * 3
     with mock.patch.object(maxwell, "_SPAN_CELLS", span_planes * grid.n**2), \
             ThreadPoolExecutor(bands - 1) if threaded and bands > 1 else nullcontext() as pool:
-        for name in grid.FIELD_NAMES:
-            got = maxwell._step_field(cur.field(name), prev.field(name), srcs[name], grid.h,
+        for name, key in zip(grid.FIELD_NAMES, ("rho", "jx", "jy", "jz")):
+            terms = [(p.reshape(-1), g(cur.time)) for p, g in grid.sources._terms[key]]
+            got = maxwell._step_field(cur.field(name), prev.field(name), terms, grid.h,
                                       grid.dt * grid.dt, pool, bands)[core]
             assert np.array_equal(got, want.field(name)[core]), name
             assert np.array_equal(np.signbit(got), np.signbit(want.field(name)[core])), name
@@ -423,11 +445,13 @@ def test_zero_start_component_with_source_boundary_or_perturbation_is_evolved():
     evolve_wave(dipole, steps)
     assert dipole.stats == {"grid_steps": steps, "evolved": ["az", "phi"]}
     assert not dipole.levels[-1].ax.any() and not np.signbit(dipole.levels[-1].ay).any()
-    # plane wave: az starts at zero but its boundary is analytic; phi stays zero
+    # plane wave: az has an analytic boundary, but the polarization's z
+    # component is 0.0, so its faces stay zero and it is not stepped; nor is phi
     plane, steps, _ = plane_wave_grid(16)
     assert not plane.levels[0].az.any() and not plane.levels[1].az.any()
     evolve_wave(plane, steps)
-    assert plane.stats == {"grid_steps": steps, "evolved": ["ax", "ay", "az"]}
+    assert plane.stats == {"grid_steps": steps, "evolved": ["ax", "ay"]}
+    assert not plane.levels[-1].az.any() and not plane.levels[-1].phi.any()
     # violated dipole: perturb_initial_a makes ax and ay nonzero
     violated, steps, _ = dipole_grid(16, gauge_violation=0.08)
     evolve_wave(violated, steps)
@@ -441,7 +465,7 @@ def test_prop1_suite_reports_grid_counters():
     suite = prop1_suite(n_coarse=16, n_fine=24)
     assert suite["dipole"]["coarse"]["stats"] == {"grid_steps": 5, "evolved": ["az", "phi"]}
     assert suite["dipole"]["fine"]["stats"]["evolved"] == ["az", "phi"]
-    assert suite["plane"]["fine"]["stats"]["evolved"] == ["ax", "ay", "az"]
+    assert suite["plane"]["fine"]["stats"]["evolved"] == ["ax", "ay"]
     assert suite["violated"]["coarse"]["stats"]["evolved"] == ["ax", "ay", "az", "phi"]
 
 
@@ -472,13 +496,64 @@ def test_residual_assembly_peak_memory():
     assert peak <= 24 * 48**3 * 8, peak / (48**3 * 8)
 
 
-def test_sources_out_matches_fresh_arrays():
+def test_sources_box_matches_whole_grid_slice():
     rng = np.random.default_rng(3)
     terms = [(rng.standard_normal((6, 6, 6)), lambda t, w=w: math.cos(w * t)) for w in (0.5, 1.5, 2.5)]
     src = SeparableSources(rho_terms=terms, jy_terms=terms[:1])
-    buf = np.empty((6, 6, 6))
-    assert src.rho(0.3, out=buf) is buf
-    assert np.array_equal(buf, src.rho(0.3))
-    jx, jy, jz = src.j(0.3, out=(None, buf, None))
-    assert jx == 0.0 and jz == 0.0 and jy is buf
-    assert np.array_equal(buf, terms[0][0] * math.cos(0.15))
+    box = (slice(1, 4), slice(0, 6), slice(2, 5))
+    got = src.rho(0.3, box)
+    assert got.shape == (3, 6, 3)
+    assert np.array_equal(got, src.rho(0.3)[box])
+    jx, jy, jz = src.j(0.3, box)
+    assert jx == 0.0 and jz == 0.0
+    assert np.array_equal(jy, terms[0][0][box] * math.cos(0.15))
+
+
+def _traced_growth(fn, n):
+    """Peak traced memory of fn() above the traced memory before it, in n^3 float64 arrays."""
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    fn()
+    return (tracemalloc.get_traced_memory()[1] - start) / (n**3 * 8)
+
+
+def test_wave_step_and_residual_sources_allocate_no_extra_grid_arrays():
+    """With a full history, a step drops the oldest level before it allocates
+    the new one and forms its sources inside the bands (the whole-grid source
+    buffers and the level above history cost six grid arrays); the residual
+    assembly takes its sources per slab (whole-grid ones cost four arrays)."""
+    n = 64
+    tracemalloc.start()
+    try:
+        grid, steps, report = dipole_grid(n, gauge_violation=0.08)
+        evolve_wave(grid, grid.history - 2)
+        assert len(grid.levels) == grid.history
+        assert _traced_growth(lambda: evolve_wave(grid, 4), n) < 2.0
+        evolve_wave(grid, steps - (grid.history - 2) - 4)  # on to the preset's last step
+        sourced = _traced_growth(lambda: maxwell_residuals(grid, report), n)
+        grid.sources = SeparableSources()
+        unsourced = _traced_growth(lambda: maxwell_residuals(grid, report), n)
+    finally:
+        tracemalloc.stop()
+    assert sourced - unsourced < 1.0, (sourced, unsourced)
+
+
+def test_presets_retain_the_report_levels():
+    """For every preset size up to the config cap, the residual report's three
+    levels are still retained after the run (arithmetic only)."""
+    for n in range(16, MAX_GRID_N + 1):
+        _, _, steps, report = _grid_steps(n)
+        history = _retained_levels(steps, report)
+        newest = 1 + steps  # two seeded levels, then one per step
+        assert newest - history + 1 <= report - 1 and report + 1 <= newest, (n, history)
+        if n <= 103:
+            assert history == GridField.history, n
+
+
+def test_report_levels_retained_at_n_104():
+    """n = 104 is the first preset size whose report needs 6 levels."""
+    grid, steps, report = plane_wave_grid(104)
+    assert grid.history == 6
+    evolve_wave(grid, steps)
+    assert [lv.index for lv in grid.levels] == list(range(report - 1, steps + 2))
+    assert maxwell_residuals(grid, report).continuity == 0.0
