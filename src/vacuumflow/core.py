@@ -15,8 +15,8 @@ Model dictionary:
 
 phase_terms is the one column definition of every model's phase-space terms,
 checking nothing; checked_phase_terms adds a phase point's checks (W < 0,
-then the guard).  dynamics.point_rhs and the RK45 guard event keep their own
-float arithmetic, each pinned to phase_terms bit for bit by a property test.
+then the guard).  dynamics.point_rhs keeps its own float arithmetic, pinned
+to phase_terms bit for bit by a property test.
 
 All types here are immutable values; every operation is pure.
 """

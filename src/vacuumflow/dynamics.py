@@ -28,7 +28,7 @@ and the trajectory diagnostics and the random-state criteria 4-5 (verify)
 call the kernels on whole columns.  point_rhs, the integrator hot path, calls
 point_state on plain floats and keeps its own inline model arithmetic, pinned
 bit for bit to core.phase_terms by a property test; it raises on a broken
-guard, and the RK45 driver turns that into a rejected trial stage.
+guard, and RK45 (integrate) counts that as a rejected trial step.
 """
 
 from __future__ import annotations

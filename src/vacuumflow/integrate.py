@@ -8,9 +8,12 @@ clock rate within each step; for RK4/RK45 the clock inherits the integrator's
 own order.
 
 Implicit midpoint (fixed-point iteration) is the symplectic default; RK4 is
-the fixed-step explicit alternative; RK45 wraps scipy's adaptive solver, which
-rejects a trial stage past a guard (NaN derivatives) and whose terminal guard
-event (_guard_margin) ends the record.
+the fixed-step explicit alternative; RK45 is the adaptive Dormand & Prince
+(1980) 5(4) pair with the dense output of Hairer, Norsett & Wanner, Solving
+ODEs I, II.5-II.6, and the first-step rule and step control of scipy's RK45,
+stepped on plain floats here.  A trial stage past a guard (point_rhs raises)
+rejects its step with the smallest step factor.  Every integrator's record
+ends before its first sample past a guard (_build_record).
 
 Within simulate, each implicit-midpoint step after the third starts its
 iteration from the midpoint slope extrapolated from the last three steps
@@ -27,13 +30,12 @@ simulate with.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from operator import sub
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .core import (
     SUBLUMINAL_EPS,
@@ -49,13 +51,16 @@ from .dynamics import point_rhs
 from .errors import ConfigError, NoConvergence, NonNegativeField, NoOverlap, SubluminalViolation
 from .fields import VacuumField, as_vec3
 
-#: event margin for the adaptive integrator; generous so the solver localizes
-#: the crossing before trial stages hit the hard 1e-12 guard
-_EVENT_MARGIN = 1e-9
-
 #: the most recorded steps one run may take: at this cap the (steps + 1, 7)
 #: float64 state array is 560 MB
 MAX_STEPS = 10**7
+
+#: RK45 ends its record when its right-hand-side evaluations exceed this many
+#: per recorded step of the run; the shipped runs take 1-3
+RK45_MAX_EVALS = 1000
+
+#: accepted RK45 steps whose samples the dense output fills in one batch
+_DENSE_BATCH = 1024
 
 
 def step_count(tau_end: float, h: float) -> int:
@@ -90,7 +95,8 @@ class ImplicitMidpoint:
             raise ConfigError(f"max_iter: must be >= 1, got {self.max_iter}")
 
 
-#: the smallest rtol scipy's RK45 honours; it raises a smaller one to this with a warning
+#: the smallest rtol RK45 accepts (scipy's floor): below it the error target
+#: sits under the round-off of a step
 RK45_RTOL_MIN = 100.0 * np.finfo(float).eps
 
 
@@ -209,6 +215,87 @@ def _step_midpoint(f, y, h, tol, max_iter, k0=None):
     )
 
 
+# Dormand & Prince (1980) 5(4), scipy's RK45 values: the stage rows of A, the
+# weights B of the fifth-order solution, E = B - B^ of the error estimate (over
+# all seven slopes, the last f(y1)), and P, the fourth-order dense output of
+# Shampine (1986) (Hairer, Norsett & Wanner, Solving ODEs I, II.6), one row of
+# x, x^2, x^3, x^4 coefficients per slope.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)  # B2 = 0 left out
+_DP_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)  # E2 = 0 left out
+_DP_P = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+def _rms(v, scale):
+    """The RMS of v / scale over the components, summed left to right."""
+    total = 0.0
+    for a, b in zip(v, scale):
+        q = a / b
+        total += q * q
+    return math.sqrt(total) / 7 ** 0.5
+
+
+def _step_dopri5(f, y, k1, h, atol, rtol):
+    """One Dormand-Prince trial step of size h from y, k1 = f(y): (y1, slopes, error).
+
+    slopes are the seven stage slopes, the last f(y1) (the next step's k1);
+    error is the RMS of err / (atol + max(|y|, |y1|) rtol), and the step is
+    accepted below 1.  The stage sums run left to right on plain floats.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _DP_A
+    b1, b3, b4, b5, b6 = _DP_B
+    e1, e3, e4, e5, e6, e7 = _DP_E
+    k2 = f([a + (a21 * c1) * h for a, c1 in zip(y, k1)])
+    k3 = f([a + (a31 * c1 + a32 * c2) * h for a, c1, c2 in zip(y, k1, k2)])
+    k4 = f([a + (a41 * c1 + a42 * c2 + a43 * c3) * h for a, c1, c2, c3 in zip(y, k1, k2, k3)])
+    k5 = f([a + (a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4) * h
+            for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)])
+    k6 = f([a + (a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5) * h
+            for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)])
+    y1 = [a + h * (b1 * c1 + b3 * c3 + b4 * c4 + b5 * c5 + b6 * c6)
+          for a, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = f(y1)
+    err = [(e1 * c1 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6 + e7 * c7) * h
+           for c1, c3, c4, c5, c6, c7 in zip(k1, k3, k4, k5, k6, k7)]
+    scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y1)]
+    return y1, (k1, k2, k3, k4, k5, k6, k7), _rms(err, scale)
+
+
+def _first_step(f, y, k1, span, atol, rtol):
+    """scipy's first RK45 step (Hairer, Norsett & Wanner, II.4), at most span.
+
+    It spends one evaluation, at y + h0 k1.  Where that evaluation trips a
+    guard its slope difference counts as NaN, which max() passes over, as
+    scipy's NaN derivatives do.  Where k1 / atol overflows, the estimate is 0
+    and the run starts from its smallest step.
+    """
+    scale = [atol + abs(a) * rtol for a in y]
+    d0, d1 = _rms(y, scale), _rms(k1, scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    try:
+        k2 = f([a + h0 * b for a, b in zip(y, k1)])
+        d2 = _rms(map(sub, k2, k1), scale) / h0 if h0 > 0.0 else math.inf
+    except (SubluminalViolation, NonNegativeField):
+        d2 = math.nan
+    d = max(d1, d2)
+    h1 = max(1e-6, h0 * 1e-3) if d <= 1e-15 else (0.01 / d) ** 0.2
+    return min(100.0 * h0, h1, span)
+
+
 def step(
     integrator: IntegratorKind,
     model: ModelKind,
@@ -248,27 +335,27 @@ def _build_record(model, integ, h, fld, taus, state, rest_mass, stats, terminati
     the samples.  stats gains guard_min, the smallest guard W^2 - |k|^2 over
     the samples (not for M0, which has no such guard).
 
-    A fixed-step record ends before its first state with W >= 0 or a guard
+    Every record ends before its first state with W >= 0 or a guard
     <= SUBLUMINAL_EPS, and the error that f raises there is the termination
     (step n + 1, the step that starts there).  RK4 and the Euler start
     evaluate f at a step's start state, but a step from the extrapolated
-    slope does not, so such a state can lie inside the run.
+    slope does not, and an RK45 sample comes from the dense output, so such a
+    state can lie inside the run.
     """
     if model is ModelKind.M0:
         state[:, 6] = taus  # lab clock is the independent variable
     terms = phase_terms(model, state[:, 0:3], state[:, 3:6], state[:, 6], fld, rest_mass)
-    if not isinstance(integ, RK45):
-        valid = terms.w < 0.0
-        if terms.guard is not None:
-            valid &= terms.guard > SUBLUMINAL_EPS
-        if not valid.all():
-            n = int(np.argmin(valid))
-            try:
-                point_rhs(model, state[n].tolist(), fld, rest_mass)
-            except (SubluminalViolation, NonNegativeField) as exc:
-                termination = f"step {n + 1}: {exc}"
-            taus, state = taus[:n], state[:n]
-            terms = PhaseTerms(*(c[:n] if np.ndim(c) else c for c in terms))
+    valid = terms.w < 0.0
+    if terms.guard is not None:
+        valid &= terms.guard > SUBLUMINAL_EPS
+    if not valid.all():
+        n = int(np.argmin(valid))
+        try:
+            point_rhs(model, state[n].tolist(), fld, rest_mass)
+        except (SubluminalViolation, NonNegativeField) as exc:
+            termination = f"step {n + 1}: {exc}"
+        taus, state = taus[:n], state[:n]
+        terms = PhaseTerms(*(c[:n] if np.ndim(c) else c for c in terms))
     if terms.guard is not None:
         stats["guard_min"] = float(np.min(terms.guard))
     # column by column: numpy broadcasts over a trailing axis of 3 slowly
@@ -305,20 +392,23 @@ def simulate(
     """Integrate from init_phase to tau_end, recording every h.
 
     Terminates early with a diagnostic in meta["termination"] if a model
-    invariant trips (fixed-step integrators) or the guard event fires (RK45).
+    invariant trips, or if RK45's step collapses or exceeds its evaluation cap.
     """
     n_steps = step_count(tau_end, h)
     r0 = as_vec3(r0)
     phase0 = init_phase(model, particle, fld, r0)
     rest_mass = emergent_rest_mass(particle, fld, r0) if model is ModelKind.M0 else None
 
-    if isinstance(integrator, RK45):
-        return _simulate_adaptive(model, fld, phase0, rest_mass, integrator, h, n_steps)
-
     f = _rhs(model, fld, rest_mass)
     y = _pack(phase0)
+    taus = h * np.arange(n_steps + 1)
     state = np.empty((n_steps + 1, 7))
     state[0] = y
+    if isinstance(integrator, RK45):
+        n, accepted, rejected, termination = _run_dopri5(f, y, taus, integrator, state)
+        stats = {"nfev": f.calls, "accepted": accepted, "rejected": rejected}
+        return _build_record(model, integrator, h, fld, taus[:n], state[:n], rest_mass, stats, termination)
+
     n = 1
     iter_sum = iter_max = restarts = 0
     slopes = deque(maxlen=3)  # midpoint slopes of the last three steps, oldest first
@@ -342,8 +432,7 @@ def simulate(
         stats["fp_iter_max"] = iter_max
         stats["fp_iter_mean"] = iter_sum / (n - 1) if n > 1 else 0.0
         stats["fp_restarts"] = restarts
-    return _build_record(model, integrator, h, fld, h * np.arange(n), state[:n], rest_mass, stats,
-                         termination)
+    return _build_record(model, integrator, h, fld, taus[:n], state[:n], rest_mass, stats, termination)
 
 
 def _run_midpoint_step(f, y, h, integ, slopes):
@@ -373,47 +462,91 @@ def _run_midpoint_step(f, y, h, integ, slopes):
     return y1, wasted + it, restarted
 
 
-def _guard_margin(model, fld):
-    q = fld.q_test
-    floor = max(_EVENT_MARGIN, 10.0 * SUBLUMINAL_EPS)
+def _run_dopri5(f, y, taus, integ, state):
+    """Step RK45 from y = state[0] to taus[-1], filling state[j] at taus[j] from
+    the dense output: (samples filled, accepted steps, rejected steps, termination).
 
-    def margin(_s, y):
-        x, yy, z, px, py, pz, t = y.tolist()
-        w, _gw, (ax, ay, az), _adot, _jac = fld.point_state(x, yy, z, t)
-        if model is ModelKind.M0:
-            return -w - _EVENT_MARGIN
-        if model is ModelKind.M3:
-            px, py, pz = px - q * ax, py - q * ay, pz - q * az
-        return w * w - (px * px + py * py + pz * pz) - floor
-
-    margin.terminal = True
-    margin.direction = -1
-    return margin
-
-
-def _simulate_adaptive(model, fld, phase0, rest_mass, integ, h, n_steps):
-    tau_grid = h * np.arange(n_steps + 1)
-
-    def rhs(_s, y):
-        try:
-            return point_rhs(model, y.tolist(), fld, rest_mass)
-        except (SubluminalViolation, NonNegativeField):
-            # a trial stage past a guard: RK45's step-size control rejects
-            # the step; the terminal event decides where the record stops
-            return [math.nan] * 7
-
-    # with a tiny atol, scipy's first-step estimate overflows (f0 / atol where y is
-    # 0); it then starts from its minimum step, and error control takes over
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, tau_grid[-1]), np.array(_pack(phase0)), method="RK45", t_eval=tau_grid,
-                        rtol=integ.rtol, atol=integ.atol, events=_guard_margin(model, fld))
-    if sol.status < 0:
-        raise NoConvergence(f"adaptive integration failed: {sol.message}")
+    scipy's step control: a rejected step shrinks by max(0.2, 0.9 error^-1/5),
+    an accepted one grows by min(10, 0.9 error^-1/5) (at most 1 after a
+    rejection), and the last one is cut at taus[-1].  A trial stage that
+    raises rejects its step with factor 0.2.  The run ends with a termination
+    when the step falls below 10 ulps of tau, or when its evaluations exceed
+    RK45_MAX_EVALS per recorded step of the run.
+    """
+    grid = taus.tolist()
+    t, t_end = 0.0, grid[-1]
+    k1 = f(y)
+    h_abs = _first_step(f, y, k1, t_end, integ.atol, integ.rtol)
+    accepted = rejected = 0
+    j = 1  # the next sample to fill
+    budget = RK45_MAX_EVALS * (len(grid) - 1)
+    pending = []  # accepted steps that reach samples not yet filled
     termination = None
-    if sol.status == 1:
-        termination = f"guard event at tau = {sol.t_events[0][0]:.6g}"
-    stats = {"nfev": int(sol.nfev)}
-    return _build_record(model, integ, h, fld, sol.t, sol.y.T, rest_mass, stats, termination)
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        if not h_abs >= min_step:  # also a NaN first step
+            h_abs = min_step
+        retried, error = False, None
+        while True:
+            if h_abs < min_step:
+                termination = f"step {j}: RK45 step fell below 10 ulps of tau = {t:.6g}"
+                if error is not None:
+                    termination += f" after a trial stage raised: {error}"
+                break
+            if f.calls > budget:
+                termination = (f"step {j}: RK45 took more than {budget} evaluations, "
+                               f"{RK45_MAX_EVALS} per recorded step")
+                break
+            t_new = min(t + h_abs, t_end)
+            h_abs = t_new - t
+            try:
+                y1, slopes, err = _step_dopri5(f, y, k1, h_abs, integ.atol, integ.rtol)
+            except (SubluminalViolation, NonNegativeField) as exc:
+                error, err = exc, math.inf
+            if err < 1.0:
+                break
+            rejected += 1
+            retried = True
+            h_abs *= max(0.2, 0.9 * err ** -0.2)  # 0.2 for an infinite or NaN error
+        if termination is not None:
+            break
+        accepted += 1
+        factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+        reach = bisect_right(grid, t_new, j)
+        if reach > j:
+            pending.append((j, reach, t, h_abs, y, slopes))
+            j = reach
+            if len(pending) == _DENSE_BATCH:
+                _dense_fill(state, taus, pending)
+                pending.clear()
+        h_abs *= min(1.0, factor) if retried else factor
+        t, y, k1 = t_new, y1, slopes[6]
+    if pending:
+        _dense_fill(state, taus, pending)
+    return j, accepted, rejected, termination
+
+
+def _dense_fill(state, taus, steps):
+    """Fill the samples j0:j1 of each accepted step (j0, j1, t, h, y, slopes):
+    y + h (Q1 x + Q2 x^2 + Q3 x^3 + Q4 x^4) at x = (tau - t) / h, with Qc the
+    slopes weighted by column c of _DP_P.  Elementwise numpy over all the
+    steps at once, in one fixed order: no dot product and no reduction, so no
+    BLAS kernel changes a bit.
+    """
+    j0, j1 = steps[0][0], steps[-1][1]
+    at = np.repeat(np.arange(len(steps)), [b - a for a, b, *_ in steps])  # each sample's step
+    _, _, t, h, y, slopes = (np.array(c) for c in zip(*steps))
+    q = []
+    for col in zip(*_DP_P):
+        acc = slopes[:, 0] * col[0]  # slopes: (step, slope, component)
+        for s in range(1, 7):
+            acc = acc + slopes[:, s] * col[s]
+        q.append(acc[at])
+    h = h[at]
+    x = ((taus[j0:j1] - t[at]) / h)[:, None]
+    x2 = x * x
+    x3 = x2 * x
+    state[j0:j1] = y[at] + h[:, None] * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * (x3 * x))
 
 
 def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord) -> tuple[float, float]:
@@ -423,6 +556,8 @@ def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord) -> tuple[floa
     hi = min(a.t[-1], b.t[-1])
     if hi <= lo:
         raise NoOverlap(f"no common lab-time range: [{a.t[0]}, {a.t[-1]}] vs [{b.t[0]}, {b.t[-1]}]")
+    from scipy.interpolate import CubicSpline  # on first use: import vacuumflow loads no scipy
+
     grid = np.linspace(lo, hi, 2001)
     ra = CubicSpline(a.t, a.r, axis=0)(grid)
     rb = CubicSpline(b.t, b.r, axis=0)(grid)

@@ -30,10 +30,12 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NonPositiveMass, SolveFailure, SuperluminalMode
 
+#: scipy.linalg.lapack, imported by the first factorization (_gttrf), so that
+#: import vacuumflow loads no scipy
+lapack = None
 
 #: the boundary conditions of a grid and of an operator
 DOMAINS = ("periodic", "fixed")
@@ -268,6 +270,9 @@ class _CayleyFactor:
 
 
 def _gttrf(lower, diag, upper):
+    global lapack
+    if lapack is None:
+        from scipy.linalg import lapack
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
         raise SolveFailure("banded factor: the Cayley matrix has non-finite entries")
     dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, diag, upper)

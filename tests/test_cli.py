@@ -128,7 +128,7 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
     ("field.w_inf", {"particle": {"q": 1.0, "u0": [0.0, 0.0, 0.0]}, "field": {"w_inf": -1e308}}),
     # one step of h would run the record to tau = h, past tau_end
     ("integrator.h: step must be <= tau_end", {"integrator": {"kind": "rk45", "h": 5.0}}),
-    # below scipy's floor, which RK45 would raise it to with a warning
+    # below RK45's floor (scipy's), where the error target sits under round-off
     ("integrator.rtol", {"integrator": {"kind": "rk45", "rtol": 1e-16}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
@@ -178,9 +178,7 @@ def _number_paths(node, path=()):
 def fuzzed_simulate_configs(draw):
     """A simulate config of the right shape with values in range, then up to two of
     its numbers replaced by an odd value (zero, subnormal, huge, non-finite, not a
-    number) or scaled by a factor of either sign.  A run takes at most 200 steps.
-    RK45's work depends on the span and the field, not on its recorded steps, so
-    only its atol and rtol are fuzzed."""
+    number) or scaled by a factor of either sign.  A run takes at most 200 steps."""
     kind = draw(st.sampled_from(["rk4", "implicit_midpoint", "rk45"]))
     h = draw(st.floats(1e-3, 0.2))
     integrator = {"kind": kind, "h": h}
@@ -201,7 +199,7 @@ def fuzzed_simulate_configs(draw):
         "integrator": integrator,
         "tau_end": h * draw(st.integers(1, 200)),
     }
-    paths = [p for p in _number_paths(raw) if kind != "rk45" or p[-1] in ("atol", "rtol")]
+    paths = list(_number_paths(raw))
     for _ in range(draw(st.integers(0, 2))):
         *parents, key = draw(st.sampled_from(paths))
         node = raw
@@ -237,6 +235,26 @@ def test_simulate_exit_code_fuzz(raw):
         assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert not [w for w in caught if issubclass(w.category, (RuntimeWarning, UserWarning))]
 
+
+def test_rk45_work_is_bounded(tmp_path, capsys):
+    """A find of the fuzz above: a gyration frequency of about 1e6 (q B_z = 1e6)
+    over 200 recorded RK45 steps.  M3 spends its evaluation cap and ends its
+    record at sample 1 with a termination, M1 (no A) runs through, and the
+    command exits 1 within seconds, with no traceback."""
+    cfg = _free_config(tmp_path, models=["M1", "M3"], particle={"q": 1e-14, "u0": [0.5, 0.0, 0.0]},
+                       field={"w_inf": -1.0, "q_test": 1e-14, "sources": [], "b_uniform": [-0.92, 0.72, 1e20]},
+                       integrator={"kind": "rk45", "h": 0.047}, tau_end=9.39)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["simulate M3: terminated early: step 1: RK45 took more than 200000 evaluations, "
+                     "1000 per recorded step"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    m1 = json.loads((tmp_path / "out" / "free_M1_drift.json").read_text())
+    m3 = json.loads((tmp_path / "out" / "free_M3_drift.json").read_text())
+    assert m1["terminated"] is None and m1["samples"] == 201
+    assert m3["samples"] == 1 and 200_000 < m3["meta"]["stats"]["nfev"] <= 200_006
 
 def test_overflowing_baseline_is_rejected_at_load(tmp_path, capsys):
     """flyby.json with w_inf = -1e308 at rest exits 2 naming field.w_inf; it used
@@ -468,22 +486,60 @@ def test_forces_csv_matches_the_old_sampling_loop(tmp_path):
 
 
 def test_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
-    """The forces, checks and quantum artifacts written under OpenBLAS's kernel for
-    a CPU without FMA (a child process, since the kernel is picked at import) equal
-    the bytes written in this process: no 3-vector sum and no fit goes through
-    BLAS or LAPACK."""
-    runs = (("forces", "forces", "forces_forces.csv"), ("checks", "verification", "verification_checks.json"),
-            ("quantum", "verification", "verification_quantum.json"))
+    """The compare, forces, checks and quantum artifacts written under OpenBLAS's
+    kernel for a CPU without FMA (a child process, since the kernel is picked at
+    import) equal the bytes written in this process: no 3-vector sum, no RK45
+    stage sum or dense output and no fit goes through BLAS or LAPACK."""
+    runs = (("compare", "gyration", ("gyration_M0.csv", "gyration_M3.csv", "gyration_compare.json")),
+            ("forces", "forces", ("forces_forces.csv",)),
+            ("checks", "verification", ("verification_checks.json",)),
+            ("quantum", "verification", ("verification_quantum.json",)))
     child = "import sys; from vacuumflow.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
            "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    for command, scenario, artifact in runs:
+    for command, scenario, artifacts in runs:
         argv = [command, "--config", str(SCENARIOS / f"{scenario}.json"), "--quiet"]
         assert main([*argv, "--out", str(tmp_path / "here")]) == 0
         done = subprocess.run([sys.executable, "-c", child, *argv, "--out", str(tmp_path / "nehalem")],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert (tmp_path / "nehalem" / artifact).read_bytes() == (tmp_path / "here" / artifact).read_bytes()
+        for artifact in artifacts:
+            assert (tmp_path / "nehalem" / artifact).read_bytes() == (tmp_path / "here" / artifact).read_bytes()
+
+
+def test_only_compare_and_quantum_load_scipy(tmp_path):
+    """In a fresh interpreter, importing vacuumflow and every submodule loads no
+    scipy module, nor do `simulate` on flyby.json and `forces`; `quantum` loads
+    LAPACK and `compare` CubicSpline, and both write their artifacts."""
+    child = """
+import importlib, json, pkgutil, sys
+import vacuumflow
+from vacuumflow.cli import main
+for info in pkgutil.iter_modules(vacuumflow.__path__):
+    if info.name != "__main__":
+        importlib.import_module("vacuumflow." + info.name)
+loaded = {}
+def record(stage):
+    loaded[stage] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+record("import")
+for command, scenario in [("simulate", "flyby"), ("forces", "forces"), ("quantum", "verification"),
+                          ("compare", "gyration")]:
+    code = main([command, "--config", f"{sys.argv[1]}/{scenario}.json", "--out", sys.argv[2], "--quiet"])
+    record(f"{command} {code}")
+print(json.dumps(loaded))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", child, str(SCENARIOS), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert list(loaded) == ["import", "simulate 0", "forces 0", "quantum 0", "compare 0"]
+    assert loaded["import"] == loaded["simulate 0"] == loaded["forces 0"] == []
+    assert "scipy.linalg" in loaded["quantum 0"] and "scipy.interpolate" not in loaded["quantum 0"]
+    assert "scipy.interpolate" in loaded["compare 0"]
+    for name in ("flyby_M1.csv", "forces_forces.csv", "gyration_M3.csv", "gyration_compare.json",
+                 "verification_quantum.json", "verification_snapshot.csv"):
+        assert (tmp_path / name).stat().st_size > 0
 
 
 def test_maxwell_none_ratio_fails(tmp_path, monkeypatch):

@@ -6,9 +6,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vacuumflow import integrate
+from vacuumflow import integrate, presets, verify
 from vacuumflow.config import load_config
-from vacuumflow.core import ModelKind, Particle, PhasePoint, init_phase
+from vacuumflow.core import ModelKind, Particle, PhasePoint, emergent_rest_mass, init_phase
 from vacuumflow.dynamics import hamiltonian
 from vacuumflow.errors import ConfigError, NoConvergence, NoOverlap, SubluminalViolation
 from vacuumflow.fields import FieldSource, VacuumField
@@ -204,6 +204,30 @@ def test_truncated_record_ends_at_its_last_valid_sample(integ, tau_end):
     assert np.all(np.isfinite(rec.energy)) and math.isfinite(rec.max_relative_energy_drift())
 
 
+@pytest.mark.parametrize("integ", [RK4(), ImplicitMidpoint(), RK45()], ids=["rk4", "midpoint", "rk45"])
+def test_every_record_ends_before_its_first_sample_past_the_guard(monkeypatch, integ):
+    """One guard rule for every integrator: _build_record cuts the record at its
+    first sample whose guard is at or below the floor.  The floor of the cut is
+    raised to 0.1 here, which the guard of the overrun run above crosses at
+    sample 187 (point_rhs keeps its own floor, so the steps run on)."""
+    fld = VacuumField(
+        w_inf=-1.0,
+        sources=(FieldSource(qs=30.0, r0=(6.0, 0, 0), uf=(-0.8, 0, 0), eps=0.05),),
+        q_test=1.0,
+    )
+
+    def run():
+        return simulate(ModelKind.M1, Particle(q=1.0, u0=(-0.5, 0, 0)), fld, ORIGIN, 2.3, integ, 1e-2)
+
+    full = run()
+    guard = full.w * full.w - np.einsum("ij,ij->i", full.mom, full.mom)
+    assert len(full) == 231 and int(np.argmax(guard <= 0.1)) == 187
+    monkeypatch.setattr(integrate, "SUBLUMINAL_EPS", 0.1)
+    rec = run()
+    assert len(rec) == 187 and rec.meta["stats"]["guard_min"] > 0.1
+    npt.assert_array_equal(rec.r, full.r[:187])
+
+
 def test_flyby_scenario_evaluation_count():
     """Each model of scenarios/flyby.json (10^4 steps) takes one evaluation per step
     and a few more; the Euler start of every step took 36,190."""
@@ -258,9 +282,10 @@ def test_early_termination_diagnostics():
 
 
 def test_rk45_rejects_trial_stages_past_the_guard(monkeypatch):
-    """Near the guard, RK45 trial stages step past it; their NaN derivatives make
-    the step-size control reject them, and the run goes on to tau_end.  The
-    fixed-step integrators stop at their first step here."""
+    """Near the guard, RK45 trial stages step past it; point_rhs raises there,
+    which rejects the step with the smallest step factor and skips the rest of
+    its stages, and the run goes on to tau_end.  The fixed-step integrators
+    stop at their first step here."""
     fld = VacuumField(w_inf=-1.0, sources=(FieldSource(qs=2.0, r0=(0, 0, 0), uf=(0, 0, 0), eps=0.05),))
     particle = Particle(q=1.0, u0=(0.9999, 0, 0))
     r0 = (-0.3, 0.01, 0.0)
@@ -278,8 +303,73 @@ def test_rk45_rejects_trial_stages_past_the_guard(monkeypatch):
     rec = simulate(ModelKind.M1, particle, fld, r0, 1.0, RK45(), 1e-2)
     assert tripped and len(rec) == 101 and "termination" not in rec.meta
     assert rec.meta["stats"]["guard_min"] > 0.0
+    stats = rec.meta["stats"]
+    trials = stats["accepted"] + stats["rejected"]
+    assert stats["rejected"] > 0 and 2 + 6 * trials - 5 * stats["rejected"] <= stats["nfev"] < 2 + 6 * trials
     for integ in (RK4(), ImplicitMidpoint()):
         assert simulate(ModelKind.M1, particle, fld, r0, 1.0, integ, 1e-2).meta["termination"].startswith("step 1:")
+
+
+@pytest.mark.parametrize("model, periods", [(ModelKind.M3, 1.0), (ModelKind.M0, 1.0), (ModelKind.M1, None)])
+def test_rk45_takes_scipys_steps(model, periods):
+    """The package's Dormand-Prince stepper takes the steps of scipy's RK45 (same
+    tableau, first step and step control): the same evaluations, and samples
+    that agree with solve_ivp's dense output to round-off, on a gyration and
+    on the standard flyby."""
+    from scipy.integrate import solve_ivp
+
+    sc = presets.gyration(periods=periods) if periods else standard_flyby()
+    integ = RK45(atol=1e-12, rtol=1e-12) if periods else RK45()
+    tau_end, h = (verify.m0_lab_span(sc.particle, sc.tau_end, sc.h) if model is ModelKind.M0
+                  else (sc.tau_end, sc.h))
+    rec = simulate(model, sc.particle, sc.field, sc.r0, tau_end, integ, h)
+    rest_mass = emergent_rest_mass(sc.particle, sc.field, sc.r0) if model is ModelKind.M0 else None
+    y0 = integrate._pack(init_phase(model, sc.particle, sc.field, sc.r0))
+    sol = solve_ivp(lambda _s, y: integrate.point_rhs(model, y.tolist(), sc.field, rest_mass), (0.0, rec.tau[-1]),
+                    y0, method="RK45", t_eval=rec.tau, rtol=integ.rtol, atol=integ.atol)
+    assert "termination" not in rec.meta and rec.meta["stats"]["nfev"] == sol.nfev
+    npt.assert_allclose(rec.r, sol.y[0:3].T, rtol=0.0, atol=1e-13)
+    npt.assert_allclose(rec.mom, sol.y[3:6].T, rtol=0.0, atol=1e-13)
+
+
+def test_rk45_samples_do_not_depend_on_the_dense_batch(monkeypatch, static_source_field):
+    """The dense output fills its samples in batches of accepted steps; every
+    batch size gives the same bytes."""
+    sc = standard_flyby()
+
+    def run():
+        integ = RK45(atol=1e-12, rtol=1e-12)
+        return simulate(ModelKind.M1, sc.particle, static_source_field, sc.r0, 2.0, integ, 1e-3)
+
+    ref = run()
+    assert ref.meta["stats"]["accepted"] > 20
+    for batch in (1, 7):
+        monkeypatch.setattr(integrate, "_DENSE_BATCH", batch)
+        rec = run()
+        assert rec.meta == ref.meta
+        for name in ("tau", "t", "r", "mom", "energy"):
+            assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_a_collapsing_rk45_step_ends_the_record(monkeypatch, uniform_field):
+    """A right-hand side that raises past lab time 0.5, where no guard of the
+    field lies, rejects every trial step that reaches past it.  The step shrinks
+    below 10 ulps of tau, and the record ends at its last sample before the wall
+    with a termination that names the error; nothing raises."""
+    point_rhs = integrate.point_rhs
+
+    def walled(model, y, *args):
+        if y[6] > 0.5:
+            raise SubluminalViolation("wall at t = 0.5")
+        return point_rhs(model, y, *args)
+
+    monkeypatch.setattr(integrate, "point_rhs", walled)
+    rec = simulate(ModelKind.M1, Particle(q=1.0, u0=(0.5, 0, 0)), uniform_field, ORIGIN, 1.0, RK45(), 1e-2)
+    gamma = 1.0 / math.sqrt(1.0 - 0.25)
+    assert len(rec) == math.floor(0.5 / gamma / 1e-2) + 1 and rec.t[-1] < 0.5
+    assert rec.meta["termination"].startswith(f"step {len(rec)}: RK45 step fell below 10 ulps of tau = ")
+    assert rec.meta["termination"].endswith("after a trial stage raised: wall at t = 0.5")
+    assert rec.meta["stats"]["rejected"] > 0
 
 
 def test_broken_guard_warns_nothing():
@@ -364,7 +454,11 @@ def test_run_stats_counters(static_source_field):
     rk4 = run(RK4(), 1e-2)
     assert rk4.meta["stats"] == {"rhs_evals": 4 * steps, "guard_min": guard_min(rk4)}
     rk45 = run(RK45(), 1e-2)
-    assert set(rk45.meta["stats"]) == {"nfev", "guard_min"} and rk45.meta["stats"]["nfev"] > 0
-    assert rk45.meta["stats"]["guard_min"] == guard_min(rk45)
+    stats = rk45.meta["stats"]
+    assert set(stats) == {"nfev", "accepted", "rejected", "guard_min"} and stats["accepted"] > 0
+    # k1 and the first-step probe, then six evaluations per trial step
+    assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+    assert stats["guard_min"] == guard_min(rk45)
+    assert run(RK45(), 1e-2).meta == rk45.meta
     # M0 has no square-root guard, so it records none
     assert run(RK4(), 1e-2, ModelKind.M0).meta["stats"] == {"rhs_evals": 4 * steps}

@@ -7,8 +7,7 @@ q_test != 1): every row of the batched evaluator VacuumField._eval, and of
 the selections over it, is bit-identical to VacuumField.point_state on
 floats, and every parts string returns the same bits as the all-parts call;
 dynamics.point_rhs reproduces the per-model flows written with numpy below to
-round-off, and its k/G and clock rate, like the RK45 guard event's margin,
-are core.phase_terms' bit for bit; every term of core.phase_terms on columns
+round-off, and its k/G and clock rate are core.phase_terms' bit for bit; every term of core.phase_terms on columns
 is the one-point call's; every row of the column kernels _lagrangian_eval and
 _hamiltonian_eval is bit-identical to the one-row call, and
 <P, rdot> - L = H holds row by row; an implicit-midpoint step is undone by the
@@ -24,7 +23,7 @@ import numpy.testing as npt
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vacuumflow.core import SUBLUMINAL_EPS, ModelKind, Particle, PhasePoint, init_phase, phase_terms
+from vacuumflow.core import ModelKind, Particle, PhasePoint, init_phase, phase_terms
 from vacuumflow.dynamics import (
     _hamiltonian_eval,
     _lagrangian_eval,
@@ -37,7 +36,7 @@ from vacuumflow.dynamics import (
 )
 from vacuumflow.errors import NoConvergence, NonNegativeField, SubluminalViolation
 from vacuumflow.fields import FOUR_PI, FieldSource, VacuumField, dot3
-from vacuumflow.integrate import _EVENT_MARGIN, ImplicitMidpoint, _guard_margin, simulate, step
+from vacuumflow.integrate import ImplicitMidpoint, simulate, step
 
 PROPERTY = settings(max_examples=150)
 
@@ -178,11 +177,9 @@ def test_point_rhs_matches_reference_flows(fld, probe, u, model):
 
 @PROPERTY
 @given(fields(), probes, vec(-0.5, 0.5), st.sampled_from(list(ModelKind)))
-def test_point_rhs_and_guard_event_match_the_kernel(fld, probe, u, model):
-    """point_rhs and the RK45 guard event keep their own float arithmetic on
-    the hot path; point_rhs's k/G (M2: (kappa P - qA)/G) and rate, and the
-    event's margin (the guard minus its floor; -W minus the margin for M0),
-    are core.phase_terms' bit for bit."""
+def test_point_rhs_matches_the_kernel(fld, probe, u, model):
+    """point_rhs keeps its own float arithmetic on the hot path; its k/G (M2:
+    (kappa P - qA)/G) and rate are core.phase_terms' bit for bit."""
     (x, y, z), t = probe
     w, _gw, a, _adot, _jac = fld.point_state(x, y, z, t)
     assume(w < -0.05)
@@ -200,12 +197,6 @@ def test_point_rhs_and_guard_event_match_the_kernel(fld, probe, u, model):
     else:
         assert out[0:3] == (terms.k / terms.g).tolist()
     assert out[6] == terms.rate
-
-    margin = _guard_margin(model, fld)(0.0, np.array(state))
-    if model is ModelKind.M0:
-        assert margin == -terms.w - _EVENT_MARGIN
-    else:
-        assert margin == terms.guard - max(_EVENT_MARGIN, 10.0 * SUBLUMINAL_EPS)
 
 
 # -- the column Lagrangian and Hamiltonian kernels -------------------------------
