@@ -25,13 +25,20 @@ does not converge is retried from f(y_n), and only that retry's failure ends
 the record or raises.  The single-step step() has no history and keeps the
 Euler start, so a chain of step() calls is the reference the tests compare
 simulate with.
+
+The midpoint step is straight-line float arithmetic on the seven state
+components as named locals, like point_rhs: each iterate, the max-norm of its
+change, the finiteness test and the update 2 ym - y, and in simulate the
+extrapolated start, component by component.  Each component goes through
+the same operations in the same order as in an elementwise loop over the
+seven, so no bit depends on the unrolling.  The new states go into the state
+array in batches of rows.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field as dc_field
 from operator import sub
 
@@ -61,6 +68,9 @@ RK45_MAX_EVALS = 1000
 
 #: accepted RK45 steps whose samples the dense output fills in one batch
 _DENSE_BATCH = 1024
+
+#: implicit-midpoint states written to the state array in one batch
+_ROW_BATCH = 1024
 
 
 def step_count(tau_end: float, h: float) -> int:
@@ -145,7 +155,9 @@ class TrajectoryRecord:
     _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\r\n"
 
     def to_csv(self, path) -> None:
-        rows = zip(self.tau, self.t, *self.r.T, *self.mom.T, self.energy, self.w, *self.u_lab.T)
+        # Python floats format faster than numpy scalars, to the same text
+        rows = zip(self.tau.tolist(), self.t.tolist(), *self.r.T.tolist(), *self.mom.T.tolist(),
+                   self.energy.tolist(), self.w.tolist(), *self.u_lab.T.tolist())
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.CSV_COLUMNS) + "\r\n")
             for row in rows:
@@ -196,20 +208,29 @@ def _step_midpoint(f, y, h, tol, max_iter, k0=None):
     slope k0 it spends one evaluation on the Euler start k0 = f(y).  simulate
     passes the slope extrapolated from the last three steps, an O(h^3) guess
     of k that saves that evaluation and about two iterations, and retries
-    from f(y) if that start fails (_run_midpoint_step).  step() has no
-    history, so it keeps the Euler start.
+    from f(y) if that start fails.  step() has no history, so it keeps the
+    Euler start.
+
+    The iteration runs on the seven components as named floats: the iterate
+    ym, the max-norm of its change (max passes over a NaN that is not first,
+    so the sum of the iterate must also be finite) and y1 = 2 ym - y.
     """
     half = 0.5 * h
-    ym = [a + half * b for a, b in zip(y, f(y) if k0 is None else k0)]
+    a0, a1, a2, a3, a4, a5, a6 = y
+    s0, s1, s2, s3, s4, s5, s6 = f(y) if k0 is None else k0
+    m0, m1, m2, m3, m4, m5, m6 = (a0 + half * s0, a1 + half * s1, a2 + half * s2, a3 + half * s3,
+                                  a4 + half * s4, a5 + half * s5, a6 + half * s6)
     for it in range(1, max_iter + 1):
-        k = f(ym)
-        ym_next = [a + half * b for a, b in zip(y, k)]
-        delta = max(map(abs, map(sub, ym_next, ym)))
-        ym = ym_next
-        # max() can pass over a NaN that is not first; a non-finite iterate
-        # must never count as converged
-        if delta <= tol and math.isfinite(sum(ym)):
-            return [2.0 * a - b for a, b in zip(ym, y)], it, k
+        k = f((m0, m1, m2, m3, m4, m5, m6))
+        s0, s1, s2, s3, s4, s5, s6 = k
+        n0, n1, n2, n3, n4, n5, n6 = (a0 + half * s0, a1 + half * s1, a2 + half * s2, a3 + half * s3,
+                                      a4 + half * s4, a5 + half * s5, a6 + half * s6)
+        delta = max(abs(n0 - m0), abs(n1 - m1), abs(n2 - m2), abs(n3 - m3),
+                    abs(n4 - m4), abs(n5 - m5), abs(n6 - m6))
+        m0, m1, m2, m3, m4, m5, m6 = n0, n1, n2, n3, n4, n5, n6
+        if delta <= tol and math.isfinite(m0 + m1 + m2 + m3 + m4 + m5 + m6):
+            return [2.0 * m0 - a0, 2.0 * m1 - a1, 2.0 * m2 - a2, 2.0 * m3 - a3,
+                    2.0 * m4 - a4, 2.0 * m5 - a5, 2.0 * m6 - a6], it, k
     raise NoConvergence(
         f"implicit midpoint failed to reach tol={tol:g} in {max_iter} iterations (h={h:g})"
     )
@@ -333,7 +354,9 @@ def _build_record(model, integ, h, fld, taus, state, rest_mass, stats, terminati
     Energy, W and the lab velocity (k/G for M0, k/(-W) for M1 and M3,
     (kappa P - qA)/(G rate) for M2) come from one core.phase_terms call over
     the samples.  stats gains guard_min, the smallest guard W^2 - |k|^2 over
-    the samples (not for M0, which has no such guard).
+    the recorded samples only (not for M0, which has no such guard): the
+    states between samples, the midpoint iterates and the RK45 stages are not
+    in it.
 
     Every record ends before its first state with W >= 0 or a guard
     <= SUBLUMINAL_EPS, and the error that f raises there is the termination
@@ -408,58 +431,84 @@ def simulate(
         n, accepted, rejected, termination = _run_dopri5(f, y, taus, integrator, state)
         stats = {"nfev": f.calls, "accepted": accepted, "rejected": rejected}
         return _build_record(model, integrator, h, fld, taus[:n], state[:n], rest_mass, stats, termination)
+    if isinstance(integrator, ImplicitMidpoint):
+        n, stats, termination = _run_midpoint(f, y, h, integrator, state)
+        return _build_record(model, integrator, h, fld, taus[:n], state[:n], rest_mass, stats, termination)
 
     n = 1
-    iter_sum = iter_max = restarts = 0
-    slopes = deque(maxlen=3)  # midpoint slopes of the last three steps, oldest first
     termination = None
     for k in range(1, n_steps + 1):
         try:
-            if isinstance(integrator, RK4):
-                y = _step_rk4(f, y, h)
-            else:
-                y, it, restarted = _run_midpoint_step(f, y, h, integrator, slopes)
-                restarts += restarted
-                iter_sum += it
-                iter_max = max(iter_max, it)
+            y = _step_rk4(f, y, h)
         except (SubluminalViolation, NonNegativeField) as exc:
             termination = f"step {k}: {exc}"
             break
         state[k] = y
         n = k + 1
     stats = {"rhs_evals": f.calls}
-    if isinstance(integrator, ImplicitMidpoint):
-        stats["fp_iter_max"] = iter_max
-        stats["fp_iter_mean"] = iter_sum / (n - 1) if n > 1 else 0.0
-        stats["fp_restarts"] = restarts
     return _build_record(model, integrator, h, fld, taus[:n], state[:n], rest_mass, stats, termination)
 
 
-def _run_midpoint_step(f, y, h, integ, slopes):
-    """One implicit-midpoint step of a run: (y1, iterations, restarted).
+def _run_midpoint(f, y, h, integ, state):
+    """Step the implicit midpoint rule from y = state[0], filling the rows of
+    state in turn: (states filled, stats, termination).
 
-    slopes is a deque of the last (at most three) midpoint slopes, oldest
-    first, and gains this step's.  Once it is full, the iteration starts from
-    their quadratic extrapolation 3k_n - 3k_{n-1} + k_{n-2}.  If that start
-    trips a guard or fails to converge, the step is retried from the Euler
-    start f(y), so only a failure of the Euler start ends the run; restarted
-    is then 1, and iterations also counts the evaluations of the abandoned
-    attempt.
+    From the fourth step on, the iteration starts from the quadratic
+    extrapolation 3(k_n - k_{n-1}) + k_{n-2} of the last three midpoint
+    slopes, component by component.  If that start trips a guard or fails to
+    converge, the step is retried from the Euler start f(y), so only a failure
+    of the Euler start ends the run (a guard error ends the record with a
+    termination; NoConvergence raises).  A retried step counts in fp_restarts
+    once it succeeds, and its iterations also count the evaluations of the
+    abandoned attempt.  The new states go into state _ROW_BATCH rows at a
+    time, which costs less than one numpy row write per step.
     """
-    restarted = wasted = 0
-    if len(slopes) == 3:
-        start = [3.0 * (a - b) + c for c, b, a in zip(*slopes)]
-        calls = f.calls
+    tol, max_iter = integ.tol, integ.max_iter
+    iter_sum = iter_max = restarts = 0
+    kc = kb = ka = None  # midpoint slopes of the last three steps, oldest first
+    filled, rows = 1, []  # states written to state, and those still to write
+    termination = None
+    for k in range(1, len(state)):
         try:
-            y1, it, k = _step_midpoint(f, y, h, integ.tol, integ.max_iter, start)
-        except (SubluminalViolation, NonNegativeField, NoConvergence):
-            restarted, wasted = 1, f.calls - calls
-        else:
-            slopes.append(k)
-            return y1, it, 0
-    y1, it, k = _step_midpoint(f, y, h, integ.tol, integ.max_iter)
-    slopes.append(k)
-    return y1, wasted + it, restarted
+            if kc is None:
+                y, it, slope = _step_midpoint(f, y, h, tol, max_iter)
+            else:
+                a0, a1, a2, a3, a4, a5, a6 = ka
+                b0, b1, b2, b3, b4, b5, b6 = kb
+                c0, c1, c2, c3, c4, c5, c6 = kc
+                start = (3.0 * (a0 - b0) + c0, 3.0 * (a1 - b1) + c1, 3.0 * (a2 - b2) + c2,
+                         3.0 * (a3 - b3) + c3, 3.0 * (a4 - b4) + c4, 3.0 * (a5 - b5) + c5,
+                         3.0 * (a6 - b6) + c6)
+                calls = f.calls
+                try:
+                    y, it, slope = _step_midpoint(f, y, h, tol, max_iter, start)
+                except (SubluminalViolation, NonNegativeField, NoConvergence):
+                    wasted = f.calls - calls
+                    y, it, slope = _step_midpoint(f, y, h, tol, max_iter)
+                    it += wasted
+                    restarts += 1
+        except (SubluminalViolation, NonNegativeField) as exc:
+            termination = f"step {k}: {exc}"
+            break
+        kc, kb, ka = kb, ka, slope
+        iter_sum += it
+        if it > iter_max:
+            iter_max = it
+        rows.append(y)
+        if len(rows) == _ROW_BATCH:
+            state[filled:filled + _ROW_BATCH] = rows
+            filled += _ROW_BATCH
+            rows = []
+    n = filled + len(rows)
+    if rows:
+        state[filled:n] = rows
+    stats = {
+        "rhs_evals": f.calls,
+        "fp_iter_max": iter_max,
+        "fp_iter_mean": iter_sum / (n - 1) if n > 1 else 0.0,
+        "fp_restarts": restarts,
+    }
+    return n, stats, termination
 
 
 def _run_dopri5(f, y, taus, integ, state):

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -486,11 +487,13 @@ def test_forces_csv_matches_the_old_sampling_loop(tmp_path):
 
 
 def test_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
-    """The compare, forces, checks and quantum artifacts written under OpenBLAS's
-    kernel for a CPU without FMA (a child process, since the kernel is picked at
-    import) equal the bytes written in this process: no 3-vector sum, no RK45
-    stage sum or dense output and no fit goes through BLAS or LAPACK."""
-    runs = (("compare", "gyration", ("gyration_M0.csv", "gyration_M3.csv", "gyration_compare.json")),
+    """The simulate, compare, forces, checks and quantum artifacts written under
+    OpenBLAS's kernel for a CPU without FMA (a child process, since the kernel is
+    picked at import) equal the bytes written in this process: no 3-vector sum,
+    no RK45 stage sum or dense output and no fit goes through BLAS or LAPACK."""
+    flyby = tuple(f"flyby_{m}{suffix}" for m in ("M1", "M2", "M3") for suffix in (".csv", "_drift.json"))
+    runs = (("simulate", "flyby", flyby),
+            ("compare", "gyration", ("gyration_M0.csv", "gyration_M3.csv", "gyration_compare.json")),
             ("forces", "forces", ("forces_forces.csv",)),
             ("checks", "verification", ("verification_checks.json",)),
             ("quantum", "verification", ("verification_quantum.json",)))
@@ -505,6 +508,22 @@ def test_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
         assert done.returncode == 0, done.stderr
         for artifact in artifacts:
             assert (tmp_path / "nehalem" / artifact).read_bytes() == (tmp_path / "here" / artifact).read_bytes()
+
+
+#: sha256 prefixes of the artifacts of `simulate --config scenarios/flyby.json`
+FLYBY_SHA256 = {
+    "flyby_M1.csv": "c73723d1", "flyby_M2.csv": "52dfef89", "flyby_M3.csv": "827a4af6",
+    "flyby_M1_drift.json": "7bf22ba2", "flyby_M2_drift.json": "8e1cf070", "flyby_M3_drift.json": "9cddfcf7",
+}
+
+
+def test_flyby_artifacts_keep_their_bytes(tmp_path):
+    """The six files of the shipped flyby run keep their bytes: the midpoint
+    step, the record columns and the CSV and JSON writers change no bit."""
+    assert main(["simulate", "--config", str(SCENARIOS / "flyby.json"), "--out", str(tmp_path), "--quiet"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FLYBY_SHA256)
+    for name, prefix in FLYBY_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:8] == prefix, name
 
 
 def test_only_compare_and_quantum_load_scipy(tmp_path):

@@ -351,6 +351,31 @@ def test_rk45_samples_do_not_depend_on_the_dense_batch(monkeypatch, static_sourc
             assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes()
 
 
+@pytest.mark.parametrize("overrun", [False, True], ids=["complete", "guard_stop"])
+def test_midpoint_states_do_not_depend_on_the_row_batch(monkeypatch, static_source_field, overrun):
+    """The implicit midpoint writes its states to the record in batches of rows;
+    every batch size gives the same bytes, on 2,000 steps of the standard flyby
+    and on the overrun run above, which a guard ends at step 49."""
+    if overrun:
+        fld = VacuumField(
+            w_inf=-1.0,
+            sources=(FieldSource(qs=30.0, r0=(6.0, 0, 0), uf=(-0.8, 0, 0), eps=0.05),),
+            q_test=1.0,
+        )
+        args = (Particle(q=1.0, u0=(-0.5, 0, 0)), fld, ORIGIN, 30.0, ImplicitMidpoint(), 0.05)
+    else:
+        sc = standard_flyby()
+        args = (sc.particle, static_source_field, sc.r0, 2.0, ImplicitMidpoint(), 1e-3)
+    ref = simulate(ModelKind.M1, *args)
+    assert len(ref) == (48 if overrun else 2001) and ("termination" in ref.meta) == overrun
+    for batch in (1, 7, 5000):
+        monkeypatch.setattr(integrate, "_ROW_BATCH", batch)
+        rec = simulate(ModelKind.M1, *args)
+        assert rec.meta == ref.meta
+        for name in ("tau", "t", "r", "mom", "energy"):
+            assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes()
+
+
 def test_a_collapsing_rk45_step_ends_the_record(monkeypatch, uniform_field):
     """A right-hand side that raises past lab time 0.5, where no guard of the
     field lies, rejects every trial step that reaches past it.  The step shrinks

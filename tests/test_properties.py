@@ -13,17 +13,21 @@ _hamiltonian_eval is bit-identical to the one-row call, and
 <P, rdot> - L = H holds row by row; an implicit-midpoint step is undone by the
 step back; M1 and M3 run the same trajectory where A = 0; a uniform shift
 of A leaves M3's r(t); and simulate's extrapolated midpoint start changes a
-run only by round-off against a chain of step() calls.
+run only by round-off against a chain of step() calls, and gives the records
+of the list-comprehension midpoint oracle bit for bit.
 """
 
 import math
+from collections import deque
+from operator import sub
 
 import numpy as np
 import numpy.testing as npt
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vacuumflow.core import ModelKind, Particle, PhasePoint, init_phase, phase_terms
+from vacuumflow import integrate
+from vacuumflow.core import ModelKind, Particle, PhasePoint, emergent_rest_mass, init_phase, phase_terms
 from vacuumflow.dynamics import (
     _hamiltonian_eval,
     _lagrangian_eval,
@@ -35,7 +39,7 @@ from vacuumflow.dynamics import (
     point_rhs,
 )
 from vacuumflow.errors import NoConvergence, NonNegativeField, SubluminalViolation
-from vacuumflow.fields import FOUR_PI, FieldSource, VacuumField, dot3
+from vacuumflow.fields import FOUR_PI, FieldSource, VacuumField, as_vec3, dot3
 from vacuumflow.integrate import ImplicitMidpoint, simulate, step
 
 PROPERTY = settings(max_examples=150)
@@ -450,3 +454,155 @@ def test_extrapolated_start_changes_only_round_off(fld, model, h, aim):
     got = np.column_stack([rec.r, rec.mom, rec.t])[:n]
     npt.assert_array_less(np.abs(got - ref), 1e-9 * (1.0 + np.abs(ref)))
 
+
+
+# -- the midpoint oracle ----------------------------------------------------------
+#
+# The implicit-midpoint step on 7-float lists, one list comprehension per
+# operation, and its run loop with a deque of slopes: simulate steps on named
+# floats in the same operation order, so its records must be these bits.
+
+
+def _reference_step_midpoint(f, y, h, tol, max_iter, k0=None):
+    """One implicit-midpoint step from ym = y + (h/2) k0 (k0 = f(y) if None): (y1, iterations, k)."""
+    half = 0.5 * h
+    ym = [a + half * b for a, b in zip(y, f(y) if k0 is None else k0)]
+    for it in range(1, max_iter + 1):
+        k = f(ym)
+        ym_next = [a + half * b for a, b in zip(y, k)]
+        delta = max(map(abs, map(sub, ym_next, ym)))
+        ym = ym_next
+        if delta <= tol and math.isfinite(sum(ym)):
+            return [2.0 * a - b for a, b in zip(ym, y)], it, k
+    raise NoConvergence(
+        f"implicit midpoint failed to reach tol={tol:g} in {max_iter} iterations (h={h:g})"
+    )
+
+
+def _reference_run_midpoint_step(f, y, h, integ, slopes):
+    """One step of a run from the extrapolated start once the deque of slopes
+    holds three, retried from f(y) if that start fails: (y1, iterations, restarted)."""
+    restarted = wasted = 0
+    if len(slopes) == 3:
+        start = [3.0 * (a - b) + c for c, b, a in zip(*slopes)]
+        calls = f.calls
+        try:
+            y1, it, k = _reference_step_midpoint(f, y, h, integ.tol, integ.max_iter, start)
+        except (SubluminalViolation, NonNegativeField, NoConvergence):
+            restarted, wasted = 1, f.calls - calls
+        else:
+            slopes.append(k)
+            return y1, it, 0
+    y1, it, k = _reference_step_midpoint(f, y, h, integ.tol, integ.max_iter)
+    slopes.append(k)
+    return y1, wasted + it, restarted
+
+
+def _reference_simulate(model, particle, fld, r0, tau_end, integ, h):
+    """simulate's implicit-midpoint run, stepped by the oracle into a preallocated state array."""
+    n_steps = integrate.step_count(tau_end, h)
+    r0 = as_vec3(r0)
+    rest_mass = emergent_rest_mass(particle, fld, r0) if model is ModelKind.M0 else None
+    f = integrate._rhs(model, fld, rest_mass)
+    y = integrate._pack(init_phase(model, particle, fld, r0))
+    taus = h * np.arange(n_steps + 1)
+    state = np.empty((n_steps + 1, 7))
+    state[0] = y
+    n = 1
+    iter_sum = iter_max = restarts = 0
+    slopes = deque(maxlen=3)
+    termination = None
+    for k in range(1, n_steps + 1):
+        try:
+            y, it, restarted = _reference_run_midpoint_step(f, y, h, integ, slopes)
+        except (SubluminalViolation, NonNegativeField) as exc:
+            termination = f"step {k}: {exc}"
+            break
+        restarts += restarted
+        iter_sum += it
+        iter_max = max(iter_max, it)
+        state[k] = y
+        n = k + 1
+    stats = {"rhs_evals": f.calls, "fp_iter_max": iter_max,
+             "fp_iter_mean": iter_sum / (n - 1) if n > 1 else 0.0, "fp_restarts": restarts}
+    return integrate._build_record(model, integ, h, fld, taus[:n], state[:n], rest_mass, stats, termination)
+
+
+def run_both(*args):
+    """(simulate's outcome, the oracle's): a record, or the NoConvergence raised."""
+    outcomes = []
+    for run in (simulate, _reference_simulate):
+        try:
+            outcomes.append(run(*args))
+        except NoConvergence as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def assert_same_outcome(got, want):
+    """The same record bit for bit (every column and meta, stats and termination
+    included), or NoConvergence with the same message."""
+    if isinstance(want, NoConvergence):
+        assert isinstance(got, NoConvergence) and str(got) == str(want)
+        return
+    assert got.meta == want.meta
+    for name in ("tau", "t", "r", "mom", "energy", "w", "u_lab"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=120)
+@example(**FALLBACK_CASE)
+@given(fields(), st.sampled_from(list(ModelKind)), st.sampled_from([1e-3, 1e-2]),
+       st.tuples(st.integers(0, 2), vec(-0.6, 0.6), st.floats(0.0, 0.99)))
+def test_simulate_matches_the_midpoint_oracle(fld, model, h, aim):
+    """Over random static and moving fields, every model and both steps, simulate
+    gives the oracle's record bit for bit: states, meta["stats"] and the
+    termination.  The particle heads for a source as in the round-off property
+    above, so some runs end at a guard or restart a step."""
+    src, d, speed = aim
+    d = np.array(d)
+    assume(math.sqrt(dot3(d, d)) > 0.01)
+    r0 = fld.sources[src % len(fld.sources)].r0 + d
+    assume(fld.w(r0, 0.0) < -0.05)
+    particle = Particle(q=fld.q_test, u0=-speed * d / math.sqrt(dot3(d, d)))
+    try:
+        init_phase(model, particle, fld, r0)
+    except SubluminalViolation:
+        assume(False)
+    got, want = run_both(model, particle, fld, r0, 150 * h, ImplicitMidpoint(), h)
+    assert_same_outcome(got, want)
+
+
+def test_a_restarted_step_matches_the_midpoint_oracle(monkeypatch, static_source_field):
+    """An injected guard error on an extrapolated start (the 50th evaluation, in
+    step 20 or so) restarts that step from f(y_n) in both runs, with the same bits."""
+    point_rhs = integrate.point_rhs
+    calls = []
+
+    def tripping(*args):
+        calls.append(None)
+        if len(calls) == 50:
+            raise SubluminalViolation("injected")
+        return point_rhs(*args)
+
+    monkeypatch.setattr(integrate, "point_rhs", tripping)
+    particle, r0 = Particle(q=1.0, u0=(0.45, 0, 0)), (-2.0, 0.75, 0.0)
+    outcomes = []
+    for run in (simulate, _reference_simulate):
+        calls.clear()
+        outcomes.append(run(ModelKind.M1, particle, static_source_field, r0, 1.0, ImplicitMidpoint(), 1e-2))
+    got, want = outcomes
+    assert got.meta["stats"]["fp_restarts"] == 1 and "termination" not in got.meta
+    assert_same_outcome(got, want)
+
+
+def test_no_convergence_matches_the_midpoint_oracle():
+    """The flyby near miss with qs = -0.5, r0 = (-2, 0.01, 0) and h = 0.1 raises
+    NoConvergence from both runs, with the same message."""
+    fld = VacuumField(w_inf=-1.0, sources=(FieldSource(qs=-0.5, r0=(0, 0, 0), uf=(0, 0, 0), eps=0.05),),
+                      q_test=1.0, a_uniform=(0.0, 0.02, 0.0))
+    got, want = run_both(ModelKind.M1, Particle(q=1.0, u0=(0.45, 0, 0)), fld, (-2.0, 0.01, 0.0), 10.0,
+                         ImplicitMidpoint(), 0.1)
+    assert isinstance(want, NoConvergence)
+    assert_same_outcome(got, want)
