@@ -4,20 +4,29 @@ reproduce the Maxwell equations, plus the advected-integral conservation check.
 Evolution is plain second-order leapfrog for the four scalar wave equations on
 a collocated cube, with sources prescribed analytically (separable profiles so
 continuity holds in closed form) and the boundary shell pinned to the analytic
-far field.  Each field update splits the interior x-planes into contiguous
-bands, one per core the process may run on (``os.sched_getaffinity``, else
-``os.cpu_count``; at least one span of about 37k cells each), and steps them
-concurrently on threads: numpy's float64 ufuncs release the interpreter lock.  A band works on the flattened array in spans of
-whole planes (about 37k cells, so the stencil's reads stay in cache), with the
-whole-grid step's operations in the same order, so every value is
-bit-identical to ``2u - prev + dt^2 (laplacian2(u) + src)`` whatever the band
-count.  Each span forms its own part of ``src`` from the profiles, in the
-order ``SeparableSources`` sums them, so no whole-grid source array is built.
-The thread pool lives for one ``evolve_wave`` call.  A component is stepped
-only when the step can change it: one with no source terms, two all-zero
-newest levels and all-zero pinned faces at the new time gets a fresh zero
-array with those faces written (the dipole's ax/ay, the plane wave's phi and
-az, whose polarization has a z component of exactly 0.0).
+far field.  The grid keeps its coordinates as sparse axes (``X`` of shape
+(n, 1, 1), ``Y`` (1, n, 1), ``Z`` (1, 1, n)) that broadcast to the cube, so
+no n^3 coordinate array is held; every profile, seed and face value is the
+same elementwise arithmetic as on full coordinate cubes, bit for bit.
+
+Every whole-grid pass runs on a thread pool or not at all.  Each field update
+splits the interior x-planes into contiguous bands, one per core the process
+may run on (``os.sched_getaffinity``, else ``os.cpu_count``; at least one
+span of about 37k cells each), and steps them concurrently on threads:
+numpy's float64 ufuncs release the interpreter lock.  A band works on the
+flattened array in spans of whole planes (about 37k cells, so the stencil's
+reads stay in cache), with the whole-grid step's operations in the same
+order, so every value is bit-identical to
+``2u - prev + dt^2 (laplacian2(u) + src)`` whatever the band count.  Each span
+forms its own part of ``src`` from the profiles, in the order
+``SeparableSources`` sums them, so no whole-grid source array is built.  The
+thread pool lives for one ``evolve_wave`` call.  A component is stepped only
+when the step can change it: one with no source terms, two all-zero newest
+levels and all-zero pinned faces at the new time gets a fresh zero array with
+those faces written (the plane wave's phi and az, whose polarization has a z
+component of exactly 0.0, so its faces carry -0.0), or, if it has no analytic
+callable (the dipole's ax and ay), one read-only zero level that every such
+component shares for the whole call.
 
 E and B are assembled from the potentials with the same 2nd-order centered
 stencils the evolution uses; the residual divergences and curls are evaluated
@@ -27,9 +36,14 @@ stencils, the curl-of-gradient and divergence-of-curl residuals are discrete
 identities and vanish to roundoff, which would make convergence ratios
 meaningless).  Norms are L2 over an interior mask that excludes a 10% margin.
 Only that masked core is assembled, in halo'd x-slabs of 8 planes, with each
-cell's operations in the whole-grid order and each squared residual summed
-whole, so every norm is bit-identical to assembling the whole grid.  The
-sources, too, are taken per slab: rho on the slab's core, j on its halo.
+cell's operations in the whole-grid order.  The slabs are split into
+contiguous runs, one per band of the leapfrog (at most one per slab), and
+assembled concurrently on a pool that lives for one report; a slab drops
+each term after its last use, so each concurrent slab holds about 6 MB of
+temporaries at n = 96.  Each slab writes only its own rows of the squared
+residuals, and each is summed whole once every slab is done, so every norm
+is bit-identical to assembling the whole grid, whatever the thread count.
+The sources, too, are taken per slab: rho on the slab's core, j on its halo.
 """
 
 from __future__ import annotations
@@ -133,13 +147,17 @@ class AnalyticFarField:
         self._a = a
 
     def phi(self, x, y, z, t):
-        return self._phi(x, y, z, t) if self._phi else np.zeros_like(x)
+        return self._phi(x, y, z, t) if self._phi else _zeros_on(x, y, z)
 
     def a(self, x, y, z, t):
         if self._a is None:
-            zero = np.zeros_like(x)
-            return zero, zero.copy(), zero.copy()
+            return _zeros_on(x, y, z), _zeros_on(x, y, z), _zeros_on(x, y, z)
         return self._a(x, y, z, t)
+
+
+def _zeros_on(x, y, z) -> np.ndarray:
+    """Zeros of the shape the coordinate arrays broadcast to."""
+    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)))
 
 
 @dataclass
@@ -156,7 +174,12 @@ class Level:
 
 
 class GridField:
-    """Collocated cube with a rolling history of potential levels."""
+    """Collocated cube with a rolling history of potential levels.
+
+    ``X``, ``Y`` and ``Z`` are sparse axes of shapes (n, 1, 1), (1, n, 1) and
+    (1, 1, n) that broadcast to the cube; ``np.broadcast_arrays`` gives the
+    full coordinate arrays.
+    """
 
     FIELD_NAMES = ("phi", "ax", "ay", "az")
     #: stored time levels.  A residual report needs three consecutive levels;
@@ -175,23 +198,34 @@ class GridField:
         half = 0.5 * (n - 1) * h
         axis = np.arange(n) * h - half
         self.origin = np.array([-half, -half, -half])
-        self.X, self.Y, self.Z = np.meshgrid(axis, axis, axis, indexing="ij")
+        self.X, self.Y, self.Z = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
         self.levels: list[Level] = []
-        self._faces = [tuple(side if a == face_axis else slice(None) for a in range(3))
-                       for face_axis in range(3) for side in (0, n - 1)]
+        self._faces = []
+        #: per face of _faces, its coordinates as arrays that broadcast to the
+        #: face's cells: each sparse axis at the face's plane (cell ``side``
+        #: of the axis that runs along face_axis, the one cell of the others)
+        self._face_xyz = []
+        for face_axis in range(3):
+            for side in (0, n - 1):
+                self._faces.append(tuple(side if a == face_axis else slice(None) for a in range(3)))
+                self._face_xyz.append(tuple(np.take(c, side if c.shape[face_axis] > 1 else 0, axis=face_axis)
+                                            for c in (self.X, self.Y, self.Z)))
         #: deterministic run counters, filled by evolve_wave
         self.stats: dict = {"grid_steps": 0, "evolved": []}
 
     def seed_from_analytic(self) -> "GridField":
-        """Levels 0 and 1 from the analytic far field at t = 0 and dt."""
+        """Levels 0 and 1 from the analytic far field at t = 0 and dt; a value
+        that does not vary along some axis is broadcast to the full cube."""
+        shape = (self.n,) * 3
+
+        def full(v):
+            v = np.asarray(v, dtype=float)
+            return v if v.shape == shape else np.broadcast_to(v, shape).copy()
+
         for idx, t in enumerate((0.0, self.dt)):
             ax, ay, az = self.analytic.a(self.X, self.Y, self.Z, t)
-            self.levels.append(Level(
-                index=idx, time=t,
-                phi=np.asarray(self.analytic.phi(self.X, self.Y, self.Z, t), dtype=float),
-                ax=np.asarray(ax, dtype=float), ay=np.asarray(ay, dtype=float),
-                az=np.asarray(az, dtype=float),
-            ))
+            phi = self.analytic.phi(self.X, self.Y, self.Z, t)
+            self.levels.append(Level(idx, t, full(phi), full(ax), full(ay), full(az)))
         return self
 
     def seed_zero(self) -> "GridField":
@@ -201,12 +235,13 @@ class GridField:
         return self
 
     def perturb_initial_a(self, delta) -> "GridField":
-        """Add a vector field (callable of X,Y,Z -> 3 arrays) to both seeded A levels."""
+        """Add a vector field (callable of X,Y,Z -> 3 arrays) to both seeded A
+        levels.  Each sum is a new array, so a level may share a read-only one."""
         dx, dy, dz = delta(self.X, self.Y, self.Z)
         for lvl in self.levels:
-            lvl.ax += dx
-            lvl.ay += dy
-            lvl.az += dz
+            lvl.ax = lvl.ax + dx
+            lvl.ay = lvl.ay + dy
+            lvl.az = lvl.az + dz
         return self
 
     def level_by_index(self, index: int) -> Level:
@@ -293,6 +328,23 @@ def _step_band(uf, pf, terms, of, n: int, hh: float, dt2: float, x0: int, x1: in
         np.add(t, a, out=of[c:e])
 
 
+def _run_shares(pool: ThreadPoolExecutor | None, share, count: int) -> None:
+    """share(0), ..., share(count - 1): the calling thread runs share(0) and
+    ``pool``'s threads the others, concurrently (numpy's float64 ufuncs
+    release the interpreter lock); with no pool all run here, in order.
+    Returns once every share is done."""
+    if pool is None:
+        for k in range(count):
+            share(k)
+        return
+    rest = [pool.submit(share, k) for k in range(1, count)]
+    try:
+        share(0)
+    finally:
+        for future in rest:
+            future.result()
+
+
 def _step_field(u: np.ndarray, prev: np.ndarray, terms, h: float, dt2: float,
                 pool: ThreadPoolExecutor | None = None, bands: int = 1) -> np.ndarray:
     """One leapfrog update of one field, its interior x-planes split into bands.
@@ -302,9 +354,7 @@ def _step_field(u: np.ndarray, prev: np.ndarray, terms, h: float, dt2: float,
     ``2.0*u - prev + dt2*(laplacian2(u, h) + src)``, with ``src`` the
     ``SeparableSources`` sum of the terms (0.0 for none), whatever the band
     count: each cell's operations run in the same order.  The bands are
-    contiguous runs of x-planes: the calling thread steps the first and
-    ``pool``'s threads the others, concurrently (numpy's float64 ufuncs
-    release the interpreter lock); with no pool they run one after another.
+    contiguous runs of x-planes, stepped by ``_run_shares`` on ``pool``.
     The x = 0, x = n-1 planes stay unwritten and the other face cells get
     wrap-around values: the caller pins all six faces.
     """
@@ -317,23 +367,16 @@ def _step_field(u: np.ndarray, prev: np.ndarray, terms, h: float, dt2: float,
     def band(b):
         _step_band(uf, pf, terms, of, n, h * h, dt2, edges[b], edges[b + 1])
 
-    if pool is None:
-        for b in range(bands):
-            band(b)
-        return out
-    rest = [pool.submit(band, b) for b in range(1, bands)]
-    band(0)
-    for future in rest:
-        future.result()
+    _run_shares(pool, band, bands)
     return out
 
 
 def _pinned_faces(grid: GridField, t: float) -> list[dict]:
     """Per face of grid._faces, the analytic values of the components that
-    have an analytic callable at time t."""
+    have an analytic callable at time t, from the face's broadcastable
+    coordinates (each value broadcasts to the face)."""
     faces = []
-    for face in grid._faces:
-        xf, yf, zf = grid.X[face], grid.Y[face], grid.Z[face]
+    for xf, yf, zf in grid._face_xyz:
         pinned = {}
         if grid.analytic._phi is not None:
             pinned["phi"] = grid.analytic.phi(xf, yf, zf, t)
@@ -349,11 +392,13 @@ def evolve_wave(grid: GridField, steps: int) -> GridField:
     Only arithmetic that reaches a stored value is done.  Each step first
     computes the pinned face values at the new time.  A component with no
     source terms, two all-zero newest levels and all-zero pinned faces is not
-    stepped: its new level is ``np.zeros`` with the pinned faces written (if
-    it has an analytic callable), which is bit for bit what the step gives,
-    since the scalar source 0.0 turns every interior -0.0 into +0.0.  The
-    levels' zero-ness is checked once per call; the first kernel step of a
-    component marks it non-zero for the rest of the call.  Sources are formed
+    stepped: its new level is ``np.zeros`` with the pinned faces written,
+    which is bit for bit what the step gives, since the scalar source 0.0
+    turns every interior -0.0 into +0.0.  With no analytic callable there are
+    no faces to write, and every such component gets the same read-only zero
+    array, made once per call.  The levels' zero-ness is checked once per
+    call; the first kernel step of a component marks it non-zero for the rest
+    of the call.  Sources are formed
     inside the bands (``_step_band``) from the profiles, flattened once per
     call.  Each field update is split into ``_band_count(n)`` bands, all but
     the first stepped on a thread pool that lives for this call only (no pool
@@ -375,6 +420,7 @@ def evolve_wave(grid: GridField, steps: int) -> GridField:
     zero = {name for name in grid.FIELD_NAMES if not profiles[name]
             and not grid.levels[-1].field(name).any() and not grid.levels[-2].field(name).any()}
     evolved = set()
+    still = None  # the shared read-only zero level
     bands = _band_count(grid.n)
     with ThreadPoolExecutor(bands - 1) if bands > 1 else nullcontext() as pool:
         for _ in range(steps):
@@ -385,10 +431,14 @@ def evolve_wave(grid: GridField, steps: int) -> GridField:
                 grid.levels.pop(0)
             new_fields = {}
             for name in grid.FIELD_NAMES:
-                if name in zero and not any(np.any(f[name]) for f in faces if name in f):
+                if name in zero and name not in faces[0]:
+                    if still is None:  # no analytic callable: the faces stay +0.0
+                        still = np.zeros(shape)
+                        still.flags.writeable = False
+                    new_fields[name] = still
+                    continue
+                if name in zero and not any(np.any(f[name]) for f in faces):
                     new_fields[name] = np.zeros(shape)
-                    if name not in faces[0]:
-                        continue  # no analytic callable: the faces stay +0.0
                 else:
                     terms = [(p, g(cur.time)) for p, g in profiles[name]]
                     new_fields[name] = _step_field(cur.field(name), prev.field(name), terms,
@@ -443,7 +493,11 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
     core, each with a halo: 2 cells of E and B for the 4th-order operators,
     which reach 3 cells of potentials (the margin is at least 3).  Each
     residual component's square goes into its own core-sized buffer, summed
-    whole, so every norm is bit-identical to the whole-grid assembly.
+    whole, so every norm is bit-identical to the whole-grid assembly.  The
+    slabs are split into ``min(_band_count(n), slabs)`` contiguous runs that
+    ``_run_shares`` assembles concurrently, on a pool that lives for this
+    call; each slab writes only its own rows of the buffers, and the buffers
+    are summed once every slab is done, so no norm depends on the split.
     """
     if len(grid.levels) < 3:
         raise InsufficientHistory(f"need 3 stored levels, have {len(grid.levels)}")
@@ -465,35 +519,40 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
     def part(src, box):
         return src if np.ndim(src) == 0 else src[box]
 
-    for x0 in range(lo, hi, _SLAB):
+    def assemble(x0):
         x1 = min(x0 + _SLAB, hi)
         core = (slice(x0, x1), slice(lo, hi), slice(lo, hi))
         halo = (slice(x0 - 2, x1 + 2), slice(lo - 2, hi + 2), slice(lo - 2, hi + 2))
         inner = (slice(2, x1 - x0 + 2), slice(2, hi - lo + 2), slice(2, hi - lo + 2))
         slab = sq[:, x0 - lo:x1 - lo]
 
-        # assembly (2nd order, matching the evolution); core = halo[inner]
+        # assembly (2nd order, matching the evolution), each residual as soon
+        # as its terms are formed and each term dropped after its last use,
+        # so that few slab arrays are alive at once; core = halo[inner]
         dphi_dt = (nxt.phi[halo] - prev.phi[halo]) / (2.0 * dt)
         da_dt = [(nxt.field(f)[halo] - prev.field(f)[halo]) / (2.0 * dt) for f in ("ax", "ay", "az")]
         e = [-da_dt[i] - _d2(cur.phi, halo, i, h) for i in range(3)]
-        b = _curl(a_cur, halo, _d2, h)
+        # sources on this slab: rho on the core, j on the halo for div j
+        np.square(_div(e, inner, _d4, h) - grid.sources.rho(cur.time, core), out=slab[0])
+        curl_e = _curl(e, inner, _d4, h)
+        del e
         db_dt = _curl(da_dt, inner, _d2, h)
+        del da_dt
+        for i in range(3):
+            np.square(curl_e[i] + db_dt[i], out=slab[1 + i])
+        del curl_e, db_dt
+        b = _curl(a_cur, halo, _d2, h)
+        np.square(_div(b, inner, _d4, h), out=slab[7])
+        curl_b = _curl(b, inner, _d4, h)
+        del b
         d2a_dt2 = [(nxt.field(f)[core] - 2.0 * cur.field(f)[core] + prev.field(f)[core]) / (dt * dt)
                    for f in ("ax", "ay", "az")]
         de_dt = [-d2a_dt2[i] - _d2(dphi_dt, inner, i, h) for i in range(3)]
-
-        # sources on this slab: rho on the core, j on the halo for div j
-        rho = grid.sources.rho(cur.time, core)
+        del d2a_dt2
         j = grid.sources.j(cur.time, halo)
-
-        # residual operators (4th order)
-        np.square(_div(e, inner, _d4, h) - rho, out=slab[0])
-        curl_e = _curl(e, inner, _d4, h)
-        curl_b = _curl(b, inner, _d4, h)
         for i in range(3):
-            np.square(curl_e[i] + db_dt[i], out=slab[1 + i])
             np.square(curl_b[i] - de_dt[i] - part(j[i], inner), out=slab[4 + i])
-        np.square(_div(b, inner, _d4, h), out=slab[7])
+        del curl_b, de_dt
         np.square(dphi_dt[inner] + _div(a_cur, core, _d4, h), out=slab[8])
         if sourced:
             drho_dt = 0.0
@@ -504,6 +563,16 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
                 if np.ndim(comp) > 0:
                     div_j = div_j + _d4(comp, inner, axis, h)
             np.square(drho_dt + div_j, out=slab[9])
+
+    starts = range(lo, hi, _SLAB)
+    runs = min(_band_count(grid.n), len(starts))
+
+    def run(k):
+        for x0 in starts[len(starts) * k // runs:len(starts) * (k + 1) // runs]:
+            assemble(x0)
+
+    with ThreadPoolExecutor(runs - 1) if runs > 1 else nullcontext() as pool:
+        _run_shares(pool, run, runs)
 
     return ResidualReport(
         gauss=_l2(sq[0:1], h), faraday=_l2(sq[1:4], h), ampere=_l2(sq[4:7], h),
@@ -564,7 +633,9 @@ def advected_integral(series: ScalarSeries, v, ball: Ball, shell_width: float | 
 
     The indicator is smoothed over shell_width (default 3h; 0 gives the hard
     ball) so the quadrature varies smoothly as the center slides across grid
-    cells; a hard indicator has O(h) staircase noise.
+    cells; a hard indicator has O(h) staircase noise.  The weights are formed
+    on sparse coordinate axes and again only when the center moves (once for
+    a fixed ball, v = 0).
     """
     v = np.asarray(v, dtype=float)
     if float(v @ v) >= 1.0:
@@ -582,16 +653,19 @@ def advected_integral(series: ScalarSeries, v, ball: Ball, shell_width: float | 
     xg = lo[0] + axis
     yg = lo[1] + axis
     zg = lo[2] + axis
-    x3, y3, z3 = np.meshgrid(xg, yg, zg, indexing="ij")
+    x3, y3, z3 = np.meshgrid(xg, yg, zg, indexing="ij", sparse=True)
     out = np.empty(series.times.size)
     cell = series.h ** 3
+    center = wgt = None
     for i, t in enumerate(series.times):
         c = ball.center0 + v * t
-        d = np.sqrt((x3 - c[0]) ** 2 + (y3 - c[1]) ** 2 + (z3 - c[2]) ** 2)
-        if delta == 0.0:
-            wgt = (d <= ball.radius).astype(float)
-        else:
-            wgt = _smoothstep((ball.radius - d) / delta)
+        if wgt is None or not np.array_equal(c, center):
+            center = c
+            d = np.sqrt((x3 - c[0]) ** 2 + (y3 - c[1]) ** 2 + (z3 - c[2]) ** 2)
+            if delta == 0.0:
+                wgt = (d <= ball.radius).astype(float)
+            else:
+                wgt = _smoothstep((ball.radius - d) / delta)
         out[i] = float(np.sum(wgt * series.frames[i])) * cell
     return out
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -269,8 +270,9 @@ def _reference_evolve(grid, steps):
         for name in grid.FIELD_NAMES:
             u = cur.field(name)
             new[name] = 2.0 * u - prev.field(name) + dt2 * (laplacian2(u, grid.h) + srcs[name])
+        full = np.broadcast_arrays(grid.X, grid.Y, grid.Z)
         for face in grid._faces:
-            xf, yf, zf = grid.X[face], grid.Y[face], grid.Z[face]
+            xf, yf, zf = (c[face] for c in full)
             if grid.analytic._phi is not None:
                 new["phi"][face] = grid.analytic.phi(xf, yf, zf, t_new)
             else:
@@ -363,8 +365,9 @@ def random_grids(draw, sizes=st.integers(5, 12)):
     source_of = {"phi": "rho", "ax": "jx", "ay": "jy", "az": "jz"}
 
     def face_nonzero(name, t):
+        full = np.broadcast_arrays(grid.X, grid.Y, grid.Z)
         for face in grid._faces:
-            xyz = grid.X[face], grid.Y[face], grid.Z[face]
+            xyz = tuple(c[face] for c in full)
             if name == "phi":
                 values = () if phi is None else (phi(*xyz, t),)
             else:
@@ -433,10 +436,65 @@ def test_band_count_without_affinity_uses_cpu_count(cpu_count, bands):
 
 
 def test_evolve_wave_leaves_no_thread_behind():
-    grid, steps, _ = dipole_grid(48)
+    """Neither the leapfrog pool nor the residual pool outlives its call."""
+    grid, steps, report = dipole_grid(48)
     before = threading.active_count()
     evolve_wave(grid, steps)
+    maxwell_residuals(grid, report)
     assert threading.active_count() == before
+
+
+def test_never_stepped_components_share_one_read_only_zero_level():
+    """The dipole's ax and ay have no source and no analytic callable: every
+    new level holds one read-only zero array for both, and perturb_initial_a
+    adds to it out of place, as in-place addition on writable copies would."""
+    grid, steps, _ = dipole_grid(16)
+    evolve_wave(grid, steps)
+    new = [lv for lv in grid.levels if lv.index >= 2]
+    shared = new[0].ax
+    assert not shared.flags.writeable and not shared.any() and shared.shape == (16,) * 3
+    assert all(lv.ax is shared and lv.ay is shared for lv in new)
+    assert all(lv.az is not shared and lv.phi is not shared for lv in new)
+    want = [[lv.field(f).copy() for f in ("ax", "ay", "az")] for lv in grid.levels]
+
+    def delta(x, y, z):
+        return np.sin(x + 2.0 * y) * z, -0.5 * x * y + z, np.cos(z) - 0.0 * x
+
+    dx, dy, dz = delta(grid.X, grid.Y, grid.Z)
+    for comps in want:
+        for arr, d in zip(comps, (dx, dy, dz)):
+            arr += d
+    grid.perturb_initial_a(delta)
+    for lv, comps in zip(grid.levels, want):
+        for name, arr in zip(("ax", "ay", "az"), comps):
+            assert np.array_equal(lv.field(name), arr), (lv.index, name)
+            assert np.array_equal(np.signbit(lv.field(name)), np.signbit(arr)), (lv.index, name)
+    assert not shared.any()
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_grid_coordinates_are_sparse_axes(n):
+    """X, Y, Z are (n,1,1), (1,n,1), (1,1,n) axes, and each face's coordinates
+    broadcast to the full coordinate arrays' face slices bit for bit."""
+    grid = GridField(n, 0.3, 0.1, SeparableSources(), AnalyticFarField())
+    assert (grid.X.shape, grid.Y.shape, grid.Z.shape) == ((n, 1, 1), (1, n, 1), (1, 1, n))
+    full = np.broadcast_arrays(grid.X, grid.Y, grid.Z)
+    axis = np.arange(n) * 0.3 - 0.5 * (n - 1) * 0.3
+    dense = np.meshgrid(axis, axis, axis, indexing="ij")
+    assert all(np.array_equal(f, d) for f, d in zip(full, dense))
+    assert len(grid._face_xyz) == len(grid._faces) == 6
+    for face, coords in zip(grid._faces, grid._face_xyz):
+        for c, f in zip(coords, full):
+            got = np.broadcast_to(c, (n, n))
+            assert np.array_equal(got, f[face]) and np.array_equal(np.signbit(got), np.signbit(f[face]))
+    # the zero far field and the seeds are full cubes
+    assert grid.analytic.phi(grid.X, grid.Y, grid.Z, 0.0).shape == (n,) * 3
+    assert [c.shape for c in grid.analytic.a(*grid._face_xyz[2], 0.0)] == [(n, n)] * 3
+    grid.analytic = AnalyticFarField(phi=lambda x, y, z, t: x + t, a=lambda x, y, z, t: (y, z, 0.0 * x))
+    grid.seed_from_analytic()
+    for lv in grid.levels:
+        assert all(lv.field(f).shape == (n,) * 3 for f in grid.FIELD_NAMES)
+        assert np.array_equal(lv.phi, full[0] + lv.time) and np.array_equal(lv.ay, full[2])
 
 
 def test_zero_start_component_with_source_boundary_or_perturbation_is_evolved():
@@ -473,27 +531,43 @@ def test_prop1_suite_reports_grid_counters():
 @settings(max_examples=60)
 @given(data=st.data())
 def test_slab_residuals_match_whole_grid_on_random_grids(n_min, n_max, data):
-    """n = 5, 6 leave an empty core; n = 15..20 split it into a full and a partial slab."""
+    """n = 5, 6 leave an empty core; n = 15..20 split it into a full and a
+    partial slab.  Each report is taken with 1, 2 and 3 workers and with the
+    default or a drawn slab width, and equals the whole-grid one."""
     grid, steps, _ = data.draw(random_grids(st.integers(n_min, n_max)))
     evolve_wave(grid, steps)
     t_index = data.draw(st.sampled_from([lv.index for lv in grid.levels[1:-1]]))
-    got = maxwell_residuals(grid, t_index)
-    assert got == _reference_residuals(grid, t_index)
+    want = _reference_residuals(grid, t_index)
+    width = data.draw(st.integers(1, 8))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the slab threads often
+    try:
+        for slab in sorted({maxwell._SLAB, width}):
+            for workers in (1, 2, 3):
+                with mock.patch.object(maxwell, "_SLAB", slab), \
+                        mock.patch.object(maxwell, "_band_count", lambda n, w=workers: w):
+                    got = maxwell_residuals(grid, t_index)
+                assert got == want, (slab, workers)
+    finally:
+        sys.setswitchinterval(switch)
     if grid.n <= 6:
         assert (got.gauss, got.faraday, got.ampere, got.nomono, got.gauge, got.continuity) == (0.0,) * 6
 
 
 def test_residual_assembly_peak_memory():
-    """The slab assembly holds at most 24 grid arrays at once (the whole-grid one held 48)."""
+    """The slab assembly holds at most 24 grid arrays at once (the whole-grid
+    one held 48), with 1, 2 or 4 slabs assembled concurrently."""
     grid, steps, report = dipole_grid(48)
     evolve_wave(grid, steps)
-    tracemalloc.start()
-    try:
-        maxwell_residuals(grid, report)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 48**3 * 8, peak / (48**3 * 8)
+    for workers in (1, 2, 4):
+        with mock.patch.object(maxwell, "_band_count", lambda n: workers):
+            tracemalloc.start()
+            try:
+                maxwell_residuals(grid, report)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 24 * 48**3 * 8, (workers, peak / (48**3 * 8))
 
 
 def test_sources_box_matches_whole_grid_slice():
