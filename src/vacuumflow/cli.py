@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, checked_seed, load_config
 from .core import ModelKind
 from .errors import ConfigError, VacuumFlowError
 from .integrate import simulate
@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = checked_seed(args.seed, "--seed")
         out = _out_dir(args, cfg)
         ok = _COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:

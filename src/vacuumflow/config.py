@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +45,8 @@ DEFAULT_TOLERANCES: dict = {
     "model_gap": 1e-10,
 }
 
-# each integrator kind's type and the keys it takes besides kind and h
-_INTEGRATORS = {"rk4": (RK4, ()), "implicit_midpoint": (ImplicitMidpoint, ("tol", "max_iter")),
-                "rk45": (RK45, ("atol", "rtol"))}
+# each integrator kind's type, whose fields are the keys it takes besides kind and h
+_INTEGRATORS = {integ.kind: integ for integ in (RK4, ImplicitMidpoint, RK45)}
 _INTEGRATOR_KINDS = tuple(_INTEGRATORS)
 _PARTICLE_KEYS = ("q", "u0")
 _FIELD_KEYS = ("w_inf", "q_test", "sources", "a_uniform", "b_uniform")
@@ -56,6 +55,10 @@ _SOURCE_KEYS = ("qs", "r0", "uf", "eps")
 #: 128 MiB, and the fine gauge-violated grid holds about 40 of them (8 levels
 #: of 4 fields, coordinates, source profiles, residual buffers), some 5 GiB
 MAX_GRID_N = 256
+#: largest forces.states: at this cap verify.force_gap_stats peaks at 368 MiB
+#: under tracemalloc (its (states, 14) table of rows alone is 107 MiB), and
+#: the forces CSV holds about 290 MB
+MAX_FORCE_STATES = 10**6
 _MAXWELL_DEFAULTS = {"n_coarse": 48, "n_fine": 96, "advected": True, "dump_grids": False}
 _QUANTUM_DEFAULTS = {"steps": 1000}
 _FORCES_DEFAULTS = {"states": 1000}
@@ -168,10 +171,10 @@ def _build_integrator(raw: dict) -> tuple[IntegratorKind, float]:
     _require(isinstance(raw, dict), "integrator: expected an object")
     kind = raw.get("kind", "implicit_midpoint")
     _require(kind in _INTEGRATOR_KINDS, f"integrator.kind: must be one of {_INTEGRATOR_KINDS}, got {kind!r}")
-    build, keys = _INTEGRATORS[kind]
+    build = _INTEGRATORS[kind]
+    keys = {key.name: type(key.default) for key in dc_fields(build)}  # the number type of each key
     _known_keys(raw, "integrator", ("kind", "h", *keys))
-    params = {key: _number(raw[key], f"integrator.{key}", int if key == "max_iter" else float)
-              for key in keys if key in raw}
+    params = {key: _number(raw[key], f"integrator.{key}", number) for key, number in keys.items() if key in raw}
     return _owned("integrator.", build, **params), _number(raw.get("h", 1e-3), "integrator.h")
 
 
@@ -185,6 +188,13 @@ def _section(raw, name: str, defaults: dict) -> dict:
 def _positive_int(value, where: str) -> int:
     out = _number(value, where, int)
     _require(out >= 1, f"{where}: must be a positive integer, got {out}")
+    return out
+
+
+def checked_seed(value, where: str = "seed") -> int:
+    """value as a seed numpy takes, a non-negative integer (the seed key and --seed)."""
+    out = _number(value, where, int)
+    _require(out >= 0, f"{where}: must be a non-negative integer, got {out}")
     return out
 
 
@@ -212,6 +222,8 @@ def _build_quantum(raw) -> dict:
 def _build_forces(raw) -> dict:
     out = _section(raw, "forces", _FORCES_DEFAULTS)
     out["states"] = _positive_int(out["states"], "forces.states")
+    _require(out["states"] <= MAX_FORCE_STATES,
+             f"forces.states: must be <= {MAX_FORCE_STATES} (the state count cap), got {out['states']}")
     return out
 
 
@@ -280,7 +292,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         tau_end=tau_end,
         integrator=integrator,
         h=h,
-        seed=_number(raw.get("seed", 0), "seed", int),
+        seed=checked_seed(raw.get("seed", 0)),
         out_dir=str(raw.get("out_dir", "out")),
         tolerances=tolerances,
         maxwell=_build_maxwell(raw.get("maxwell", {})),

@@ -31,16 +31,18 @@ components as named locals, like point_rhs: each iterate, the max-norm of its
 change, the finiteness test and the update 2 ym - y, and in simulate the
 extrapolated start, component by component.  Each component goes through
 the same operations in the same order as in an elementwise loop over the
-seven, so no bit depends on the unrolling.  The new states go into the state
-array in batches of rows.
+seven, so no bit depends on the unrolling.  RK4 and the midpoint rule share
+one loop, _fill, that writes the new states into the state array in batches
+of rows.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from operator import sub
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,7 +71,7 @@ RK45_MAX_EVALS = 1000
 #: accepted RK45 steps whose samples the dense output fills in one batch
 _DENSE_BATCH = 1024
 
-#: implicit-midpoint states written to the state array in one batch
+#: fixed-step states written to the state array in one batch
 _ROW_BATCH = 1024
 
 
@@ -90,11 +92,12 @@ def step_count(tau_end: float, h: float) -> int:
 
 @dataclass(frozen=True)
 class RK4:
-    pass
+    kind: ClassVar[str] = "rk4"
 
 
 @dataclass(frozen=True)
 class ImplicitMidpoint:
+    kind: ClassVar[str] = "implicit_midpoint"
     tol: float = 1e-12
     max_iter: int = 50
 
@@ -112,6 +115,7 @@ RK45_RTOL_MIN = 100.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class RK45:
+    kind: ClassVar[str] = "rk45"
     atol: float = 1e-10
     rtol: float = 1e-10
 
@@ -126,11 +130,10 @@ IntegratorKind = RK4 | ImplicitMidpoint | RK45
 
 
 def integrator_name(integ: IntegratorKind) -> str:
-    if isinstance(integ, RK4):
-        return "rk4"
-    if isinstance(integ, ImplicitMidpoint):
-        return f"implicit_midpoint(tol={integ.tol:g},max_iter={integ.max_iter})"
-    return f"rk45(atol={integ.atol:g},rtol={integ.rtol:g})"
+    """The config kind with its fields, floats as :g: "implicit_midpoint(tol=1e-12,max_iter=50)"."""
+    params = ",".join(f"{p.name}={getattr(integ, p.name):{'g' if isinstance(p.default, float) else ''}}"
+                      for p in dc_fields(integ))
+    return f"{integ.kind}({params})" if params else integ.kind
 
 
 @dataclass
@@ -412,7 +415,9 @@ def simulate(
     integrator: IntegratorKind,
     h: float,
 ) -> TrajectoryRecord:
-    """Integrate from init_phase to tau_end, recording every h.
+    """Integrate from init_phase to tau_end, recording every h.  The runner of
+    the integrator's type steps from state[0] and fills the rows of state in
+    turn: (f, h, taus, integ, state) -> (states filled, stats, termination).
 
     Terminates early with a diagnostic in meta["termination"] if a model
     invariant trips, or if RK45's step collapses or exceeds its evaluation cap.
@@ -423,77 +428,27 @@ def simulate(
     rest_mass = emergent_rest_mass(particle, fld, r0) if model is ModelKind.M0 else None
 
     f = _rhs(model, fld, rest_mass)
-    y = _pack(phase0)
     taus = h * np.arange(n_steps + 1)
     state = np.empty((n_steps + 1, 7))
-    state[0] = y
-    if isinstance(integrator, RK45):
-        n, accepted, rejected, termination = _run_dopri5(f, y, taus, integrator, state)
-        stats = {"nfev": f.calls, "accepted": accepted, "rejected": rejected}
-        return _build_record(model, integrator, h, fld, taus[:n], state[:n], rest_mass, stats, termination)
-    if isinstance(integrator, ImplicitMidpoint):
-        n, stats, termination = _run_midpoint(f, y, h, integrator, state)
-        return _build_record(model, integrator, h, fld, taus[:n], state[:n], rest_mass, stats, termination)
-
-    n = 1
-    termination = None
-    for k in range(1, n_steps + 1):
-        try:
-            y = _step_rk4(f, y, h)
-        except (SubluminalViolation, NonNegativeField) as exc:
-            termination = f"step {k}: {exc}"
-            break
-        state[k] = y
-        n = k + 1
-    stats = {"rhs_evals": f.calls}
+    state[0] = _pack(phase0)
+    n, stats, termination = _RUNNERS[type(integrator)](f, h, taus, integrator, state)
     return _build_record(model, integrator, h, fld, taus[:n], state[:n], rest_mass, stats, termination)
 
 
-def _run_midpoint(f, y, h, integ, state):
-    """Step the implicit midpoint rule from y = state[0], filling the rows of
-    state in turn: (states filled, stats, termination).
-
-    From the fourth step on, the iteration starts from the quadratic
-    extrapolation 3(k_n - k_{n-1}) + k_{n-2} of the last three midpoint
-    slopes, component by component.  If that start trips a guard or fails to
-    converge, the step is retried from the Euler start f(y), so only a failure
-    of the Euler start ends the run (a guard error ends the record with a
-    termination; NoConvergence raises).  A retried step counts in fp_restarts
-    once it succeeds, and its iterations also count the evaluations of the
-    abandoned attempt.  The new states go into state _ROW_BATCH rows at a
-    time, which costs less than one numpy row write per step.
-    """
-    tol, max_iter = integ.tol, integ.max_iter
-    iter_sum = iter_max = restarts = 0
-    kc = kb = ka = None  # midpoint slopes of the last three steps, oldest first
+def _fill(advance, state):
+    """Fill state[k] = advance(state[k - 1]) for k = 1, 2, ...: (states filled,
+    termination).  A guard error of step k ends the fill with the termination
+    "step k: <error>".  The new states go into state _ROW_BATCH rows at a
+    time, which costs less than one numpy row write per step."""
+    y = state[0].tolist()
     filled, rows = 1, []  # states written to state, and those still to write
     termination = None
     for k in range(1, len(state)):
         try:
-            if kc is None:
-                y, it, slope = _step_midpoint(f, y, h, tol, max_iter)
-            else:
-                a0, a1, a2, a3, a4, a5, a6 = ka
-                b0, b1, b2, b3, b4, b5, b6 = kb
-                c0, c1, c2, c3, c4, c5, c6 = kc
-                start = (3.0 * (a0 - b0) + c0, 3.0 * (a1 - b1) + c1, 3.0 * (a2 - b2) + c2,
-                         3.0 * (a3 - b3) + c3, 3.0 * (a4 - b4) + c4, 3.0 * (a5 - b5) + c5,
-                         3.0 * (a6 - b6) + c6)
-                calls = f.calls
-                try:
-                    y, it, slope = _step_midpoint(f, y, h, tol, max_iter, start)
-                except (SubluminalViolation, NonNegativeField, NoConvergence):
-                    wasted = f.calls - calls
-                    y, it, slope = _step_midpoint(f, y, h, tol, max_iter)
-                    it += wasted
-                    restarts += 1
+            y = advance(y)
         except (SubluminalViolation, NonNegativeField) as exc:
             termination = f"step {k}: {exc}"
             break
-        kc, kb, ka = kb, ka, slope
-        iter_sum += it
-        if it > iter_max:
-            iter_max = it
         rows.append(y)
         if len(rows) == _ROW_BATCH:
             state[filled:filled + _ROW_BATCH] = rows
@@ -502,6 +457,56 @@ def _run_midpoint(f, y, h, integ, state):
     n = filled + len(rows)
     if rows:
         state[filled:n] = rows
+    return n, termination
+
+
+def _run_rk4(f, h, taus, integ, state):
+    n, termination = _fill(lambda y: _step_rk4(f, y, h), state)
+    return n, {"rhs_evals": f.calls}, termination
+
+
+def _run_midpoint(f, h, taus, integ, state):
+    """Step the implicit midpoint rule.
+
+    From the fourth step on, the iteration starts from the quadratic
+    extrapolation 3(k_n - k_{n-1}) + k_{n-2} of the last three midpoint
+    slopes, component by component.  If that start trips a guard or fails to
+    converge, the step is retried from the Euler start f(y), so only a failure
+    of the Euler start ends the run (a guard error ends the record with a
+    termination; NoConvergence raises).  A retried step counts in fp_restarts
+    once it succeeds, and its iterations also count the evaluations of the
+    abandoned attempt.
+    """
+    tol, max_iter = integ.tol, integ.max_iter
+    iter_sum = iter_max = restarts = 0
+    kc = kb = ka = None  # midpoint slopes of the last three steps, oldest first
+
+    def advance(y):
+        nonlocal iter_sum, iter_max, restarts, kc, kb, ka
+        if kc is None:
+            y, it, slope = _step_midpoint(f, y, h, tol, max_iter)
+        else:
+            a0, a1, a2, a3, a4, a5, a6 = ka
+            b0, b1, b2, b3, b4, b5, b6 = kb
+            c0, c1, c2, c3, c4, c5, c6 = kc
+            start = (3.0 * (a0 - b0) + c0, 3.0 * (a1 - b1) + c1, 3.0 * (a2 - b2) + c2,
+                     3.0 * (a3 - b3) + c3, 3.0 * (a4 - b4) + c4, 3.0 * (a5 - b5) + c5,
+                     3.0 * (a6 - b6) + c6)
+            calls = f.calls
+            try:
+                y, it, slope = _step_midpoint(f, y, h, tol, max_iter, start)
+            except (SubluminalViolation, NonNegativeField, NoConvergence):
+                wasted = f.calls - calls
+                y, it, slope = _step_midpoint(f, y, h, tol, max_iter)
+                it += wasted
+                restarts += 1
+        kc, kb, ka = kb, ka, slope
+        iter_sum += it
+        if it > iter_max:
+            iter_max = it
+        return y
+
+    n, termination = _fill(advance, state)
     stats = {
         "rhs_evals": f.calls,
         "fp_iter_max": iter_max,
@@ -511,9 +516,9 @@ def _run_midpoint(f, y, h, integ, state):
     return n, stats, termination
 
 
-def _run_dopri5(f, y, taus, integ, state):
-    """Step RK45 from y = state[0] to taus[-1], filling state[j] at taus[j] from
-    the dense output: (samples filled, accepted steps, rejected steps, termination).
+def _run_dopri5(f, h, taus, integ, state):
+    """Step RK45 to taus[-1], filling state[j] at taus[j] from the dense output;
+    the stats count evaluations (nfev), accepted and rejected steps.
 
     scipy's step control: a rejected step shrinks by max(0.2, 0.9 error^-1/5),
     an accepted one grows by min(10, 0.9 error^-1/5) (at most 1 after a
@@ -524,6 +529,7 @@ def _run_dopri5(f, y, taus, integ, state):
     """
     grid = taus.tolist()
     t, t_end = 0.0, grid[-1]
+    y = state[0].tolist()
     k1 = f(y)
     h_abs = _first_step(f, y, k1, t_end, integ.atol, integ.rtol)
     accepted = rejected = 0
@@ -572,7 +578,7 @@ def _run_dopri5(f, y, taus, integ, state):
         t, y, k1 = t_new, y1, slopes[6]
     if pending:
         _dense_fill(state, taus, pending)
-    return j, accepted, rejected, termination
+    return j, {"nfev": f.calls, "accepted": accepted, "rejected": rejected}, termination
 
 
 def _dense_fill(state, taus, steps):
@@ -596,6 +602,9 @@ def _dense_fill(state, taus, steps):
     x2 = x * x
     x3 = x2 * x
     state[j0:j1] = y[at] + h[:, None] * (q[0] * x + q[1] * x2 + q[2] * x3 + q[3] * (x3 * x))
+
+
+_RUNNERS = {RK4: _run_rk4, ImplicitMidpoint: _run_midpoint, RK45: _run_dopri5}
 
 
 def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord) -> tuple[float, float]:

@@ -30,26 +30,22 @@ class ParticleScenario:
     h: float
 
 
+def _flyby(name: str, tau_end: float, a_uniform=(0.0, 0.0, 0.0), b_uniform=(0.0, 0.0, 0.0)) -> ParticleScenario:
+    """A particle at u0 = 0.45 x from (-2, 0.75, 0) past one static softened
+    source at the origin, with the given uniform A and B terms, at h = 1e-3."""
+    source = FieldSource(qs=0.5, r0=(0.0, 0.0, 0.0), uf=(0.0, 0.0, 0.0), eps=0.05)
+    field = VacuumField(w_inf=-1.0, sources=(source,), q_test=1.0, a_uniform=a_uniform, b_uniform=b_uniform)
+    return ParticleScenario(name=name, particle=Particle(q=1.0, u0=(0.45, 0.0, 0.0)), field=field,
+                            r0=np.array([-2.0, 0.75, 0.0]), tau_end=tau_end, h=1e-3)
+
+
 def standard_flyby() -> ParticleScenario:
     """Single static softened source plus a small static uniform A.
 
     Static external data keep every model Hamiltonian autonomous (hence
     conserved); the uniform A makes the M1/M2/M3 flows genuinely distinct.
     """
-    field = VacuumField(
-        w_inf=-1.0,
-        sources=(FieldSource(qs=0.5, r0=(0.0, 0.0, 0.0), uf=(0.0, 0.0, 0.0), eps=0.05),),
-        q_test=1.0,
-        a_uniform=(0.0, 0.02, 0.0),
-    )
-    return ParticleScenario(
-        name="flyby",
-        particle=Particle(q=1.0, u0=(0.45, 0.0, 0.0)),
-        field=field,
-        r0=np.array([-2.0, 0.75, 0.0]),
-        tau_end=10.0,
-        h=1e-3,
-    )
+    return _flyby("flyby", 10.0, a_uniform=(0.0, 0.02, 0.0))
 
 
 def gyration(periods: float = 5.0, b: float = 1.0, u: float = 0.6) -> ParticleScenario:
@@ -88,38 +84,12 @@ def uniform_a_pair(a_mag: float = 1e-5) -> ParticleScenario:
     u0 is kept orthogonal to A; the canonical M2 flow then departs from M3 only
     at O(q^2 a^2), measured explicitly by the companion scaling test.
     """
-    field = VacuumField(
-        w_inf=-1.0,
-        sources=(FieldSource(qs=0.5, r0=(0.0, 0.0, 0.0), uf=(0.0, 0.0, 0.0), eps=0.05),),
-        q_test=1.0,
-        a_uniform=(0.0, 0.0, a_mag),
-    )
-    return ParticleScenario(
-        name="uniform_a",
-        particle=Particle(q=1.0, u0=(0.45, 0.0, 0.0)),
-        field=field,
-        r0=np.array([-2.0, 0.75, 0.0]),
-        tau_end=8.0,
-        h=1e-3,
-    )
+    return _flyby("uniform_a", 8.0, a_uniform=(0.0, 0.0, a_mag))
 
 
 def nonuniform_a_pair(b: float = 0.25) -> ParticleScenario:
     """Static source plus a linear (uniform-B) A: M2 and M3 must visibly split."""
-    field = VacuumField(
-        w_inf=-1.0,
-        sources=(FieldSource(qs=0.5, r0=(0.0, 0.0, 0.0), uf=(0.0, 0.0, 0.0), eps=0.05),),
-        q_test=1.0,
-        b_uniform=(0.0, 0.0, b),
-    )
-    return ParticleScenario(
-        name="nonuniform_a",
-        particle=Particle(q=1.0, u0=(0.45, 0.0, 0.0)),
-        field=field,
-        r0=np.array([-2.0, 0.75, 0.0]),
-        tau_end=8.0,
-        h=1e-3,
-    )
+    return _flyby("nonuniform_a", 8.0, b_uniform=(0.0, 0.0, b))
 
 
 def moving_source_field() -> VacuumField:

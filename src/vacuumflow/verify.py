@@ -30,7 +30,7 @@ from .dynamics import (
     m2_xidot,
     point_rhs,
 )
-from .fields import VacuumField, dot3
+from .fields import VacuumField, dot3, jac_t_dot
 from .integrate import RK45, ImplicitMidpoint, RK4, TrajectoryRecord, compare_trajectories, simulate
 from .maxwell import advected_integral, evolve_wave, maxwell_residuals, sample_scalar_series, solution_error
 from .quantum import (
@@ -71,7 +71,7 @@ def energy_drift_by_model(models=presets.VACUUM_MODELS, scenario=None) -> dict:
 
 def mass_law_deviation(traj: TrajectoryRecord) -> float:
     """max |-W sqrt(1-u^2) - E0| / E0 along a recorded trajectory."""
-    u2 = np.einsum("ij,ij->i", traj.u_lab, traj.u_lab)
+    u2 = dot3(traj.u_lab, traj.u_lab)
     mass_law = -traj.w * np.sqrt(1.0 - u2)
     e0 = traj.energy[0]
     return float(np.max(np.abs(mass_law - e0)) / abs(e0))
@@ -159,7 +159,7 @@ def nonuniform_a_deviation() -> dict:
     # force-gap magnitude along the M3 trajectory, scaled by the heavy mass
     q = sc.field.q_test
     jac = sc.field.a_jac(m3.r, m3.t)
-    gap = np.linalg.norm(q * np.einsum("nji,nj->ni", jac, m3.u_lab), axis=1)
+    gap = np.linalg.norm(q * jac_t_dot(jac, m3.u_lab), axis=1)
     mass = float(np.max(-m3.w))
     dp = np.concatenate([[0.0], np.cumsum(0.5 * (gap[1:] + gap[:-1]) * np.diff(m3.t))])
     dr = np.concatenate([[0.0], np.cumsum(0.5 * (dp[1:] + dp[:-1]) * np.diff(m3.t))]) / mass

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from vacuumflow import verify
 from vacuumflow.cli import main
-from vacuumflow.config import DEFAULT_TOLERANCES, MAX_GRID_N, load_config, validate_config
+from vacuumflow.config import DEFAULT_TOLERANCES, MAX_FORCE_STATES, MAX_GRID_N, load_config, validate_config
 from vacuumflow.dynamics import ForceKind, force
 from vacuumflow.errors import ConfigError
 
@@ -131,6 +131,11 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
     ("integrator.h: step must be <= tau_end", {"integrator": {"kind": "rk45", "h": 5.0}}),
     # below RK45's floor (scipy's), where the error target sits under round-off
     ("integrator.rtol", {"integrator": {"kind": "rk45", "rtol": 1e-16}}),
+    # numpy's generators take no negative seed
+    ("seed", {"seed": -5}),
+    # 10**13 states would need some 500 TiB
+    ("forces.states", {"forces": {"states": 10**13}}),
+    ("forces.states", {"forces": {"states": MAX_FORCE_STATES + 1}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
@@ -138,8 +143,9 @@ def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     top level or in a section (integrator keys depend on the kind), a
     non-positive tolerance, an inverted band, sources that are not a list, a
     softening too small for the kernels, a boolean number, a start state that
-    breaks a model's square-root guard, huge speeds and each invariant an
-    owning type checks end in exit 2, not a traceback or a numpy warning."""
+    breaks a model's square-root guard, huge speeds, a negative seed, a state
+    count above the cap and each invariant an owning type checks end in exit 2,
+    not a traceback or a numpy warning."""
     cfg = _free_config(tmp_path, **overrides)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -283,6 +289,17 @@ def test_maxwell_grid_size_above_the_cap_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"config error: maxwell.n_fine: must be <= {MAX_GRID_N}" in err
     assert "Traceback" not in err
+
+
+def test_negative_seed_option_exit_2(tmp_path, capsys):
+    """--seed -1 used to reach numpy's generator and exit 1 with its ValueError;
+    it is checked like the config key.  The state count cap itself loads."""
+    cfg = _free_config(tmp_path)
+    for command in ("forces", "checks"):
+        assert main([command, "--config", str(cfg), "--seed", "-1", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --seed: must be a non-negative integer, got -1" in err and "Traceback" not in err
+    assert load_config(_free_config(tmp_path, forces={"states": MAX_FORCE_STATES})).forces["states"] == MAX_FORCE_STATES
 
 
 @pytest.mark.parametrize("model", ["M2", "M3"])

@@ -353,27 +353,40 @@ def test_rk45_samples_do_not_depend_on_the_dense_batch(monkeypatch, static_sourc
 
 @pytest.mark.parametrize("overrun", [False, True], ids=["complete", "guard_stop"])
 def test_midpoint_states_do_not_depend_on_the_row_batch(monkeypatch, static_source_field, overrun):
-    """The implicit midpoint writes its states to the record in batches of rows;
-    every batch size gives the same bytes, on 2,000 steps of the standard flyby
-    and on the overrun run above, which a guard ends at step 49."""
+    """The implicit midpoint and RK4 write their states to the record in batches
+    of rows; every batch size gives the same bytes, on 2,000 steps of the
+    standard flyby and on the overrun run above, which a guard ends at step 49."""
     if overrun:
         fld = VacuumField(
             w_inf=-1.0,
             sources=(FieldSource(qs=30.0, r0=(6.0, 0, 0), uf=(-0.8, 0, 0), eps=0.05),),
             q_test=1.0,
         )
-        args = (Particle(q=1.0, u0=(-0.5, 0, 0)), fld, ORIGIN, 30.0, ImplicitMidpoint(), 0.05)
+        particle, r0, tau_end, h = Particle(q=1.0, u0=(-0.5, 0, 0)), ORIGIN, 30.0, 0.05
     else:
         sc = standard_flyby()
-        args = (sc.particle, static_source_field, sc.r0, 2.0, ImplicitMidpoint(), 1e-3)
-    ref = simulate(ModelKind.M1, *args)
-    assert len(ref) == (48 if overrun else 2001) and ("termination" in ref.meta) == overrun
-    for batch in (1, 7, 5000):
-        monkeypatch.setattr(integrate, "_ROW_BATCH", batch)
-        rec = simulate(ModelKind.M1, *args)
-        assert rec.meta == ref.meta
-        for name in ("tau", "t", "r", "mom", "energy"):
-            assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes()
+        particle, fld, r0, tau_end, h = sc.particle, static_source_field, sc.r0, 2.0, 1e-3
+    default = integrate._ROW_BATCH
+    for integ in (ImplicitMidpoint(), RK4()):
+        monkeypatch.setattr(integrate, "_ROW_BATCH", default)
+        ref = simulate(ModelKind.M1, particle, fld, r0, tau_end, integ, h)
+        assert len(ref) == (48 if overrun else 2001) and ("termination" in ref.meta) == overrun
+        for batch in (1, 7, 5000):
+            monkeypatch.setattr(integrate, "_ROW_BATCH", batch)
+            rec = simulate(ModelKind.M1, particle, fld, r0, tau_end, integ, h)
+            assert rec.meta == ref.meta
+            for name in ("tau", "t", "r", "mom", "energy"):
+                assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_meta_names_the_integrator_and_its_parameters(uniform_field):
+    """meta["integrator"] is the config kind with the dataclass's fields, floats as :g."""
+    names = {RK4(): "rk4", ImplicitMidpoint(): "implicit_midpoint(tol=1e-12,max_iter=50)",
+             RK45(): "rk45(atol=1e-10,rtol=1e-10)",
+             ImplicitMidpoint(tol=2.5e-9, max_iter=1234567): "implicit_midpoint(tol=2.5e-09,max_iter=1234567)"}
+    for integ, name in names.items():
+        rec = simulate(ModelKind.M1, Particle(q=1.0, u0=(0.5, 0, 0)), uniform_field, ORIGIN, 0.1, integ, 0.01)
+        assert rec.meta["integrator"] == name
 
 
 def test_a_collapsing_rk45_step_ends_the_record(monkeypatch, uniform_field):
