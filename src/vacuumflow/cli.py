@@ -212,8 +212,10 @@ def cmd_quantum(cfg: ScenarioConfig, out: Path, args) -> bool:
 
 
 def cmd_checks(cfg: ScenarioConfig, out: Path, args) -> bool:
-    legendre = verify.legendre_consistency(seed=cfg.seed or 1)
-    vf = verify.vector_field_fd(seed=(cfg.seed or 1) + 1)
+    # one independent stream per criterion, so every seed gives its own draws
+    legendre_seed, vf_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    legendre = verify.legendre_consistency(seed=legendre_seed)
+    vf = verify.vector_field_fd(seed=vf_seed)
     el = verify.el_convergence()
     ok = verify.passed(cfg.tolerance, legendre_consistency=legendre, vector_field_fd=vf, el_convergence=el)
     _write_json(out / f"{cfg.name}_checks.json",

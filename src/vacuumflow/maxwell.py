@@ -40,9 +40,11 @@ cell's operations in the whole-grid order.  The slabs are split into
 contiguous runs, one per band of the leapfrog (at most one per slab), and
 assembled concurrently on a pool that lives for one report; a slab drops
 each term after its last use, so each concurrent slab holds about 6 MB of
-temporaries at n = 96.  Each slab writes only its own rows of the squared
-residuals, and each is summed whole once every slab is done, so every norm
-is bit-identical to assembling the whole grid, whatever the thread count.
+temporaries at n = 96.  Each squared residual is summed per core x-plane,
+and each norm is the correctly rounded sum (``math.fsum``) of its plane
+sums, so every norm is bit-identical to the whole-grid assembly summed the
+same way, whatever the slab width or thread count; no core-sized buffer of
+squares is kept.
 The sources, too, are taken per slab: rho on the slab's core, j on its halo.
 """
 
@@ -182,11 +184,10 @@ class GridField:
     """
 
     FIELD_NAMES = ("phi", "ax", "ay", "az")
-    #: stored time levels.  A residual report needs three consecutive levels;
-    #: the presets report two levels before their last step's, so they need 5
-    #: (at n = 96, levels 29-33 with the report at 30), and more from n = 104
-    #: (presets._retained_levels)
-    history = 5
+    #: stored time levels: the three a residual report reads (the leapfrog
+    #: needs two); the presets stop one level past their report, so their
+    #: last three levels are the report's (at n = 96, levels 29-31)
+    history = 3
 
     def __init__(self, n: int, h: float, dt: float, sources: SeparableSources,
                  analytic: AnalyticFarField):
@@ -403,7 +404,8 @@ def evolve_wave(grid: GridField, steps: int) -> GridField:
     call.  Each field update is split into ``_band_count(n)`` bands, all but
     the first stepped on a thread pool that lives for this call only (no pool
     for one band).  The oldest level is dropped before the new one is
-    allocated, so a step holds at most ``grid.history`` levels.
+    allocated, so a step holds at most ``grid.history`` (3) levels, the new
+    one included.
     ``grid.stats`` accumulates ``grid_steps`` and the sorted names of the
     components the kernel stepped.
     """
@@ -492,12 +494,14 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
     Only the masked core enters a norm, so it is assembled in x-slabs of the
     core, each with a halo: 2 cells of E and B for the 4th-order operators,
     which reach 3 cells of potentials (the margin is at least 3).  Each
-    residual component's square goes into its own core-sized buffer, summed
-    whole, so every norm is bit-identical to the whole-grid assembly.  The
-    slabs are split into ``min(_band_count(n), slabs)`` contiguous runs that
-    ``_run_shares`` assembles concurrently, on a pool that lives for this
-    call; each slab writes only its own rows of the buffers, and the buffers
-    are summed once every slab is done, so no norm depends on the split.
+    residual component is squared in place and summed per core x-plane
+    (one ``np.sum`` per plane) into a ``(10, core)`` table; each norm is
+    ``sqrt(h^3 * math.fsum(its plane sums))``.  The slabs are split into
+    ``min(_band_count(n), slabs)`` contiguous runs that ``_run_shares``
+    assembles concurrently, on a pool that lives for this call; each slab
+    writes only its own columns of the table, and a plane's sum and
+    ``fsum``'s correctly rounded total depend on neither the slab width nor
+    the split.
     """
     if len(grid.levels) < 3:
         raise InsufficientHistory(f"need 3 stored levels, have {len(grid.levels)}")
@@ -509,8 +513,9 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
     h, dt = grid.h, grid.dt
     margin = grid.interior_mask_margin()
     lo, hi = margin, grid.n - margin
-    # squares of gauss, faraday x/y/z, ampere x/y/z, nomono, gauge, continuity
-    sq = np.empty((10,) + (max(hi - lo, 0),) * 3)
+    # per core x-plane, the sums of the squares of gauss, faraday x/y/z,
+    # ampere x/y/z, nomono, gauge and continuity (0.0 with no sources)
+    sums = np.zeros((10, max(hi - lo, 0)))
 
     terms = grid.sources._terms
     sourced = any(terms[name] for name in ("rho", "jx", "jy", "jz"))
@@ -524,7 +529,11 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
         core = (slice(x0, x1), slice(lo, hi), slice(lo, hi))
         halo = (slice(x0 - 2, x1 + 2), slice(lo - 2, hi + 2), slice(lo - 2, hi + 2))
         inner = (slice(2, x1 - x0 + 2), slice(2, hi - lo + 2), slice(2, hi - lo + 2))
-        slab = sq[:, x0 - lo:x1 - lo]
+        planes = sums[:, x0 - lo:x1 - lo]
+
+        def add(k, residual):
+            np.square(residual, out=residual)
+            np.sum(residual, axis=(1, 2), out=planes[k])
 
         # assembly (2nd order, matching the evolution), each residual as soon
         # as its terms are formed and each term dropped after its last use,
@@ -533,16 +542,16 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
         da_dt = [(nxt.field(f)[halo] - prev.field(f)[halo]) / (2.0 * dt) for f in ("ax", "ay", "az")]
         e = [-da_dt[i] - _d2(cur.phi, halo, i, h) for i in range(3)]
         # sources on this slab: rho on the core, j on the halo for div j
-        np.square(_div(e, inner, _d4, h) - grid.sources.rho(cur.time, core), out=slab[0])
+        add(0, _div(e, inner, _d4, h) - grid.sources.rho(cur.time, core))
         curl_e = _curl(e, inner, _d4, h)
         del e
         db_dt = _curl(da_dt, inner, _d2, h)
         del da_dt
         for i in range(3):
-            np.square(curl_e[i] + db_dt[i], out=slab[1 + i])
+            add(1 + i, curl_e[i] + db_dt[i])
         del curl_e, db_dt
         b = _curl(a_cur, halo, _d2, h)
-        np.square(_div(b, inner, _d4, h), out=slab[7])
+        add(7, _div(b, inner, _d4, h))
         curl_b = _curl(b, inner, _d4, h)
         del b
         d2a_dt2 = [(nxt.field(f)[core] - 2.0 * cur.field(f)[core] + prev.field(f)[core]) / (dt * dt)
@@ -551,9 +560,9 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
         del d2a_dt2
         j = grid.sources.j(cur.time, halo)
         for i in range(3):
-            np.square(curl_b[i] - de_dt[i] - part(j[i], inner), out=slab[4 + i])
+            add(4 + i, curl_b[i] - de_dt[i] - part(j[i], inner))
         del curl_b, de_dt
-        np.square(dphi_dt[inner] + _div(a_cur, core, _d4, h), out=slab[8])
+        add(8, dphi_dt[inner] + _div(a_cur, core, _d4, h))
         if sourced:
             drho_dt = 0.0
             if terms["rho"]:
@@ -562,7 +571,7 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
             for axis, comp in enumerate(j):
                 if np.ndim(comp) > 0:
                     div_j = div_j + _d4(comp, inner, axis, h)
-            np.square(drho_dt + div_j, out=slab[9])
+            add(9, drho_dt + div_j)
 
     starts = range(lo, hi, _SLAB)
     runs = min(_band_count(grid.n), len(starts))
@@ -574,10 +583,12 @@ def maxwell_residuals(grid: GridField, t_index: int | None = None) -> ResidualRe
     with ThreadPoolExecutor(runs - 1) if runs > 1 else nullcontext() as pool:
         _run_shares(pool, run, runs)
 
+    def norm(k0, k1):
+        return math.sqrt(math.fsum(sums[k0:k1].flat) * h ** 3)
+
     return ResidualReport(
-        gauss=_l2(sq[0:1], h), faraday=_l2(sq[1:4], h), ampere=_l2(sq[4:7], h),
-        nomono=_l2(sq[7:8], h), gauge=_l2(sq[8:9], h),
-        continuity=_l2(sq[9:10], h) if sourced else 0.0,
+        gauss=norm(0, 1), faraday=norm(1, 4), ampere=norm(4, 7),
+        nomono=norm(7, 8), gauge=norm(8, 9), continuity=norm(9, 10),
         time=cur.time, h=h, dt=dt, margin=margin,
     )
 

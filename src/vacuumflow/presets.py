@@ -115,24 +115,18 @@ VACUUM_MODELS = (ModelKind.M1, ModelKind.M2, ModelKind.M3)
 
 #: fixed physical extent of the verification cube; n = 48 gives h = 0.1
 GRID_EXTENT = 4.8
-#: physical run length and report time for the convergence studies
-WAVE_T_END = 0.8
+#: report time for the convergence studies
 WAVE_T_REPORT = 0.75
 
 
 def _grid_steps(n: int) -> tuple[float, float, int, int]:
+    """(h, dt, steps, report_index).  After the two seeded levels, steps
+    leapfrog steps end at level report_index + 1, the newest of the three
+    levels the residual report reads, so steps == report_index."""
     h = GRID_EXTENT / n
     dt = 0.5 * h
-    steps = int(round(WAVE_T_END / dt))
     report_index = int(round(WAVE_T_REPORT / dt))
-    return h, dt, steps, report_index
-
-
-def _retained_levels(steps: int, report_index: int) -> int:
-    """Levels a preset grid keeps: the residual report needs levels
-    report_index - 1 .. steps + 1 (the newest).  GridField.history (5) covers
-    n <= 103; from n = 104 some sizes need 6, and n = 256 needs 8."""
-    return max(GridField.history, steps + 3 - report_index)
+    return h, dt, report_index, report_index
 
 
 def plane_wave_grid(n: int = 48) -> tuple[GridField, int, int]:
@@ -151,7 +145,6 @@ def plane_wave_grid(n: int = 48) -> tuple[GridField, int, int]:
         return amp * pol[0] * phase, amp * pol[1] * phase, amp * pol[2] * phase
 
     grid = GridField(n, h, dt, SeparableSources(), AnalyticFarField(a=a_fn))
-    grid.history = _retained_levels(steps, report_index)
     grid.seed_from_analytic()
     return grid, steps, report_index
 
@@ -188,7 +181,6 @@ def dipole_grid(n: int = 48, gauge_violation: float = 0.0) -> tuple[GridField, i
         )
 
     grid = GridField(n, h, dt, SeparableSources(), AnalyticFarField())
-    grid.history = _retained_levels(steps, report_index)
     gauss_prof = amp * np.exp(-(grid.X**2 + grid.Y**2 + grid.Z**2) / (2.0 * sigma * sigma))
     rho_prof = gauss_prof * grid.Z / (sigma * sigma)  # -d/dz of the blob
     grid.sources = SeparableSources(

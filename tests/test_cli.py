@@ -302,6 +302,26 @@ def test_negative_seed_option_exit_2(tmp_path, capsys):
     assert load_config(_free_config(tmp_path, forces={"states": MAX_FORCE_STATES})).forces["states"] == MAX_FORCE_STATES
 
 
+def test_checks_seeds_give_their_own_draws(tmp_path):
+    """Each seed gives its own checks artifact, and each criterion its own
+    stream of it (one SeedSequence child each): --seed 0 and --seed 1 used to
+    share their bytes, and seed s's vector_field_fd drew seed s + 1's
+    Legendre stream.  One seed run twice writes the same bytes."""
+    cfg = SCENARIOS / "verification.json"
+    written = {}
+    for run, seed in (("a", 0), ("b", 1), ("c", 1)):
+        assert main(["checks", "--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path / run),
+                     "--quiet"]) == 0
+        written[run] = json.loads((tmp_path / run / "verification_checks.json").read_text())
+    assert (tmp_path / "b" / "verification_checks.json").read_bytes() == \
+        (tmp_path / "c" / "verification_checks.json").read_bytes()
+    assert written["a"]["legendre"] != written["b"]["legendre"]
+    assert written["a"]["vector_field_fd"] != written["b"]["vector_field_fd"]
+    legendre_seed, vf_seed = np.random.SeedSequence(1).spawn(2)
+    assert written["b"]["legendre"] == json.loads(json.dumps(verify.legendre_consistency(seed=legendre_seed)))
+    assert written["b"]["vector_field_fd"] == json.loads(json.dumps(verify.vector_field_fd(seed=vf_seed)))
+
+
 @pytest.mark.parametrize("model", ["M2", "M3"])
 def test_zero_test_charge_with_vector_model_exit_2(tmp_path, capsys, model):
     """M2/M3 need A = sum W_i uf_i / q_test, so q_test = 0 is rejected at load."""

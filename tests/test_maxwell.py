@@ -31,7 +31,7 @@ from vacuumflow.maxwell import (
     solution_error,
 )
 from vacuumflow.config import MAX_GRID_N
-from vacuumflow.presets import _grid_steps, _retained_levels, advected_setup, dipole_grid, plane_wave_grid
+from vacuumflow.presets import _grid_steps, advected_setup, dipole_grid, plane_wave_grid
 from vacuumflow.verify import prop1_suite
 
 
@@ -194,13 +194,10 @@ def curl(ax, ay, az, h, order=2):
 
 
 def _masked_l2(arrs, margin, h):
+    """sqrt(h^3 * fsum of the per-x-plane sums of each array's masked squares)."""
     core = (slice(margin, -margin),) * 3
-    total = 0.0
-    for a in arrs:
-        if isinstance(a, float):
-            continue
-        total += float(np.sum(a[core] ** 2))
-    return math.sqrt(total * h ** 3)
+    planes = [np.sum(a[core] ** 2, axis=(1, 2)) for a in arrs if not isinstance(a, float)]
+    return math.sqrt(math.fsum(np.concatenate(planes).flat) * h ** 3)
 
 
 def _reference_residuals(grid, t_index=None):
@@ -555,8 +552,9 @@ def test_slab_residuals_match_whole_grid_on_random_grids(n_min, n_max, data):
 
 
 def test_residual_assembly_peak_memory():
-    """The slab assembly holds at most 24 grid arrays at once (the whole-grid
-    one held 48), with 1, 2 or 4 slabs assembled concurrently."""
+    """The slab assembly holds at most 12 grid arrays at once (2.2 to 8.4
+    measured; the whole-grid one held 48, and a (10, core^3) buffer of squared
+    residuals 5.8 more), with 1, 2 or 4 slabs assembled concurrently."""
     grid, steps, report = dipole_grid(48)
     evolve_wave(grid, steps)
     for workers in (1, 2, 4):
@@ -567,7 +565,7 @@ def test_residual_assembly_peak_memory():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= 24 * 48**3 * 8, (workers, peak / (48**3 * 8))
+        assert peak <= 12 * 48**3 * 8, (workers, peak / (48**3 * 8))
 
 
 def test_sources_box_matches_whole_grid_slice():
@@ -603,7 +601,8 @@ def test_wave_step_and_residual_sources_allocate_no_extra_grid_arrays():
         evolve_wave(grid, grid.history - 2)
         assert len(grid.levels) == grid.history
         assert _traced_growth(lambda: evolve_wave(grid, 4), n) < 2.0
-        evolve_wave(grid, steps - (grid.history - 2) - 4)  # on to the preset's last step
+        evolve_wave(grid, steps - grid.stats["grid_steps"])  # on to the preset's last step
+        assert grid.levels[-1].index == report + 1
         sourced = _traced_growth(lambda: maxwell_residuals(grid, report), n)
         grid.sources = SeparableSources()
         unsourced = _traced_growth(lambda: maxwell_residuals(grid, report), n)
@@ -612,22 +611,43 @@ def test_wave_step_and_residual_sources_allocate_no_extra_grid_arrays():
     assert sourced - unsourced < 1.0, (sourced, unsourced)
 
 
+def test_preset_run_holds_three_levels_and_no_buffer_of_squares():
+    """A whole violated-dipole run at n = 64, with one worker, ends holding 14
+    grid arrays (three levels of four potentials and the two source profiles)
+    and peaks under 16 through evolve and report.  Five levels and a
+    (10, core^3) buffer of squared residuals (4.2 arrays) peaked at 29."""
+    n = 64
+    with mock.patch.object(maxwell, "_band_count", lambda n: 1):
+        tracemalloc.start()
+        try:
+            grid, steps, report = dipole_grid(n, gauge_violation=0.08)
+            evolve_wave(grid, steps)
+            held = tracemalloc.get_traced_memory()[0] / (n**3 * 8)
+            maxwell_residuals(grid, report)
+            peak = tracemalloc.get_traced_memory()[1] / (n**3 * 8)
+        finally:
+            tracemalloc.stop()
+    assert len(grid.levels) == 3
+    assert 14.0 <= held < 14.1, held
+    assert peak < 16.0, peak
+
+
 def test_presets_retain_the_report_levels():
-    """For every preset size up to the config cap, the residual report's three
-    levels are still retained after the run (arithmetic only)."""
+    """For every preset size up to the config cap, the run stops at level
+    report + 1 (two seeded levels, then one per step), so the three levels a
+    grid holds are the report's (arithmetic only)."""
+    assert GridField.history == 3
     for n in range(16, MAX_GRID_N + 1):
         _, _, steps, report = _grid_steps(n)
-        history = _retained_levels(steps, report)
-        newest = 1 + steps  # two seeded levels, then one per step
-        assert newest - history + 1 <= report - 1 and report + 1 <= newest, (n, history)
-        if n <= 103:
-            assert history == GridField.history, n
+        assert steps == report, n
 
 
 def test_report_levels_retained_at_n_104():
-    """n = 104 is the first preset size whose report needs 6 levels."""
+    """After a preset run the grid holds exactly levels report - 1 .. report + 1
+    (n = 104 was the first size that needed a sixth level while the runs went
+    past their report)."""
     grid, steps, report = plane_wave_grid(104)
-    assert grid.history == 6
     evolve_wave(grid, steps)
-    assert [lv.index for lv in grid.levels] == list(range(report - 1, steps + 2))
-    assert maxwell_residuals(grid, report).continuity == 0.0
+    assert [lv.index for lv in grid.levels] == [report - 1, report, report + 1]
+    assert maxwell_residuals(grid).continuity == 0.0
+    assert maxwell_residuals(grid) == maxwell_residuals(grid, report)
