@@ -614,8 +614,9 @@ def test_wave_step_and_residual_sources_allocate_no_extra_grid_arrays():
 def test_preset_run_holds_three_levels_and_no_buffer_of_squares():
     """A whole violated-dipole run at n = 64, with one worker, ends holding 14
     grid arrays (three levels of four potentials and the two source profiles)
-    and peaks under 16 through evolve and report.  Five levels and a
-    (10, core^3) buffer of squared residuals (4.2 arrays) peaked at 29."""
+    and peaks under 17 through evolve and report (15.5 measured).  Five
+    levels and a (10, core^3) buffer of squared residuals (5.4 arrays)
+    peaked at 29."""
     n = 64
     with mock.patch.object(maxwell, "_band_count", lambda n: 1):
         tracemalloc.start()
@@ -629,7 +630,7 @@ def test_preset_run_holds_three_levels_and_no_buffer_of_squares():
             tracemalloc.stop()
     assert len(grid.levels) == 3
     assert 14.0 <= held < 14.1, held
-    assert peak < 16.0, peak
+    assert peak < 17.0, peak
 
 
 def test_presets_retain_the_report_levels():
