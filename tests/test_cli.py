@@ -553,14 +553,27 @@ FLYBY_SHA256 = {
     "flyby_M1_drift.json": "7bf22ba2", "flyby_M2_drift.json": "8e1cf070", "flyby_M3_drift.json": "9cddfcf7",
 }
 
+#: sha256 prefixes of the artifacts of `compare --config scenarios/gyration.json`
+GYRATION_SHA256 = {"gyration_M0.csv": "b155db63", "gyration_M3.csv": "0747d2f7", "gyration_compare.json": "563b2dcc"}
+
+
+def _assert_pinned(command, scenario, pins, out):
+    assert main([command, "--config", str(SCENARIOS / f"{scenario}.json"), "--out", str(out), "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(pins)
+    for name, prefix in pins.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest()[:8] == prefix, name
+
 
 def test_flyby_artifacts_keep_their_bytes(tmp_path):
     """The six files of the shipped flyby run keep their bytes: the midpoint
     step, the record columns and the CSV and JSON writers change no bit."""
-    assert main(["simulate", "--config", str(SCENARIOS / "flyby.json"), "--out", str(tmp_path), "--quiet"]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FLYBY_SHA256)
-    for name, prefix in FLYBY_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:8] == prefix, name
+    _assert_pinned("simulate", "flyby", FLYBY_SHA256, tmp_path)
+
+
+def test_gyration_compare_artifacts_keep_their_bytes(tmp_path):
+    """The three files of the shipped gyration comparison keep their bytes:
+    RK45, the cubic resampling and the writers change no bit."""
+    _assert_pinned("compare", "gyration", GYRATION_SHA256, tmp_path)
 
 
 def test_only_compare_and_quantum_load_scipy(tmp_path):
