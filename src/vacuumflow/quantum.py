@@ -32,10 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonPositiveMass, SolveFailure, SuperluminalMode
-
-#: scipy.linalg.lapack, imported by the first factorization (_gttrf), so that
-#: import vacuumflow loads no scipy
-lapack = None
+from .linalg import lapack
 
 #: the boundary conditions of a grid and of an operator
 DOMAINS = ("periodic", "fixed")
@@ -270,19 +267,16 @@ class _CayleyFactor:
 
 
 def _gttrf(lower, diag, upper):
-    global lapack
-    if lapack is None:
-        from scipy.linalg import lapack
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
         raise SolveFailure("banded factor: the Cayley matrix has non-finite entries")
-    dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, diag, upper)
+    dl, d, du, du2, ipiv, info = lapack().zgttrf(lower, diag, upper)
     if info != 0:
         raise SolveFailure(f"banded factor failed: zgttrf info = {info} (singular system)")
     return dl, d, du, du2, ipiv
 
 
 def _gttrs(lu, rhs):
-    x, info = lapack.zgttrs(*lu, rhs)
+    x, info = lapack().zgttrs(*lu, rhs)
     # a complex value is finite when both its parts are: test the float view
     if info != 0 or not np.isfinite(x.view(float)).all():
         raise SolveFailure("banded solve produced non-finite values (singular system)")

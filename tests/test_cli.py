@@ -578,8 +578,10 @@ def test_gyration_compare_artifacts_keep_their_bytes(tmp_path):
 
 def test_only_compare_and_quantum_load_scipy(tmp_path):
     """In a fresh interpreter, importing vacuumflow and every submodule loads no
-    scipy module, nor do `simulate` on flyby.json and `forces`; `quantum` loads
-    LAPACK and `compare` CubicSpline, and both write their artifacts."""
+    scipy module, nor do `simulate` on flyby.json and `forces`; `compare` and
+    `quantum` load scipy.linalg for LAPACK and no other scipy subpackage (no
+    scipy.interpolate, optimize, sparse, spatial or special), and both write
+    their artifacts."""
     child = """
 import importlib, json, pkgutil, sys
 import vacuumflow
@@ -591,8 +593,8 @@ loaded = {}
 def record(stage):
     loaded[stage] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 record("import")
-for command, scenario in [("simulate", "flyby"), ("forces", "forces"), ("quantum", "verification"),
-                          ("compare", "gyration")]:
+for command, scenario in [("simulate", "flyby"), ("forces", "forces"), ("compare", "gyration"),
+                          ("quantum", "verification")]:
     code = main([command, "--config", f"{sys.argv[1]}/{scenario}.json", "--out", sys.argv[2], "--quiet"])
     record(f"{command} {code}")
 print(json.dumps(loaded))
@@ -602,10 +604,12 @@ print(json.dumps(loaded))
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
-    assert list(loaded) == ["import", "simulate 0", "forces 0", "quantum 0", "compare 0"]
+    assert list(loaded) == ["import", "simulate 0", "forces 0", "compare 0", "quantum 0"]
     assert loaded["import"] == loaded["simulate 0"] == loaded["forces 0"] == []
-    assert "scipy.linalg" in loaded["quantum 0"] and "scipy.interpolate" not in loaded["quantum 0"]
-    assert "scipy.interpolate" in loaded["compare 0"]
+    assert "scipy.linalg" in loaded["compare 0"] and "scipy.linalg" in loaded["quantum 0"]
+    unused = ("scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special")
+    for stage, modules in loaded.items():
+        assert not set(unused) & set(modules), stage
     for name in ("flyby_M1.csv", "forces_forces.csv", "gyration_M3.csv", "gyration_compare.json",
                  "verification_quantum.json", "verification_snapshot.csv"):
         assert (tmp_path / name).stat().st_size > 0

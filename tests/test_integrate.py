@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline  # the oracle of the package's spline
 
 from vacuumflow import integrate, presets, verify
 from vacuumflow.config import load_config
@@ -17,6 +20,7 @@ from vacuumflow.integrate import (
     RK45,
     ImplicitMidpoint,
     TrajectoryRecord,
+    _not_a_knot,
     compare_trajectories,
     simulate,
     step,
@@ -139,6 +143,42 @@ def test_compare_no_overlap(uniform_field):
     b.t = b.t + 100.0
     with pytest.raises(NoOverlap):
         compare_trajectories(a, b)
+
+
+@st.composite
+def spline_cases(draw):
+    """Strictly increasing knots (n = 2, 3 or 4..400), values of shape (n,) or
+    (n, 3), and probes at both ends, at the knots, inside and a little outside."""
+    n = draw(st.one_of(st.sampled_from((2, 3)), st.integers(4, 400)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = draw(st.floats(-1e3, 1e3)) + np.cumsum(rng.uniform(0.01, 1.0, n)) * 10.0 ** draw(st.integers(-4, 3))
+    assume(np.all(np.diff(x) > 0))
+    y = rng.normal(size=draw(st.sampled_from(((n,), (n, 3))))) * 10.0 ** draw(st.integers(-6, 6))
+    span = x[-1] - x[0]
+    xs = np.concatenate((x[[0, -1]], x, rng.uniform(x[0], x[-1], 64), [x[0] - 0.1 * span, x[-1] + 0.1 * span]))
+    return x, y, xs
+
+
+@settings(max_examples=300)
+@given(spline_cases())
+def test_spline_is_scipys_cubic_spline(case):
+    """The package's not-a-knot spline takes scipy's CubicSpline values bit for
+    bit (the criterion 3 and 4 resampling and the compare artifacts rest on it)."""
+    x, y, xs = case
+    got = _not_a_knot(x, y, xs)
+    want = CubicSpline(x, y, axis=0)(xs)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x, y", [([0.0, np.nan, 2.0], [1.0, 2.0, 3.0]), ([0.0, 1.0, np.inf], [1.0, 2.0, 3.0]),
+                                  ([0.0, 1.0, 2.0], [1.0, -np.inf, 3.0]), ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+                                  ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]), ([0.0], [1.0]), ([0.0, 1.0], [1.0, 2.0, 3.0])])
+def test_spline_refuses_what_scipy_refuses(x, y):
+    """Non-finite knots or values, knots that do not strictly increase, fewer
+    than two knots and a length mismatch raise ValueError, as in scipy."""
+    for spline in (_not_a_knot, lambda x, y, xs: CubicSpline(x, y, axis=0)(xs)):
+        with pytest.raises(ValueError):
+            spline(np.array(x), np.array(y), np.array([0.5]))
 
 
 def test_rk45_agrees_with_midpoint(static_source_field):

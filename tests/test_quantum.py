@@ -278,7 +278,7 @@ def test_non_finite_imaginary_part_fails(monkeypatch, bad):
         assert np.isfinite(x.real).all()
         return x, info
 
-    monkeypatch.setattr(quantum, "lapack", SimpleNamespace(zgttrf=lapack.zgttrf, zgttrs=zgttrs))
+    monkeypatch.setattr(quantum, "lapack", lambda: SimpleNamespace(zgttrf=lapack.zgttrf, zgttrs=zgttrs))
     op = _hand_built("fixed", np.ones(6), off=0.5)
     with pytest.raises(SolveFailure):
         cn_step(op, WaveState(psi=np.ones(6), dx=op.dx, hbar=op.hbar, domain="fixed"), 0.1)
