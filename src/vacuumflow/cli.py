@@ -66,7 +66,10 @@ def _write_json(path: Path, obj) -> None:
 def _out_dir(args, cfg: ScenarioConfig) -> Path:
     out = args.out or os.environ.get(OUT_ENV_VAR) or cfg.out_dir
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file by that name, a file on the path, no permission
+        raise ConfigError(f"output directory {path} cannot be made: {exc.strerror or exc}") from exc
     return path
 
 

@@ -307,7 +307,11 @@ def load_config(path) -> ScenarioConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"config file {p} cannot be read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return validate_config(raw)

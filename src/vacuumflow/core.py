@@ -15,8 +15,9 @@ Model dictionary:
 
 phase_terms is the one column definition of every model's phase-space terms,
 checking nothing; checked_phase_terms adds a phase point's checks (W < 0,
-then the guard).  dynamics.point_rhs keeps its own float arithmetic, pinned
-to phase_terms bit for bit by a property test.
+then the guard, checked_guard).  dynamics.point_rhs keeps its own arithmetic
+for the integrators, on floats and on columns, and a property test pins its
+float call to phase_terms bit for bit.
 
 All types here are immutable values; every operation is pure.
 """
@@ -174,13 +175,20 @@ def phase_terms(model: ModelKind, r, mom, t, fld: VacuumField, rest_mass=None) -
         return PhaseTerms(w, a, k, guard, g, kappa, rate, g + q * ap / g)
 
 
+def checked_guard(guard):
+    """guard after guard > SUBLUMINAL_EPS on every row (nan fails), at one point or on columns."""
+    if not np.all(guard > SUBLUMINAL_EPS):
+        raise SubluminalViolation(f"W^2 - |mom|^2 = {np.min(guard):g} <= {SUBLUMINAL_EPS:g}")
+    return guard
+
+
 def checked_phase_terms(model: ModelKind, r, mom, t, fld: VacuumField, rest_mass=None) -> PhaseTerms:
     """phase_terms at phase points that keep W < 0 (negative_w) and, but for M0,
-    guard > SUBLUMINAL_EPS; the first broken invariant raises."""
+    guard > SUBLUMINAL_EPS (checked_guard); the first broken invariant raises."""
     terms = phase_terms(model, r, mom, t, fld, rest_mass)
     negative_w(terms.w, r, t)
-    if terms.guard is not None and not np.all(terms.guard > SUBLUMINAL_EPS):
-        raise SubluminalViolation(f"W^2 - |mom|^2 = {np.min(terms.guard):g} <= {SUBLUMINAL_EPS:g}")
+    if terms.guard is not None:
+        checked_guard(terms.guard)
     return terms
 
 

@@ -16,19 +16,20 @@ finite differences of hamiltonian() reproduce vector_field() to discretization
 error.  M0 is the exception: its stored momentum is kinetic, and its momdot is
 the Lorentz force, not -dH/dr.
 
-Two column kernels carry the Lagrangian and the Hamiltonian side.  Their field
-values come from the one field kernel, VacuumField.point_state, which
-VacuumField._eval runs on coordinate columns.  _lagrangian_eval gives L,
-dL/drdot and dL/dr at (..., 3) columns of states from one batched field
-evaluation, and velocity probes of the same states are column arithmetic on
-it; _hamiltonian_eval gives H from core.checked_phase_terms.  Every 3-vector
-sum runs left to right, so each row is bit-identical to a one-row call:
-lagrangian, legendre_momentum and hamiltonian are those one-row selections,
-and the trajectory diagnostics and the random-state criteria 4-5 (verify)
-call the kernels on whole columns.  point_rhs, the integrator hot path, calls
-point_state on plain floats and keeps its own inline model arithmetic, pinned
-bit for bit to core.phase_terms by a property test; it raises on a broken
-guard, and RK45 (integrate) counts that as a rejected trial step.
+Three column kernels carry the Lagrangian side, the Hamiltonian and its
+canonical flow.  Their field values come from the one field kernel,
+VacuumField.point_state, which VacuumField._eval runs on coordinate columns.
+_lagrangian_eval gives L, dL/drdot and dL/dr at (..., 3) columns of states
+from one batched field evaluation, and velocity probes of the same states are
+column arithmetic on it; _hamiltonian_eval gives H from
+core.checked_phase_terms.  Every 3-vector sum runs left to right, so each row
+is bit-identical to a one-row call: lagrangian, legendre_momentum and
+hamiltonian are those one-row selections, and the trajectory diagnostics and
+the random-state criteria 4-5 (verify) call the kernels on whole columns.
+point_rhs, the integrator hot path, runs its model arithmetic on plain floats,
+pinned bit for bit to core.phase_terms by a property test; it raises on a
+broken guard, and RK45 (integrate) counts that as a rejected trial step.
+_rhs_eval runs the same statements on columns, as _eval runs point_state.
 """
 
 from __future__ import annotations
@@ -38,7 +39,15 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ModelKind, PhasePoint, _require_rest_mass, checked_phase_terms, guarded_root, negative_w
+from .core import (
+    ModelKind,
+    PhasePoint,
+    _require_rest_mass,
+    checked_guard,
+    checked_phase_terms,
+    guarded_root,
+    negative_w,
+)
 from .errors import NonNegativeField, SubluminalViolation, SuperluminalInit, TooShort
 from .fields import VacuumField, as_vec3, dot3, jac_t_dot
 
@@ -217,21 +226,26 @@ def point_rhs(
     y,
     fld: VacuumField,
     rest_mass: float | None = None,
+    _sqrt=math.sqrt,
+    _root=guarded_root,
+    _negative_w=_hard_w,
 ) -> list[float]:
-    """Fused canonical right-hand side on plain floats: [r, mom, t] -> [rdot, momdot, dt/dtau].
+    """Fused canonical right-hand side: [r, mom, t] -> [rdot, momdot, dt/dtau].
 
     y holds 7 floats.  For M0 the derivatives are with respect to lab time and
     the rate is 1.  One field evaluation (VacuumField.point_state) is shared by
-    all pieces; this is the integrator hot path.  It keeps its own float
-    arithmetic, which a property test pins bit for bit to core.phase_terms.
+    all pieces; on plain floats this is the integrator hot path, and a property
+    test pins its k/G and rate bit for bit to core.phase_terms.  _rhs_eval
+    passes 7 columns instead, with the square root, the guarded root and the
+    W < 0 check for columns.
     """
     x, yy, z, px, py, pz, t = y
-    w, (gx, gy, gz), a, adot, jac = fld.point_state(x, yy, z, t)
+    w, (gx, gy, gz), a, adot, jac = fld.point_state(x, yy, z, t, _sqrt)
     q = fld.q_test
     if model is ModelKind.M0:
         m0 = _require_rest_mass(rest_mass)
-        _hard_w(w)
-        ekin = math.sqrt(m0 * m0 + (px * px + py * py + pz * pz))
+        _negative_w(w)
+        ekin = _sqrt(m0 * m0 + (px * px + py * py + pz * pz))
         ux, uy, uz = px / ekin, py / ekin, pz / ekin
         (_j00, j01, j02), (j10, _j11, j12), (j20, j21, _j22) = jac
         bx, by, bz = j21 - j12, j02 - j20, j10 - j01
@@ -243,9 +257,9 @@ def point_rhs(
             (-gz - q * adz) + q * (ux * by - uy * bx),
             1.0,
         ]
-    w = _hard_w(w)
+    w = _negative_w(w)
     if model is ModelKind.M1:
-        g = guarded_root(w * w - (px * px + py * py + pz * pz))
+        g = _root(w * w - (px * px + py * py + pz * pz))
         c = w / g
         return [px / g, py / g, pz / g, c * gx, c * gy, c * gz, -w / g]
 
@@ -253,7 +267,7 @@ def point_rhs(
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac
     if model is ModelKind.M3:
         kx, ky, kz = px - q * ax, py - q * ay, pz - q * az
-        g = guarded_root(w * w - (kx * kx + ky * ky + kz * kz))
+        g = _root(w * w - (kx * kx + ky * ky + kz * kz))
         return [
             kx / g, ky / g, kz / g,
             (w * gx + q * (j00 * kx + j10 * ky + j20 * kz)) / g,
@@ -264,7 +278,7 @@ def point_rhs(
 
     # M2: exact gradients of H = -G - q<A,P>/G
     p2 = px * px + py * py + pz * pz
-    g = guarded_root(w * w - p2)
+    g = _root(w * w - p2)
     kappa = 1.0 - q * (ax * px + ay * py + az * pz) / (g * g)
     kw = kappa * w
     return [
@@ -274,8 +288,29 @@ def point_rhs(
         (kw * gx + q * (j00 * px + j10 * py + j20 * pz)) / g,
         (kw * gy + q * (j01 * px + j11 * py + j21 * pz)) / g,
         (kw * gz + q * (j02 * px + j12 * py + j22 * pz)) / g,
-        math.sqrt(1.0 + p2 * kappa * kappa / (g * g)),
+        _sqrt(1.0 + p2 * kappa * kappa / (g * g)),
     ]
+
+
+def _column_root(arg):
+    return np.sqrt(checked_guard(arg))
+
+
+def _rhs_eval(model: ModelKind, r, mom, t, fld: VacuumField, rest_mass=None):
+    """point_rhs at phase points (r, mom, t), (..., 3) columns with t scalar or one
+    per point: (rdot, momdot, dt/dtau), each row the float call bit for bit.
+
+    A state with W >= 0 raises NonNegativeField (core.negative_w names the first
+    one), a broken guard SubluminalViolation (core.checked_guard).  A part that
+    stays a float on every row (M0's rate 1) is broadcast to the column shape.
+    """
+    r, mom, t = (np.asarray(v, dtype=float) for v in (r, mom, t))
+    y = [*np.moveaxis(r, -1, 0), *np.moveaxis(mom, -1, 0), t]
+    # far from a source the kernels overflow to their 0 limit, as VacuumField._eval allows
+    with np.errstate(over="ignore"):
+        out = point_rhs(model, y, fld, rest_mass, np.sqrt, _column_root, lambda w: negative_w(w, r, t))
+    out = [np.broadcast_to(v, r.shape[:-1]) for v in out]
+    return np.stack(out[0:3], axis=-1), np.stack(out[3:6], axis=-1), out[6].copy()
 
 
 def model_rhs(

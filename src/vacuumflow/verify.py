@@ -26,9 +26,9 @@ from .dynamics import (
     _force_eval,
     _hamiltonian_eval,
     _lagrangian_eval,
+    _rhs_eval,
     euler_lagrange_residual,
     m2_xidot,
-    point_rhs,
 )
 from .fields import VacuumField, dot3
 from .integrate import RK45, ImplicitMidpoint, RK4, TrajectoryRecord, compare_trajectories, simulate
@@ -209,7 +209,8 @@ def vector_field_fd(seed: int | np.random.SeedSequence = 2, n_states: int = 200,
     """Canonical right-hand side vs central finite differences of hamiltonian.
 
     Each model draws all its states first; the 12 probes of every state go
-    through one column Hamiltonian call, the right-hand side through point_rhs.
+    through one column Hamiltonian call, and the right-hand side of every state
+    through one column call of point_rhs (_rhs_eval).
     """
     rng = np.random.default_rng(seed)
     field_vac = presets.moving_source_field()
@@ -223,8 +224,7 @@ def vector_field_fd(seed: int | np.random.SeedSequence = 2, n_states: int = 200,
         if model is ModelKind.M2:
             # keep the guard healthy after the qA shift
             mom *= 0.8
-        rhs = np.array([point_rhs(model, y, fld, rest_mass) for y in np.column_stack([r, mom, t]).tolist()])
-        rdot, momdot = rhs[:, 0:3], rhs[:, 3:6]
+        rdot, momdot, _rate = _rhs_eval(model, r, mom, t, fld, rest_mass)
         probes = _probes(step)
         r6, mom6 = np.broadcast_to(r, (6, *r.shape)), np.broadcast_to(mom, (6, *mom.shape))
         ham = _hamiltonian_eval(model, np.concatenate([r6, r + probes]), np.concatenate([mom + probes, mom6]),

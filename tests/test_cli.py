@@ -342,6 +342,26 @@ def test_missing_config_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_config_directory_exit_2(tmp_path, capsys):
+    assert main(["simulate", "--config", str(tmp_path)]) == 2
+    assert f"config file {tmp_path} cannot be read" in capsys.readouterr().err
+
+
+def test_undecodable_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert f"config file {path} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "run"):
+        assert main(["simulate", "--config", str(SCENARIOS / "flyby.json"), "--out", str(out)]) == 2
+        assert f"output directory {out} cannot be made" in capsys.readouterr().err
+
+
 def test_unknown_tolerance_key_rejected(tmp_path):
     for key in ("bogus", "rk45_vs_midpoint"):
         cfg = _free_config(tmp_path, tolerances={key: 1.0})
@@ -556,6 +576,12 @@ FLYBY_SHA256 = {
 #: sha256 prefixes of the artifacts of `compare --config scenarios/gyration.json`
 GYRATION_SHA256 = {"gyration_M0.csv": "b155db63", "gyration_M3.csv": "0747d2f7", "gyration_compare.json": "563b2dcc"}
 
+#: sha256 prefixes of the artifacts of `checks --config scenarios/verification.json`
+CHECKS_SHA256 = {"verification_checks.json": "3a55db1d"}
+
+#: sha256 prefixes of the artifacts of `forces --config scenarios/forces.json`
+FORCES_SHA256 = {"forces_forces.csv": "653db41e", "forces_forces.json": "9a548fbb"}
+
 
 def _assert_pinned(command, scenario, pins, out):
     assert main([command, "--config", str(SCENARIOS / f"{scenario}.json"), "--out", str(out), "--quiet"]) == 0
@@ -574,6 +600,13 @@ def test_gyration_compare_artifacts_keep_their_bytes(tmp_path):
     """The three files of the shipped gyration comparison keep their bytes:
     RK45, the cubic resampling and the writers change no bit."""
     _assert_pinned("compare", "gyration", GYRATION_SHA256, tmp_path)
+
+
+def test_checks_and_forces_artifacts_keep_their_bytes(tmp_path):
+    """The random-state criteria 4-5, the EL convergence and the force gap
+    keep their bytes: the column right-hand side and the draws change no bit."""
+    _assert_pinned("checks", "verification", CHECKS_SHA256, tmp_path / "checks")
+    _assert_pinned("forces", "forces", FORCES_SHA256, tmp_path / "forces")
 
 
 def test_only_compare_and_quantum_load_scipy(tmp_path):

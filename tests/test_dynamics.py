@@ -5,6 +5,7 @@ import pytest
 from vacuumflow.core import ModelKind, Particle, PhasePoint
 from vacuumflow.dynamics import (
     ForceKind,
+    _rhs_eval,
     action,
     euler_lagrange_residual,
     force,
@@ -68,6 +69,26 @@ def test_non_negative_w_raises_one_error_class():
         point_rhs(ModelKind.M1, y, fld)
     with pytest.raises(NonNegativeField):
         hamiltonian(ModelKind.M1, PhasePoint(ORIGIN, ORIGIN), fld)
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_column_rhs_names_the_first_state_with_w_at_least_0(model):
+    """In a column of states, the first with W >= 0 raises NonNegativeField, named by r and t."""
+    fld = VacuumField(w_inf=-1.0, sources=(FieldSource(qs=5.0, r0=ORIGIN, uf=ORIGIN, eps=0.1),))
+    r = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.05, 0.0, 0.0]])
+    assert fld.w(r[0], 0.0) < 0.0 < fld.w(r[2], 0.0)
+    with pytest.raises(NonNegativeField, match=r"at r = \[0\.0, 0\.0, 0\.0\], t = 0\.5$"):
+        _rhs_eval(model, r, np.zeros((3, 3)), np.array([0.25, 0.5, 0.75]), fld, rest_mass=1.0)
+
+
+@pytest.mark.parametrize("model", [ModelKind.M1, ModelKind.M2, ModelKind.M3])
+def test_column_rhs_raises_past_the_guard(model, static_source_field):
+    """One state with |mom| > |W| in a column of good ones raises SubluminalViolation (A = 0 here)."""
+    r = np.eye(3)
+    mom = np.array([[0.1, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 0.1]])
+    _rhs_eval(model, r, 0.1 * mom, 0.0, static_source_field)
+    with pytest.raises(SubluminalViolation, match=r"^W\^2 - \|mom\|\^2 = -2\d\.\d+ <= 1e-12$"):
+        _rhs_eval(model, r, mom, 0.0, static_source_field)
 
 
 def test_invariant_energy_examples(uniform_field):

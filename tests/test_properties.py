@@ -7,10 +7,11 @@ q_test != 1): every row of the batched evaluator VacuumField._eval, and of
 the selections over it, is bit-identical to VacuumField.point_state on
 floats, and every parts string returns the same bits as the all-parts call;
 dynamics.point_rhs reproduces the per-model flows written with numpy below to
-round-off, and its k/G and clock rate are core.phase_terms' bit for bit; every term of core.phase_terms on columns
-is the one-point call's; every row of the column kernels _lagrangian_eval and
-_hamiltonian_eval is bit-identical to the one-row call, and
-<P, rdot> - L = H holds row by row; an implicit-midpoint step is undone by the
+round-off, and its k/G and clock rate are core.phase_terms' bit for bit; every
+term of core.phase_terms on columns is the one-point call's; every row of the
+column kernels _lagrangian_eval and _hamiltonian_eval is bit-identical to the
+one-row call, every row of _rhs_eval (point_rhs on columns) is the float
+point_rhs call, and <P, rdot> - L = H holds row by row; an implicit-midpoint step is undone by the
 step back; M1 and M3 run the same trajectory where A = 0; a uniform shift
 of A leaves M3's r(t); and simulate's extrapolated midpoint start changes a
 run only by round-off against a chain of step() calls, and gives the records
@@ -23,6 +24,7 @@ from operator import sub
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,7 @@ from vacuumflow.core import ModelKind, Particle, PhasePoint, emergent_rest_mass,
 from vacuumflow.dynamics import (
     _hamiltonian_eval,
     _lagrangian_eval,
+    _rhs_eval,
     hamiltonian,
     lagrangian,
     legendre_momentum,
@@ -283,6 +286,43 @@ def test_hamiltonian_kernel_rows_are_one_row_calls(fld, model, data):
         assume(False)
     for i in range(len(r)):
         assert hamiltonian(model, PhasePoint(r[i], mom[i], 0.0, t[i]), fld, rest_mass=M0_REST_MASS) == ham[i]
+
+
+#: no source at all: W, grad W and the Jacobian stay floats on columns
+sourceless_fields = st.builds(VacuumField, w_inf=st.floats(-2.0, -0.3), q_test=st.floats(0.2, 2.5),
+                              a_uniform=vec(-0.3, 0.3), b_uniform=vec(-0.5, 0.5))
+
+
+def float_bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+@settings(max_examples=100)
+@given(st.one_of(fields(moving=st.just(True)), unmoved_fields, sourceless_fields), batches(), st.data())
+def test_rhs_kernel_rows_are_point_rhs_calls(model, fld, batch, data):
+    """Each row of _rhs_eval is the float point_rhs call bit for bit, sign bits
+    included, with one time or one time per state, also where field parts stay
+    floats on the columns; where a row breaks its guard, the column call raises."""
+    r, t = batch
+    w = np.broadcast_to(fld.w(r, t), r.shape[:-1])
+    assume(np.all(w < -0.05))
+    u = np.array(data.draw(st.lists(vec(-0.5, 0.5), min_size=len(r), max_size=len(r))))
+    mom = -w[:, None] * u
+    if model in (ModelKind.M2, ModelKind.M3):
+        mom = mom + fld.q_test * fld.a(r, t)
+    times = np.broadcast_to(t, w.shape).tolist()
+    try:
+        rows = [point_rhs(model, [*r[i].tolist(), *mom[i].tolist(), times[i]], fld, M0_REST_MASS)
+                for i in range(len(r))]
+    except SubluminalViolation:  # an M2 guard W^2 - |P|^2 broken by the qA shift
+        with pytest.raises(SubluminalViolation):
+            _rhs_eval(model, r, mom, t, fld, M0_REST_MASS)
+        return
+    rdot, momdot, rate = _rhs_eval(model, r, mom, t, fld, M0_REST_MASS)
+    assert rdot.shape == momdot.shape == r.shape and rate.shape == w.shape
+    for i, row in enumerate(rows):
+        assert float_bits([*rdot[i], *momdot[i], rate[i]]) == float_bits(row)
 
 
 @PROPERTY

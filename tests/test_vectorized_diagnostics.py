@@ -1,11 +1,13 @@
-"""The vectorized trajectory diagnostics against their per-sample loop versions.
+"""The vectorized diagnostics against their per-sample loop versions.
 
 euler_lagrange_residual, action and the record columns (energy, w, u_lab)
-evaluate all samples in one batched field call.  The per-sample loops they
-replaced are kept here as oracles, written on the point evaluators: the record
-columns must match bit for bit (same arithmetic in the same order), the action
-to 1e-12 and the EL residual to 1e-6 (its centred difference amplifies the
-round-off of the reordered sums).
+evaluate all samples in one batched field call, and verify.vector_field_fd
+takes the right-hand side of all its states in one column call of point_rhs.
+The per-sample loops they replaced are kept here as oracles, written on the
+point evaluators: the record columns and vector_field_fd must match bit for
+bit (same arithmetic in the same order), the action to 1e-12 and the EL
+residual to 1e-6 (its centred difference amplifies the round-off of the
+reordered sums).
 """
 
 import math
@@ -14,14 +16,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from vacuumflow import verify
 from vacuumflow.core import ModelKind, Particle, emergent_rest_mass
 from vacuumflow.dynamics import (
     _mover_velocity,
     _relative_rate,
+    _rhs_eval,
     _sample_rdots,
     action,
     euler_lagrange_residual,
     legendre_momentum,
+    point_rhs,
 )
 from vacuumflow.fields import FieldSource, VacuumField
 from vacuumflow.integrate import RK45, ImplicitMidpoint, simulate
@@ -147,3 +152,34 @@ def test_el_residual_and_action_match_loops(runs, model):
     assert residual > 0.0
     npt.assert_allclose(residual, el_residual_loop(model, rec, FIELD, m0), rtol=1e-6)
     npt.assert_allclose(action(model, rec, FIELD, rest_mass=m0), action_loop(model, rec, FIELD, m0), rtol=1e-12)
+
+
+def per_state_rhs(model, r, mom, t, fld, rest_mass):
+    """The right-hand side as vector_field_fd took it before its column call: point_rhs state by state."""
+    rhs = np.array([point_rhs(model, y, fld, rest_mass) for y in np.column_stack([r, mom, t]).tolist()])
+    return rhs[:, 0:3], rhs[:, 3:6], rhs[:, 6]
+
+
+def same_bits(got, want) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [lambda: 2, lambda: 977, lambda: np.random.SeedSequence(7).spawn(2)[1]],
+                         ids=["2", "977", "checks-child"])
+def test_vector_field_fd_matches_the_per_state_loop(monkeypatch, seed):
+    """Every state's right-hand side, and so every value, is the per-state loop's bit for bit."""
+    calls = []
+
+    def both(*args):
+        got = _rhs_eval(*args)
+        calls.append((got, per_state_rhs(*args)))
+        return got
+
+    monkeypatch.setattr(verify, "_rhs_eval", both)
+    got = verify.vector_field_fd(seed=seed())
+    assert len(calls) == len(ModelKind)
+    for columns, rows in calls:
+        assert all(same_bits(c, w) for c, w in zip(columns, rows, strict=True))
+    monkeypatch.setattr(verify, "_rhs_eval", per_state_rhs)
+    want = verify.vector_field_fd(seed=seed())
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
