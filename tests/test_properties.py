@@ -1,6 +1,6 @@
-"""Property tests: the field kernel, the phase-space kernel, the plain-float
-model kernel, the column Lagrangian and Hamiltonian kernels and the midpoint
-integrator.
+"""Property tests: the field kernel, the phase-space kernel, the model kernel
+on floats and on columns, the column Lagrangian and Hamiltonian kernels and
+the midpoint integrator.
 
 Over random fields (1-3 static or moving sources, uniform A and B,
 q_test != 1): every row of the batched evaluator VacuumField._eval, and of
@@ -10,12 +10,13 @@ dynamics.point_rhs reproduces the per-model flows written with numpy below to
 round-off, and its k/G and clock rate are core.phase_terms' bit for bit; every
 term of core.phase_terms on columns is the one-point call's; every row of the
 column kernels _lagrangian_eval and _hamiltonian_eval is bit-identical to the
-one-row call, every row of _rhs_eval (point_rhs on columns) is the float
-point_rhs call, and <P, rdot> - L = H holds row by row; an implicit-midpoint step is undone by the
-step back; M1 and M3 run the same trajectory where A = 0; a uniform shift
-of A leaves M3's r(t); and simulate's extrapolated midpoint start changes a
-run only by round-off against a chain of step() calls, and gives the records
-of the list-comprehension midpoint oracle bit for bit.
+one-row call, every row of _rhs_eval (point_rhs on columns, also on fields
+with no source) is the float point_rhs call, and <P, rdot> - L = H holds row
+by row; an implicit-midpoint step is undone by the step back; M1 and M3 run
+the same trajectory where A = 0; a uniform shift of A leaves M3's r(t); and
+simulate's extrapolated midpoint start changes a run only by round-off
+against a chain of step() calls, and gives the records of the
+list-comprehension midpoint oracle bit for bit.
 """
 
 import math
