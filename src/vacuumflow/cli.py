@@ -1,6 +1,7 @@
 """Config-driven command line runner.
 
-Subcommands: simulate, compare, forces, maxwell, quantum, checks.
+Subcommands: simulate, compare, forces, maxwell, quantum, checks; each
+criterion's runs and every pass/fail rule come from verify.
 Exit codes: 0 all configured tolerances pass, 1 tolerance failure, 2 config error.
 Identical config + seed yields byte-identical artifacts (no timestamps in
 outputs; floats printed with 17 significant digits).
@@ -18,9 +19,11 @@ import numpy as np
 
 from . import verify
 from .config import ScenarioConfig, checked_seed, load_config
-from .core import ModelKind
 from .errors import ConfigError, VacuumFlowError
-from .integrate import simulate
+from .integrate import compare_trajectories, simulate
+from .maxwell import evolve_wave
+from .presets import dipole_grid
+from .quantum import QuantumKind, evolve, snapshot_csv
 
 OUT_ENV_VAR = "VACUUMFLOW_OUT"
 
@@ -108,35 +111,23 @@ def cmd_simulate(cfg: ScenarioConfig, out: Path, args) -> bool:
 def cmd_compare(cfg: ScenarioConfig, out: Path, args) -> bool:
     if len(cfg.models) != 2:
         raise ConfigError(f"compare: models must list exactly 2 entries, got {len(cfg.models)}")
-    from .integrate import compare_trajectories
-
-    a_model, b_model = cfg.models
-    trajs = {}
-    for model in cfg.models:
-        tau_end, h = cfg.tau_end, cfg.h
-        if model is ModelKind.M0:
-            tau_end, h = verify.m0_lab_span(cfg.particle, tau_end, h)
-        trajs[model] = simulate(model, cfg.particle, cfg.field, cfg.r0, tau_end, cfg.integrator, h)
-        trajs[model].to_csv(out / f"{cfg.name}_{model.value}.csv")
-    pos_dev, energy_dev = compare_trajectories(trajs[a_model], trajs[b_model])
-    report = {
-        "models": [a_model.value, b_model.value],
-        "max_pos_dev": pos_dev,
-        "max_energy_dev": energy_dev,
-        "tolerance": cfg.tolerance("compare_pos_dev"),
-        "passed": verify.check(pos_dev, "compare_pos_dev", cfg.tolerance)[0],
-    }
-    analytic = cfg.compare["analytic"]
-    if analytic == "gyration_circle":
-        from .presets import gyration_analytic
-
-        for model, traj in trajs.items():
-            dev = float(np.max(np.linalg.norm(traj.r - gyration_analytic(traj.t), axis=1)))
-            report[f"{model.value}_vs_circle"] = dev
-            report["passed"] = report["passed"] and verify.check(dev, "gyration_pos_dev", cfg.tolerance)[0]
+    trajs = verify.run_models(cfg.models, cfg.particle, cfg.field, cfg.r0, cfg.tau_end, cfg.integrator, cfg.h)
+    for model, traj in zip(cfg.models, trajs):
+        traj.to_csv(out / f"{cfg.name}_{model.value}.csv")
+    pos_dev, energy_dev = compare_trajectories(*trajs)
+    # (report key, value, tolerance key) of every judged value
+    judged = [("max_pos_dev", pos_dev, "compare_pos_dev")]
+    if cfg.compare["analytic"] == "gyration_circle":
+        judged += [(f"{model.value}_vs_circle", verify.circle_deviation(traj, cfg.particle, cfg.field, cfg.r0),
+                    "gyration_pos_dev") for model, traj in zip(cfg.models, trajs)]
+    failed = [name for name, value, key in judged if not verify.check(value, key, cfg.tolerance)[0]]
+    report = {"models": [m.value for m in cfg.models], "max_energy_dev": energy_dev,
+              "tolerance": cfg.tolerance("compare_pos_dev"), "passed": not failed,
+              **{name: value for name, value, _ in judged}}
     _write_json(out / f"{cfg.name}_compare.json", report)
-    _info(args, f"compare {a_model.value} vs {b_model.value}: max_pos_dev={pos_dev:.3e} "
-                f"{'PASS' if report['passed'] else 'FAIL'}")
+    values = " ".join(f"{name}={value:.3e}" for name, value, _ in judged)
+    _info(args, f"compare {' vs '.join(report['models'])}: {values} "
+                f"{'FAIL: ' + ', '.join(failed) if failed else 'PASS'}")
     return report["passed"]
 
 
@@ -174,9 +165,6 @@ def cmd_maxwell(cfg: ScenarioConfig, out: Path, args) -> bool:
     report = {"suite": suite, "advected": adv, "ratio_band": band, "passed": ok}
     _write_json(out / f"{cfg.name}_maxwell.json", report)
     if cfg.maxwell["dump_grids"]:
-        from .maxwell import evolve_wave
-        from .presets import dipole_grid
-
         grid, steps, _ = dipole_grid(n_coarse)
         evolve_wave(grid, steps)
         grid.dump_binary(str(out / f"{cfg.name}_grid"))
@@ -196,14 +184,8 @@ def cmd_quantum(cfg: ScenarioConfig, out: Path, args) -> bool:
         fh.write("hk,exact,truncated,error\n")
         for row in disp["rows"]:
             fh.write(f"{row['hk']:.17g},{row['exact']:.17g},{row['truncated']:.17g},{row['error']:.17g}\n")
-    # one snapshot artifact for plotting
-    from .quantum import QuantumKind, QuantumModel, build_hamiltonian, evolve, gaussian_packet, snapshot_csv
-    from .presets import HBAR_DEFAULT, quantum_profiles
-
-    dx, w, a = quantum_profiles()
-    model = QuantumModel(QuantumKind.MinimalCoupling, w, a, q=1.0)
-    op = build_hamiltonian(model, dx, HBAR_DEFAULT, "periodic")
-    state = gaussian_packet(w.size, dx, x0=0.5 * w.size * dx, sigma0=0.8, k0=2.0, hbar=HBAR_DEFAULT)
+    # one snapshot artifact for plotting: criterion 10's minimal-coupling packet after 200 steps
+    op, state = verify.periodic_packet(QuantumKind.MinimalCoupling)
     snapshot_csv(evolve(op, state, 0.01, 200), out / f"{cfg.name}_snapshot.csv")
 
     _write_json(out / f"{cfg.name}_quantum.json",

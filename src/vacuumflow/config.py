@@ -227,12 +227,26 @@ def _build_forces(raw) -> dict:
     return out
 
 
-def _build_compare(raw) -> dict:
+def _build_compare(raw, models: list[ModelKind], particle: Particle, fld: VacuumField) -> dict:
+    """The compare section; the gyration circle takes only the scenarios it
+    describes: M0 and M3 with q = 1 in W = -1 and B = (0, 0, b), u0 = (u, 0, 0)."""
     out = _section(raw, "compare", _COMPARE_DEFAULTS)
     _require(
         out["analytic"] in _COMPARE_ANALYTIC,
         f"compare.analytic: must be absent or 'gyration_circle', got {out['analytic']!r}",
     )
+    if out["analytic"] == "gyration_circle":
+        where = "compare.analytic: 'gyration_circle' needs"
+        bx, by, bz = fld.b_uniform.tolist()
+        _require(not fld.sources, f"{where} no field sources, got {len(fld.sources)}")
+        _require(fld.w_inf == -1.0 and particle.q == 1.0,
+                 f"{where} field.w_inf = -1 and particle.q = 1, got {fld.w_inf} and {particle.q}")
+        _require(bx == by == 0.0 and bz != 0.0,
+                 f"{where} field.b_uniform = [0, 0, b] with b != 0, got {[bx, by, bz]}")
+        _require(particle.u0[1] == particle.u0[2] == 0.0,
+                 f"{where} particle.u0 = [u, 0, 0], got {particle.u0.tolist()}")
+        others = [m.value for m in models if m not in (ModelKind.M0, ModelKind.M3)]
+        _require(not others, f"{where} models M0 and M3 only, got {others}")
     return out
 
 
@@ -298,7 +312,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         maxwell=_build_maxwell(raw.get("maxwell", {})),
         quantum=_build_quantum(raw.get("quantum", {})),
         forces=_build_forces(raw.get("forces", {})),
-        compare=_build_compare(raw.get("compare", {})),
+        compare=_build_compare(raw.get("compare", {}), models, particle, fld),
     )
 
 

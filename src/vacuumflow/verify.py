@@ -7,7 +7,8 @@ judges one value against its key; the CLI (with a scenario's tolerances) and
 the acceptance suite (with config.DEFAULT_TOLERANCES) read every PASS from
 there.  Wall-clock gates ride along in the table but only the acceptance
 suite asserts them, so the CLI's artifacts and exit codes never depend on
-timing.
+timing.  compare and the quantum snapshot reuse run_models, circle_deviation
+and periodic_packet, so the CLI repeats none of the criteria's runs.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ from .quantum import (
 # -- criterion 1/2: conservation along the flyby ---------------------------------
 
 
-def energy_drift_by_model(models=presets.VACUUM_MODELS, scenario=None) -> dict:
-    """Relative Hamiltonian drift and wall time per model on the standard flyby."""
-    sc = scenario or presets.standard_flyby()
+def energy_drift_by_model() -> dict:
+    """Relative Hamiltonian drift and wall time per vacuum model on the standard flyby."""
+    sc = presets.standard_flyby()
     integ = ImplicitMidpoint()
     out = {}
-    for model in models:
+    for model in presets.VACUUM_MODELS:
         t0 = time.perf_counter()
         traj = simulate(model, sc.particle, sc.field, sc.r0, sc.tau_end, integ, sc.h)
         elapsed = time.perf_counter() - t0
@@ -77,8 +78,8 @@ def mass_law_deviation(traj: TrajectoryRecord) -> float:
     return float(np.max(np.abs(mass_law - e0)) / abs(e0))
 
 
-def flyby_m1(scenario=None) -> TrajectoryRecord:
-    sc = scenario or presets.standard_flyby()
+def flyby_m1() -> TrajectoryRecord:
+    sc = presets.standard_flyby()
     return simulate(ModelKind.M1, sc.particle, sc.field, sc.r0, sc.tau_end, ImplicitMidpoint(), sc.h)
 
 
@@ -93,25 +94,35 @@ def m0_lab_span(particle, tau_end: float, h: float) -> tuple[float, float]:
     return span, span / max(2, int(round(tau_end / h)))
 
 
-def gyration_deviations(periods: float = 5.0) -> dict:
+def run_models(models, particle, fld, r0, tau_end: float, integ, h: float) -> list[TrajectoryRecord]:
+    """One record per model from the same start, each run for tau_end at h;
+    M0 runs on the lab clock over m0_lab_span instead."""
+    records = []
+    for model in models:
+        span, step = m0_lab_span(particle, tau_end, h) if model is ModelKind.M0 else (tau_end, h)
+        records.append(simulate(model, particle, fld, r0, span, integ, step))
+    return records
+
+
+def circle_deviation(traj: TrajectoryRecord, particle, fld: VacuumField, r0) -> float:
+    """max |r(t) - circle(t)| along a record of a charge q = 1 started at r0 with
+    u0 = (u, 0, 0) in the uniform field B = (0, 0, b), W = -1: the gyration
+    circle, shifted to r0 (a uniform field is translation invariant)."""
+    circle = presets.gyration_analytic(traj.t, b=float(fld.b_uniform[2]), u=float(particle.u0[0]))
+    return float(np.max(np.linalg.norm(traj.r - r0 - circle, axis=1)))
+
+
+def gyration_deviations() -> dict:
     """M3 canonical flow vs direct M0 Lorentz integration vs the analytic circle."""
-    sc = presets.gyration(periods=periods)
-    t_span, h_lab = m0_lab_span(sc.particle, sc.tau_end, sc.h)
-    integ = RK45(atol=1e-12, rtol=1e-12)
+    sc = presets.gyration()
     t_start = time.perf_counter()
-    m3 = simulate(ModelKind.M3, sc.particle, sc.field, sc.r0, sc.tau_end, integ, sc.h)
-    m0 = simulate(ModelKind.M0, sc.particle, sc.field, sc.r0, t_span, integ, h_lab)
+    m3, m0 = run_models((ModelKind.M3, ModelKind.M0), sc.particle, sc.field, sc.r0, sc.tau_end,
+                        RK45(atol=1e-12, rtol=1e-12), sc.h)
     elapsed = time.perf_counter() - t_start
     pos_dev, energy_dev = compare_trajectories(m3, m0)
-    m3_circle = float(np.max(np.linalg.norm(m3.r - presets.gyration_analytic(m3.t), axis=1)))
-    m0_circle = float(np.max(np.linalg.norm(m0.r - presets.gyration_analytic(m0.t), axis=1)))
-    return {
-        "m3_vs_m0": pos_dev,
-        "energy_dev": energy_dev,
-        "m3_vs_circle": m3_circle,
-        "m0_vs_circle": m0_circle,
-        "seconds": elapsed,
-    }
+    return {"m3_vs_m0": pos_dev, "energy_dev": energy_dev, "seconds": elapsed,
+            "m3_vs_circle": circle_deviation(m3, sc.particle, sc.field, sc.r0),
+            "m0_vs_circle": circle_deviation(m0, sc.particle, sc.field, sc.r0)}
 
 
 # -- criterion 4: force gap and uniform-A coincidence ------------------------------
@@ -138,14 +149,12 @@ def force_gap_stats(seed: int = 0, n_states: int = 1000, fld: VacuumField | None
     return {"max_identity_dev": float(np.max(dev, initial=0.0)), "states": n_states, "rows": rows}
 
 
-def uniform_a_deviation(a_mag: float = 1e-5) -> dict:
+def uniform_a_deviation() -> dict:
     """Position deviation between the M2 and M3 flows with a uniform static A."""
-    sc = presets.uniform_a_pair(a_mag=a_mag)
-    integ = RK4()
-    m2 = simulate(ModelKind.M2, sc.particle, sc.field, sc.r0, sc.tau_end, integ, sc.h)
-    m3 = simulate(ModelKind.M3, sc.particle, sc.field, sc.r0, sc.tau_end, integ, sc.h)
+    sc = presets.uniform_a_pair()
+    m2, m3 = run_models((ModelKind.M2, ModelKind.M3), sc.particle, sc.field, sc.r0, sc.tau_end, RK4(), sc.h)
     pos_dev, energy_dev = compare_trajectories(m2, m3)
-    return {"pos_dev": pos_dev, "energy_dev": energy_dev, "a_mag": a_mag}
+    return {"pos_dev": pos_dev, "energy_dev": energy_dev, "a_mag": float(sc.field.a_uniform[2])}
 
 
 # -- criterion 5: Legendre / Hamiltonian consistency -------------------------------
@@ -205,7 +214,7 @@ def legendre_consistency(seed: int | np.random.SeedSequence = 1, n_states: int =
     return out
 
 
-def vector_field_fd(seed: int | np.random.SeedSequence = 2, n_states: int = 200, step: float = 1e-6) -> dict:
+def vector_field_fd(seed: int | np.random.SeedSequence = 2, n_states: int = 200) -> dict:
     """Canonical right-hand side vs central finite differences of hamiltonian.
 
     Each model draws all its states first; the 12 probes of every state go
@@ -216,6 +225,7 @@ def vector_field_fd(seed: int | np.random.SeedSequence = 2, n_states: int = 200,
     field_vac = presets.moving_source_field()
     field_m0 = presets.gyration().field
     rest_mass = 0.8
+    step = 1e-6
     out = {}
     for model in presets.ALL_MODELS:
         fld = field_m0 if model is ModelKind.M0 else field_vac
@@ -240,9 +250,9 @@ def vector_field_fd(seed: int | np.random.SeedSequence = 2, n_states: int = 200,
 # -- criterion 6: Euler-Lagrange convergence ----------------------------------------
 
 
-def el_convergence(scenario=None) -> dict:
+def el_convergence() -> dict:
     """M1 flyby EL defect at h and h/2; second order means a ratio near 4."""
-    sc = scenario or presets.standard_flyby()
+    sc = presets.standard_flyby()
     integ = ImplicitMidpoint()
     res = {}
     for label, h in (("h", sc.h), ("h2", sc.h / 2.0)):
@@ -297,9 +307,9 @@ def prop1_suite(n_coarse: int = 48, n_fine: int = 96) -> dict:
 # -- criterion 8: advected integral ---------------------------------------------------
 
 
-def advected_report(n: int = 48, h: float = 0.1) -> dict:
+def advected_report() -> dict:
     fld, times, ball, uf = presets.advected_setup()
-    series = sample_scalar_series(lambda pts, t: fld.coulomb(pts, t), n, h, times)
+    series = sample_scalar_series(lambda pts, t: fld.coulomb(pts, t), 48, 0.1, times)
     comoving = advected_integral(series, uf, ball)
     fixed = advected_integral(series, np.zeros(3), ball)
 
@@ -318,11 +328,11 @@ def advected_report(n: int = 48, h: float = 0.1) -> dict:
 # -- criteria 9/10: quantization -------------------------------------------------------
 
 
-def dispersion_report(hbar: float = presets.HBAR_DEFAULT, w_const: float = -1.0) -> dict:
+def dispersion_report() -> dict:
+    hbar = presets.HBAR_DEFAULT
     rows = []
     for hk in presets.DISPERSION_SWEEP_HK:
-        k = hk / hbar
-        exact, truncated, err = dispersion_check(k, w_const, hbar)
+        exact, truncated, err = dispersion_check(hk / hbar, -1.0, hbar)
         rows.append({"hk": hk, "exact": exact, "truncated": truncated, "error": err})
     # the least-squares slope of log error over log hbar k in closed form, on
     # floats with math.fsum: the same bits on every CPU, unlike a LAPACK fit
@@ -334,21 +344,26 @@ def dispersion_report(hbar: float = presets.HBAR_DEFAULT, w_const: float = -1.0)
     return {"rows": rows, "exponent": exponent, "error_at_0p2": rows[-1]["error"]}
 
 
-def norm_drift_report(steps: int = 1000, dtau: float = 0.01) -> dict:
+def periodic_packet(kind: QuantumKind) -> tuple:
+    """(op, state): criterion 10's periodic operator of kind on presets.quantum_profiles
+    (A = 0 for the free vacuum) and its Gaussian packet, sigma0 = 0.8, k0 = 2.0 and
+    x0 at half the length."""
     dx, w, a = presets.quantum_profiles()
     hbar = presets.HBAR_DEFAULT
-    n = w.size
-    length = n * dx
+    prof_a = np.zeros(w.size) if kind is QuantumKind.FreeVacuum else a
+    op = build_hamiltonian(QuantumModel(kind, w, prof_a, q=1.0), dx, hbar, "periodic")
+    return op, gaussian_packet(w.size, dx, x0=0.5 * w.size * dx, sigma0=0.8, k0=2.0, hbar=hbar)
+
+
+def norm_drift_report(steps: int = 1000) -> dict:
+    """Worst |norm - 1| per operator over steps Crank-Nicolson steps of the periodic packet."""
     out = {}
     for kind in QuantumKind:
-        prof_a = np.zeros(n) if kind is QuantumKind.FreeVacuum else a
-        model = QuantumModel(kind, w, prof_a, q=1.0)
-        op = build_hamiltonian(model, dx, hbar, "periodic")
-        psi = gaussian_packet(n, dx, x0=0.5 * length, sigma0=0.8, k0=2.0, hbar=hbar).psi
-        worst = 0.0
+        op, state = periodic_packet(kind)
+        psi, worst = state.psi, 0.0
         for _ in range(steps):
-            psi = cn_step_psi(op, psi, dtau)
-            worst = max(worst, abs(l2_norm(psi, dx) - 1.0))
+            psi = cn_step_psi(op, psi, 0.01)
+            worst = max(worst, abs(l2_norm(psi, state.dx) - 1.0))
         out[kind.value] = worst
     return out
 
@@ -382,8 +397,9 @@ def packet_dispersion_report(tau_end: float = 15.0, dtau: float = 0.0025) -> dic
     }
 
 
-def model_gap_report(a_const: float = 0.1, q: float = 1.0, mode: int = 4, n: int = 16384) -> dict:
+def model_gap_report() -> dict:
     hbar = presets.HBAR_DEFAULT
+    a_const, q, mode, n = 0.1, 1.0, 4, 16384
     dx = 2.0 * math.pi / n
     state = plane_wave(n, dx, mode, hbar)
     w = -np.ones(n)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from vacuumflow.fields import FieldSource, VacuumField
 
 # reproducible property tests: the same examples on every run, no time limit,
-# no example database; each test sets only its max_examples
-settings.register_profile("vacuumflow", deadline=None, derandomize=True, database=None)
+# no example database; each test sets only its max_examples.  No explain phase:
+# it runs only after a failure, where it can take minutes and about 1 GB
+# before the failure is reported
+settings.register_profile("vacuumflow", deadline=None, derandomize=True, database=None,
+                          phases=[p for p in Phase if p is not Phase.explain])
 settings.load_profile("vacuumflow")
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vacuumflow import verify
+from vacuumflow import presets, verify
 from vacuumflow.cli import main
 from vacuumflow.config import DEFAULT_TOLERANCES, MAX_FORCE_STATES, MAX_GRID_N, load_config, validate_config
 from vacuumflow.dynamics import ForceKind, force
@@ -66,6 +66,8 @@ def test_malformed_config_exit_2(tmp_path, capsys):
 
 
 _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
+_GYRATION = {"analytic": "gyration_circle"}
+_CIRCLE = "compare.analytic: 'gyration_circle' needs"
 
 
 @pytest.mark.parametrize("key, overrides", [
@@ -136,6 +138,17 @@ _SOURCE = {"qs": 0.5, "r0": [1.0, 1.0, 0.0], "uf": [0, 0, 0], "eps": 0.1}
     # 10**13 states would need some 500 TiB
     ("forces.states", {"forces": {"states": 10**13}}),
     ("forces.states", {"forces": {"states": MAX_FORCE_STATES + 1}}),
+    # each setting the gyration circle cannot describe
+    (f"{_CIRCLE} no field sources", {"compare": _GYRATION, "field": {"w_inf": -1.0, "sources": [_SOURCE]}}),
+    (f"{_CIRCLE} field.w_inf = -1 and particle.q = 1, got -2.0 and 1.0",
+     {"compare": _GYRATION, "field": {"w_inf": -2.0}}),
+    (f"{_CIRCLE} field.w_inf = -1 and particle.q = 1, got -1.0 and 2.0",
+     {"compare": _GYRATION, "particle": {"q": 2.0, "u0": [0.5, 0, 0]}, "field": {"w_inf": -1.0, "q_test": 2.0}}),
+    (f"{_CIRCLE} field.b_uniform", {"compare": _GYRATION}),
+    (f"{_CIRCLE} field.b_uniform", {"compare": _GYRATION, "field": {"w_inf": -1.0, "b_uniform": [0.1, 0, 1]}}),
+    (f"{_CIRCLE} particle.u0", {"compare": _GYRATION, "particle": {"q": 1.0, "u0": [0.5, 0, 0.1]},
+                                "field": {"w_inf": -1.0, "b_uniform": [0, 0, 1]}}),
+    (f"{_CIRCLE} models M0 and M3 only", {"compare": _GYRATION, "field": {"w_inf": -1.0, "b_uniform": [0, 0, 1]}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
@@ -144,7 +157,8 @@ def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     non-positive tolerance, an inverted band, sources that are not a list, a
     softening too small for the kernels, a boolean number, a start state that
     breaks a model's square-root guard, huge speeds, a negative seed, a state
-    count above the cap and each invariant an owning type checks end in exit 2,
+    count above the cap, a scenario the gyration circle cannot describe and
+    each invariant an owning type checks end in exit 2,
     not a traceback or a numpy warning."""
     cfg = _free_config(tmp_path, **overrides)
     with warnings.catch_warnings(record=True) as caught:
@@ -426,28 +440,41 @@ def test_compare_subcommand_m3_vs_m1_zero_a(tmp_path):
     assert report["max_pos_dev"] <= 1e-10
 
 
+def _gyration_config(tmp_path, **overrides):
+    """scenarios/gyration.json, one period long, with the given top-level keys replaced."""
+    raw = json.loads((SCENARIOS / "gyration.json").read_text())
+    raw.update(tau_end=raw["tau_end"] / 5.0, out_dir=str(tmp_path / "out"), **overrides)
+    path = tmp_path / "gyration.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
 def test_compare_gyration_against_circle(tmp_path):
     """The shipped gyration comparison, shortened to one period for speed."""
-    raw = json.loads((SCENARIOS / "gyration.json").read_text())
-    raw["tau_end"] = raw["tau_end"] / 5.0
-    raw["out_dir"] = str(tmp_path / "out")
-    cfg = tmp_path / "gyration.json"
-    cfg.write_text(json.dumps(raw))
-    assert main(["compare", "--config", str(cfg), "--quiet"]) == 0
+    assert main(["compare", "--config", str(_gyration_config(tmp_path)), "--quiet"]) == 0
     report = json.loads((tmp_path / "out" / "gyration_compare.json").read_text())
     assert report["max_pos_dev"] <= DEFAULT_TOLERANCES["gyration_pos_dev"]
     assert report["M3_vs_circle"] <= DEFAULT_TOLERANCES["gyration_pos_dev"]
     assert report["M0_vs_circle"] <= DEFAULT_TOLERANCES["gyration_pos_dev"]
 
 
-def test_compare_and_criterion_3_share_the_m0_span():
-    """The M0 lab span of cmd_compare, on the gyration preset, is criterion 3's old t_span / 4000."""
-    from vacuumflow import presets
+def test_compare_circle_follows_the_config(tmp_path):
+    """The circle is the config's: centred on r0, with its b and u (both negative
+    here); a uniform A, which exerts no force, stays allowed."""
+    cfg = _gyration_config(tmp_path, r0=[1.0, -0.5, 0.25], particle={"q": 1.0, "u0": [-0.4, 0.0, 0.0]},
+                           field={"w_inf": -1.0, "b_uniform": [0.0, 0.0, -1.5], "a_uniform": [0.0, 0.02, 0.0]})
+    assert main(["compare", "--config", str(cfg), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "gyration_compare.json").read_text())
+    assert report["M3_vs_circle"] < 1e-6 and report["M0_vs_circle"] < 1e-6
 
-    sc = presets.gyration()
-    span, h = verify.m0_lab_span(sc.particle, sc.tau_end, sc.h)
-    assert span == sc.tau_end * (1.0 / math.sqrt(1.0 - 0.6 * 0.6))
-    assert h == span / 4000.0
+
+def test_compare_summary_names_what_failed(tmp_path, capsys):
+    """Every judged value is printed, and the verdict names those that failed."""
+    cfg = _gyration_config(tmp_path, tolerances={"gyration_pos_dev": 1e-13})
+    assert main(["compare", "--config", str(cfg)]) == 1
+    line = capsys.readouterr().out.strip()
+    assert re.fullmatch(r"compare M3 vs M0: max_pos_dev=\S+ M3_vs_circle=\S+ M0_vs_circle=\S+ "
+                        r"FAIL: M3_vs_circle, M0_vs_circle", line), line
 
 
 def test_shipped_scenarios_validate():
@@ -598,8 +625,19 @@ def test_flyby_artifacts_keep_their_bytes(tmp_path):
 
 def test_gyration_compare_artifacts_keep_their_bytes(tmp_path):
     """The three files of the shipped gyration comparison keep their bytes:
-    RK45, the cubic resampling and the writers change no bit."""
+    RK45, the cubic resampling and the writers change no bit.  Its values are
+    criterion 3's, bit for bit, and M0 runs over the preset's lab span: the
+    M3 span stretched by the start gamma, in 4000 steps."""
     _assert_pinned("compare", "gyration", GYRATION_SHA256, tmp_path)
+    report = json.loads((tmp_path / "gyration_compare.json").read_text())
+    criterion = verify.gyration_deviations()
+    names = {"max_pos_dev": "m3_vs_m0", "max_energy_dev": "energy_dev",
+             "M3_vs_circle": "m3_vs_circle", "M0_vs_circle": "m0_vs_circle"}
+    assert {k: report[k].hex() for k in names} == {k: criterion[v].hex() for k, v in names.items()}
+    sc = presets.gyration()
+    span, h = verify.m0_lab_span(sc.particle, sc.tau_end, sc.h)
+    assert span == sc.tau_end * (1.0 / math.sqrt(1.0 - 0.6 * 0.6))
+    assert h == span / 4000.0
 
 
 def test_checks_and_forces_artifacts_keep_their_bytes(tmp_path):
