@@ -477,6 +477,14 @@ def test_compare_summary_names_what_failed(tmp_path, capsys):
                         r"FAIL: M3_vs_circle, M0_vs_circle", line), line
 
 
+def test_compare_and_criterion_3_share_the_m0_span():
+    """The M0 lab span of cmd_compare, on the gyration preset, is criterion 3's old t_span / 4000."""
+    sc = presets.gyration()
+    span, h = verify.m0_lab_span(sc.particle, sc.tau_end, sc.h)
+    assert span == sc.tau_end * (1.0 / math.sqrt(1.0 - 0.6 * 0.6))
+    assert h == span / 4000.0
+
+
 def test_shipped_scenarios_validate():
     for path in sorted(SCENARIOS.glob("*.json")):
         cfg = load_config(path)
@@ -626,18 +634,13 @@ def test_flyby_artifacts_keep_their_bytes(tmp_path):
 def test_gyration_compare_artifacts_keep_their_bytes(tmp_path):
     """The three files of the shipped gyration comparison keep their bytes:
     RK45, the cubic resampling and the writers change no bit.  Its values are
-    criterion 3's, bit for bit, and M0 runs over the preset's lab span: the
-    M3 span stretched by the start gamma, in 4000 steps."""
+    criterion 3's, bit for bit."""
     _assert_pinned("compare", "gyration", GYRATION_SHA256, tmp_path)
     report = json.loads((tmp_path / "gyration_compare.json").read_text())
     criterion = verify.gyration_deviations()
     names = {"max_pos_dev": "m3_vs_m0", "max_energy_dev": "energy_dev",
              "M3_vs_circle": "m3_vs_circle", "M0_vs_circle": "m0_vs_circle"}
     assert {k: report[k].hex() for k in names} == {k: criterion[v].hex() for k, v in names.items()}
-    sc = presets.gyration()
-    span, h = verify.m0_lab_span(sc.particle, sc.tau_end, sc.h)
-    assert span == sc.tau_end * (1.0 / math.sqrt(1.0 - 0.6 * 0.6))
-    assert h == span / 4000.0
 
 
 def test_checks_and_forces_artifacts_keep_their_bytes(tmp_path):
