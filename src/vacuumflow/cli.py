@@ -33,37 +33,16 @@ def _info(args, *message):
         print(*message)
 
 
-def _split_seconds(o):
-    """(o without its "seconds" keys, those keys at the same key paths or None)."""
-    if isinstance(o, dict):
-        kept, timing = {}, {}
-        for k, v in o.items():
-            v, t = _split_seconds(v)
-            if k == "seconds":
-                timing[k] = v
-                continue
-            kept[k] = v
-            if t is not None:
-                timing[k] = t
-        return kept, timing or None
-    if isinstance(o, (list, tuple)):
-        pairs = [_split_seconds(v) for v in o]
-        timing = [t for _, t in pairs]
-        return [k for k, _ in pairs], timing if any(t is not None for t in timing) else None
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item(), None
-    return o, None
-
-
 def _write_json(path: Path, obj) -> None:
-    """Sorted-key JSON of obj without its wall-clock "seconds" keys, which go
-    to <stem>_timing.json beside it (only when obj has one), so the artifact
-    itself stays byte-identical from run to run."""
-    kept, timing = _split_seconds(obj)
-    path.write_text(json.dumps(kept, sort_keys=True, indent=2) + "\n")
-    if timing is not None:
-        timing_path = path.with_name(f"{path.stem}_timing.json")
-        timing_path.write_text(json.dumps(timing, sort_keys=True, indent=2) + "\n")
+    """Sorted-key JSON of obj, so the same report gives the same bytes."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """header, then one LF line per row of numbers at 17 significant digits."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
 
 
 def _out_dir(args, cfg: ScenarioConfig) -> Path:
@@ -73,6 +52,8 @@ def _out_dir(args, cfg: ScenarioConfig) -> Path:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file by that name, a file on the path, no permission
         raise ConfigError(f"output directory {path} cannot be made: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a NUL or a lone surrogate in the path
+        raise ConfigError(f"out_dir: {exc}") from exc
     return path
 
 
@@ -135,10 +116,7 @@ def cmd_forces(cfg: ScenarioConfig, out: Path, args) -> bool:
     n_states = cfg.forces["states"]
     gap = verify.force_gap_stats(seed=cfg.seed, n_states=n_states, fld=cfg.field)
     table = out / f"{cfg.name}_forces.csv"
-    with open(table, "w") as fh:
-        fh.write("rx,ry,rz,ux,uy,uz,t,fcx,fcy,fcz,fmx,fmy,fmz,identity_dev\n")
-        for row in gap["rows"]:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(table, "rx,ry,rz,ux,uy,uz,t,fcx,fcy,fcz,fmx,fmy,fmz,identity_dev", gap["rows"])
     tol = cfg.tolerance("force_gap")
     passed = verify.passed(cfg.tolerance, force_gap_stats=gap)
     worst = gap["max_identity_dev"]
@@ -157,13 +135,14 @@ def cmd_maxwell(cfg: ScenarioConfig, out: Path, args) -> bool:
     if cfg.maxwell["advected"]:
         adv = verify.advected_report()
         ok = verify.passed(cfg.tolerance, advected_report=adv) and ok
-        with open(out / f"{cfg.name}_advected.csv", "w") as fh:
-            fh.write("time,comoving,fixed\n")
-            for t, c, f in zip(adv["times"], adv["comoving"], adv["fixed"]):
-                fh.write(f"{t:.17g},{c:.17g},{f:.17g}\n")
+        _write_csv(out / f"{cfg.name}_advected.csv", "time,comoving,fixed",
+                   zip(adv["times"], adv["comoving"], adv["fixed"]))
     band = cfg.tolerance("maxwell_ratio_band")
-    report = {"suite": suite, "advected": adv, "ratio_band": band, "passed": ok}
+    # the wall-clock seconds go beside the report, so the report keeps its bytes from run to run
+    report = {"suite": {k: v for k, v in suite.items() if k != "seconds"}, "advected": adv,
+              "ratio_band": band, "passed": ok}
     _write_json(out / f"{cfg.name}_maxwell.json", report)
+    _write_json(out / f"{cfg.name}_maxwell_timing.json", {"suite": {"seconds": suite["seconds"]}})
     if cfg.maxwell["dump_grids"]:
         grid, steps, _ = dipole_grid(n_coarse)
         evolve_wave(grid, steps)
@@ -180,10 +159,9 @@ def cmd_quantum(cfg: ScenarioConfig, out: Path, args) -> bool:
     ok = verify.passed(cfg.tolerance, dispersion_report=disp, norm_drift_report=drift,
                        packet_dispersion_report=packet, model_gap_report=gap)
 
-    with open(out / f"{cfg.name}_dispersion.csv", "w") as fh:
-        fh.write("hk,exact,truncated,error\n")
-        for row in disp["rows"]:
-            fh.write(f"{row['hk']:.17g},{row['exact']:.17g},{row['truncated']:.17g},{row['error']:.17g}\n")
+    columns = ("hk", "exact", "truncated", "error")
+    _write_csv(out / f"{cfg.name}_dispersion.csv", ",".join(columns),
+               ([row[c] for c in columns] for row in disp["rows"]))
     # one snapshot artifact for plotting: criterion 10's minimal-coupling packet after 200 steps
     op, state = verify.periodic_packet(QuantumKind.MinimalCoupling)
     snapshot_csv(evolve(op, state, 0.01, 200), out / f"{cfg.name}_snapshot.csv")

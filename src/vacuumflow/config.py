@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
 
@@ -52,8 +53,10 @@ _PARTICLE_KEYS = ("q", "u0")
 _FIELD_KEYS = ("w_inf", "q_test", "sources", "a_uniform", "b_uniform")
 _SOURCE_KEYS = ("qs", "r0", "uf", "eps")
 #: largest maxwell.n_fine, and so n_coarse: one 256^3 float64 array is
-#: 128 MiB, and the fine gauge-violated grid holds about 40 of them (8 levels
-#: of 4 fields, coordinates, source profiles, residual buffers), some 5 GiB
+#: 128 MiB.  Under tracemalloc at n = 128 a gauge-violated grid peaks at 15.3
+#: such arrays through evolve and report (3 levels of 4 potentials, 2 source
+#: profiles, slab residuals), and verify.prop1_suite(128, 128), which keeps
+#: finished grids while it runs the next, at 38.3: some 5 GiB at 256
 MAX_GRID_N = 256
 #: largest forces.states: at this cap verify.force_gap_stats peaks at 368 MiB
 #: under tracemalloc (its (states, 14) table of rows alone is 107 MiB), and
@@ -191,6 +194,26 @@ def _positive_int(value, where: str) -> int:
     return out
 
 
+#: the longest suffix the CLI puts after name in an artifact's file name
+_LONGEST_SUFFIX = "_maxwell_timing.json"
+_MAX_FILE_NAME = 255  # bytes, on Linux and macOS file systems
+
+
+def _checked_name(value) -> str:
+    """value as the stem of every artifact's file name in the output directory:
+    a string with no '/' and no NUL, short enough for the longest artifact name."""
+    _require(isinstance(value, str), f"name: expected a string, got {value!r}")
+    _require("/" not in value and "\0" not in value, f"name: must not hold '/' or NUL, got {value!r}")
+    try:
+        size = len(os.fsencode(value))
+    except UnicodeEncodeError:
+        raise ConfigError(f"name: cannot be part of a file name, got {value!r}") from None
+    most = _MAX_FILE_NAME - len(_LONGEST_SUFFIX)
+    _require(size <= most, f"name: must be at most {most} bytes, so that <name>{_LONGEST_SUFFIX} "
+                           f"fits in a file name, got {size}")
+    return value
+
+
 def checked_seed(value, where: str = "seed") -> int:
     """value as a seed numpy takes, a non-negative integer (the seed key and --seed)."""
     out = _number(value, where, int)
@@ -298,7 +321,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
             _require(tolerances[key] > 0.0, f"{where}: must be > 0, got {tolerances[key]}")
 
     return ScenarioConfig(
-        name=str(raw.get("name", "scenario")),
+        name=_checked_name(raw.get("name", "scenario")),
         models=models,
         particle=particle,
         field=fld,

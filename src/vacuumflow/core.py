@@ -86,11 +86,11 @@ def guarded_root(arg: float) -> float:
 def negative_w(w, r, t):
     """w after the trajectory invariant W < 0, at one state or on columns (r (..., 3), t
     scalar or per state); the error names the first state that breaks it."""
-    bad = np.asarray(w) >= 0.0
-    if bad.any():
-        i = np.unravel_index(np.argmax(bad), bad.shape)
+    ok = np.asarray(w) < 0.0  # false at nan too
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
         raise NonNegativeField(f"W(r,t) = {np.asarray(w)[i]:g} >= 0 at r = {np.asarray(r)[i].tolist()}, "
-                               f"t = {np.broadcast_to(t, bad.shape)[i]:g}")
+                               f"t = {np.broadcast_to(t, ok.shape)[i]:g}")
     return w
 
 

@@ -58,7 +58,7 @@ class ForceKind(Enum):
 
 
 def _hard_w(w: float) -> float:
-    if w >= 0.0:
+    if not w < 0.0:  # nan too
         raise NonNegativeField(f"W = {w:g} >= 0 reached by trajectory")
     return w
 

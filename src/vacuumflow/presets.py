@@ -69,7 +69,7 @@ def gyration(periods: float = 5.0, b: float = 1.0, u: float = 0.6) -> ParticleSc
     )
 
 
-def gyration_analytic(ts: np.ndarray, b: float = 1.0, u: float = 0.6) -> np.ndarray:
+def gyration_analytic(ts: np.ndarray, b: float, u: float) -> np.ndarray:
     """Exact lab-frame circle for the gyration scenario started at the origin."""
     omega = b
     radius = u / omega
@@ -78,18 +78,18 @@ def gyration_analytic(ts: np.ndarray, b: float = 1.0, u: float = 0.6) -> np.ndar
     return np.stack([x, y, np.zeros_like(ts)], axis=1)
 
 
-def uniform_a_pair(a_mag: float = 1e-5) -> ParticleScenario:
+def uniform_a_pair() -> ParticleScenario:
     """Static source plus a small spatially uniform A for the M2-vs-M3 comparison.
 
     u0 is kept orthogonal to A; the canonical M2 flow then departs from M3 only
     at O(q^2 a^2), measured explicitly by the companion scaling test.
     """
-    return _flyby("uniform_a", 8.0, a_uniform=(0.0, 0.0, a_mag))
+    return _flyby("uniform_a", 8.0, a_uniform=(0.0, 0.0, 1e-5))
 
 
-def nonuniform_a_pair(b: float = 0.25) -> ParticleScenario:
+def nonuniform_a_pair() -> ParticleScenario:
     """Static source plus a linear (uniform-B) A: M2 and M3 must visibly split."""
-    return _flyby("nonuniform_a", 8.0, b_uniform=(0.0, 0.0, b))
+    return _flyby("nonuniform_a", 8.0, b_uniform=(0.0, 0.0, 0.25))
 
 
 def moving_source_field() -> VacuumField:
@@ -229,11 +229,11 @@ HBAR_DEFAULT = 0.05
 DISPERSION_SWEEP_HK = (0.05, 0.1, 0.2)
 
 
-def quantum_profiles(n: int = 512, length: float = 16.0, a_amp: float = 0.1,
-                     w_depth: float = 0.2) -> tuple[float, np.ndarray, np.ndarray]:
-    """Smooth periodic W(x) and A(x) profiles for evolution tests: (dx, w, a)."""
-    dx = length / n
+def quantum_profiles(n: int = 512) -> tuple[float, np.ndarray, np.ndarray]:
+    """Smooth W(x) and A(x) profiles, periodic over a length of 16, for
+    evolution tests: (dx, w, a), with W between -1.2 and -1 and |A| <= 0.1."""
+    dx = 16.0 / n
     x = dx * np.arange(n)
-    w = -1.0 - w_depth * (1.0 + np.cos(2.0 * np.pi * x / length)) / 2.0
-    a = a_amp * np.sin(2.0 * np.pi * x / length)
+    w = -1.0 - 0.2 * (1.0 + np.cos(2.0 * np.pi * x / 16.0)) / 2.0
+    a = 0.1 * np.sin(2.0 * np.pi * x / 16.0)
     return dx, w, a

@@ -149,6 +149,14 @@ _CIRCLE = "compare.analytic: 'gyration_circle' needs"
     (f"{_CIRCLE} particle.u0", {"compare": _GYRATION, "particle": {"q": 1.0, "u0": [0.5, 0, 0.1]},
                                 "field": {"w_inf": -1.0, "b_uniform": [0, 0, 1]}}),
     (f"{_CIRCLE} models M0 and M3 only", {"compare": _GYRATION, "field": {"w_inf": -1.0, "b_uniform": [0, 0, 1]}}),
+    # a name or out_dir that would write outside the output directory or is no path
+    ("name", {"name": "../escaped"}),
+    ("name", {"name": "sub/dir"}),
+    ("name", {"name": "a\0b"}),
+    ("name", {"name": "x" * 300}),
+    ("out_dir", {"out_dir": "out\0dir"}),
+    ("name", {"name": 5}),
+    ("name", {"name": "\ud800"}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
@@ -157,8 +165,9 @@ def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     non-positive tolerance, an inverted band, sources that are not a list, a
     softening too small for the kernels, a boolean number, a start state that
     breaks a model's square-root guard, huge speeds, a negative seed, a state
-    count above the cap, a scenario the gyration circle cannot describe and
-    each invariant an owning type checks end in exit 2,
+    count above the cap, a scenario the gyration circle cannot describe, a
+    name or out_dir that is no path inside the output directory and each
+    invariant an owning type checks end in exit 2,
     not a traceback or a numpy warning."""
     cfg = _free_config(tmp_path, **overrides)
     with warnings.catch_warnings(record=True) as caught:
@@ -617,10 +626,15 @@ CHECKS_SHA256 = {"verification_checks.json": "3a55db1d"}
 #: sha256 prefixes of the artifacts of `forces --config scenarios/forces.json`
 FORCES_SHA256 = {"forces_forces.csv": "653db41e", "forces_forces.json": "9a548fbb"}
 
+#: sha256 prefixes of the tables of `maxwell` and `quantum --config scenarios/verification.json`
+ADVECTED_SHA256 = {"verification_advected.csv": "4a2ac320"}
+DISPERSION_SHA256 = {"verification_dispersion.csv": "b88858f7"}
 
-def _assert_pinned(command, scenario, pins, out):
+
+def _assert_pinned(command, scenario, pins, out, unpinned=()):
+    """The run writes exactly the pinned and the unpinned files, each pinned one with its sha256 prefix."""
     assert main([command, "--config", str(SCENARIOS / f"{scenario}.json"), "--out", str(out), "--quiet"]) == 0
-    assert sorted(p.name for p in out.iterdir()) == sorted(pins)
+    assert sorted(p.name for p in out.iterdir()) == sorted([*pins, *unpinned])
     for name, prefix in pins.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest()[:8] == prefix, name
 
@@ -648,6 +662,18 @@ def test_checks_and_forces_artifacts_keep_their_bytes(tmp_path):
     keep their bytes: the column right-hand side and the draws change no bit."""
     _assert_pinned("checks", "verification", CHECKS_SHA256, tmp_path / "checks")
     _assert_pinned("forces", "forces", FORCES_SHA256, tmp_path / "forces")
+
+
+def test_advected_and_dispersion_tables_keep_their_bytes(tmp_path, monkeypatch):
+    """The advected and dispersion CSVs keep their bytes through the CLI's CSV
+    writer.  The slow reports that neither table reads are stubbed."""
+    monkeypatch.setattr(verify, "prop1_suite", lambda **_: _passing_suite())
+    monkeypatch.setattr(verify, "norm_drift_report", lambda **_: {"MinimalCoupling": 0.0})
+    monkeypatch.setattr(verify, "packet_dispersion_report", lambda **_: {"rel_err": 0.0})
+    _assert_pinned("maxwell", "verification", ADVECTED_SHA256, tmp_path / "maxwell",
+                   unpinned=("verification_maxwell.json", "verification_maxwell_timing.json"))
+    _assert_pinned("quantum", "verification", DISPERSION_SHA256, tmp_path / "quantum",
+                   unpinned=("verification_quantum.json", "verification_snapshot.csv"))
 
 
 def test_only_compare_and_quantum_load_scipy(tmp_path):
@@ -689,6 +715,13 @@ print(json.dumps(loaded))
         assert (tmp_path / name).stat().st_size > 0
 
 
+def _passing_suite(seconds=0.0):
+    """A prop1_suite report whose every ratio passes, in place of the slow suite."""
+    ratios = {key: 4.0 for key in ("gauss", "faraday", "ampere", "nomono")}
+    return {"plane": {"ratio": ratios}, "dipole": {"ratio": ratios},
+            "violated": {"ratio": {**ratios, "gauss": 1.0}}, "seconds": seconds}
+
+
 def test_maxwell_none_ratio_fails(tmp_path, monkeypatch):
     """A residual too small to form a convergence ratio is a failure, not a skip."""
     ratios = {key: 4.0 for key in ("gauss", "faraday", "ampere", "nomono")}
@@ -708,10 +741,7 @@ def test_maxwell_dump_grids_writes_the_newest_dipole_level(tmp_path, monkeypatch
     from vacuumflow.maxwell import evolve_wave
     from vacuumflow.presets import dipole_grid
 
-    ratios = {key: 4.0 for key in ("gauss", "faraday", "ampere", "nomono")}
-    suite = {"plane": {"ratio": ratios}, "dipole": {"ratio": ratios},
-             "violated": {"ratio": {**ratios, "gauss": 1.0}}, "seconds": 0.0}
-    monkeypatch.setattr(verify, "prop1_suite", lambda **_: suite)
+    monkeypatch.setattr(verify, "prop1_suite", lambda **_: _passing_suite())
     cfg = _free_config(tmp_path, maxwell={"n_coarse": 8, "advected": False, "dump_grids": True})
     assert main(["maxwell", "--config", str(cfg), "--quiet"]) == 0
     grid, steps, _ = dipole_grid(8)
@@ -724,12 +754,10 @@ def test_maxwell_dump_grids_writes_the_newest_dipole_level(tmp_path, monkeypatch
 
 def test_seconds_go_to_the_timing_sidecar(tmp_path, monkeypatch):
     """Two runs that differ only in wall-clock time write byte-identical
-    artifacts; the seconds land in <artifact>_timing.json at their key paths."""
-    ratios = {key: 4.0 for key in ("gauss", "faraday", "ampere", "nomono")}
+    artifacts; the suite's seconds land in <name>_maxwell_timing.json."""
     cfg = _free_config(tmp_path, maxwell={"advected": False})
     for run, seconds in (("a", 1.5), ("b", 2.5)):
-        suite = {"plane": {"ratio": ratios}, "dipole": {"ratio": ratios},
-                 "violated": {"ratio": {**ratios, "gauss": 1.0}}, "seconds": seconds}
+        suite = _passing_suite(seconds)
         monkeypatch.setattr(verify, "prop1_suite", lambda suite=suite, **_: suite)
         assert main(["maxwell", "--config", str(cfg), "--out", str(tmp_path / run), "--quiet"]) == 0
         assert sorted(p.name for p in (tmp_path / run).iterdir()) == ["free_maxwell.json",

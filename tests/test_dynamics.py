@@ -59,7 +59,7 @@ def test_hamiltonian_examples(uniform_field):
 
 
 def test_non_negative_w_raises_one_error_class():
-    """At W >= 0 the float right-hand side and the Hamiltonian raise the same error."""
+    """At W >= 0, and at W = nan, the float right-hand side and the Hamiltonian raise the same error."""
     fld = VacuumField(w_inf=-1.0, sources=(FieldSource(qs=5.0, r0=ORIGIN, uf=ORIGIN, eps=0.1),))
     assert fld.w(ORIGIN, 0.0) > 2.9
     y = [0.0] * 7
@@ -69,6 +69,13 @@ def test_non_negative_w_raises_one_error_class():
         point_rhs(ModelKind.M1, y, fld)
     with pytest.raises(NonNegativeField):
         hamiltonian(ModelKind.M1, PhasePoint(ORIGIN, ORIGIN), fld)
+    nan_r = (np.nan, 0.0, 0.0)
+    assert np.isnan(fld.w(nan_r, 0.0))
+    for model in ModelKind:
+        with pytest.raises(NonNegativeField, match=r"^W = nan >= 0 reached by trajectory$"):
+            point_rhs(model, [*nan_r, 0.0, 0.0, 0.0, 0.0], fld, rest_mass=1.0)
+    with pytest.raises(NonNegativeField):
+        hamiltonian(ModelKind.M1, PhasePoint(nan_r, ORIGIN), fld)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
@@ -78,6 +85,9 @@ def test_column_rhs_names_the_first_state_with_w_at_least_0(model):
     r = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.05, 0.0, 0.0]])
     assert fld.w(r[0], 0.0) < 0.0 < fld.w(r[2], 0.0)
     with pytest.raises(NonNegativeField, match=r"at r = \[0\.0, 0\.0, 0\.0\], t = 0\.5$"):
+        _rhs_eval(model, r, np.zeros((3, 3)), np.array([0.25, 0.5, 0.75]), fld, rest_mass=1.0)
+    r[1, 0] = np.nan  # W = nan fails W < 0 too
+    with pytest.raises(NonNegativeField, match=r"^W\(r,t\) = nan >= 0 at r = \[nan, 0\.0, 0\.0\], t = 0\.5$"):
         _rhs_eval(model, r, np.zeros((3, 3)), np.array([0.25, 0.5, 0.75]), fld, rest_mass=1.0)
 
 
