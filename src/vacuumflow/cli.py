@@ -34,8 +34,9 @@ def _info(args, *message):
 
 
 def _write_json(path: Path, obj) -> None:
-    """Sorted-key JSON of obj, so the same report gives the same bytes."""
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Sorted-key JSON of obj, so the same report gives the same bytes; a NaN or
+    an infinity raises ValueError, since RFC 8259 JSON has neither."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -79,9 +80,13 @@ def cmd_simulate(cfg: ScenarioConfig, out: Path, args) -> bool:
             "meta": traj.meta,
         }
         _write_json(out / f"{cfg.name}_{model.value}_drift.json", summary)
-        _info(args, f"simulate {model.value}: drift={drift:.3e} tol={tol:.1e} "
+        shown = "none" if drift is None else f"{drift:.3e}"
+        _info(args, f"simulate {model.value}: drift={shown} tol={tol:.1e} "
                     f"{'PASS' if summary['passed'] else 'FAIL'} -> {csv_path}")
         ok = ok and summary["passed"]
+        if drift is None:
+            print(f"simulate {model.value}: no relative energy drift: the start energy is 0",
+                  file=sys.stderr)
         if traj.meta.get("termination"):
             print(f"simulate {model.value}: terminated early: {traj.meta['termination']}",
                   file=sys.stderr)
@@ -95,14 +100,14 @@ def cmd_compare(cfg: ScenarioConfig, out: Path, args) -> bool:
     trajs = verify.run_models(cfg.models, cfg.particle, cfg.field, cfg.r0, cfg.tau_end, cfg.integrator, cfg.h)
     for model, traj in zip(cfg.models, trajs):
         traj.to_csv(out / f"{cfg.name}_{model.value}.csv")
-    pos_dev, energy_dev = compare_trajectories(*trajs)
+    pos_dev, energy_drift = compare_trajectories(*trajs)
     # (report key, value, tolerance key) of every judged value
     judged = [("max_pos_dev", pos_dev, "compare_pos_dev")]
     if cfg.compare["analytic"] == "gyration_circle":
         judged += [(f"{model.value}_vs_circle", verify.circle_deviation(traj, cfg.particle, cfg.field, cfg.r0),
                     "gyration_pos_dev") for model, traj in zip(cfg.models, trajs)]
     failed = [name for name, value, key in judged if not verify.check(value, key, cfg.tolerance)[0]]
-    report = {"models": [m.value for m in cfg.models], "max_energy_dev": energy_dev,
+    report = {"models": [m.value for m in cfg.models], "max_energy_drift": energy_drift,
               "tolerance": cfg.tolerance("compare_pos_dev"), "passed": not failed,
               **{name: value for name, value, _ in judged}}
     _write_json(out / f"{cfg.name}_compare.json", report)

@@ -55,8 +55,8 @@ _SOURCE_KEYS = ("qs", "r0", "uf", "eps")
 #: largest maxwell.n_fine, and so n_coarse: one 256^3 float64 array is
 #: 128 MiB.  Under tracemalloc at n = 128 a gauge-violated grid peaks at 15.3
 #: such arrays through evolve and report (3 levels of 4 potentials, 2 source
-#: profiles, slab residuals), and verify.prop1_suite(128, 128), which keeps
-#: finished grids while it runs the next, at 38.3: some 5 GiB at 256
+#: profiles, slab residuals), and verify.prop1_suite(64, 128), which holds one
+#: grid at a time, at 19.1 (305 MiB): some 2.4 GiB at 256
 MAX_GRID_N = 256
 #: largest forces.states: at this cap verify.force_gap_stats peaks at 368 MiB
 #: under tracemalloc (its (states, 14) table of rows alone is 107 MiB), and
@@ -268,6 +268,9 @@ def _build_compare(raw, models: list[ModelKind], particle: Particle, fld: Vacuum
                  f"{where} field.b_uniform = [0, 0, b] with b != 0, got {[bx, by, bz]}")
         _require(particle.u0[1] == particle.u0[2] == 0.0,
                  f"{where} particle.u0 = [u, 0, 0], got {particle.u0.tolist()}")
+        u = particle.u0[0].item()
+        _require(math.isfinite(u / bz),
+                 f"{where} field.b_uniform = [0, 0, b] with a finite radius u / b, got b = {bz} for u = {u}")
         others = [m.value for m in models if m not in (ModelKind.M0, ModelKind.M3)]
         _require(not others, f"{where} models M0 and M3 only, got {others}")
     return out

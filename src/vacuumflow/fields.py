@@ -64,9 +64,12 @@ class FieldSource:
     def __post_init__(self):
         object.__setattr__(self, "r0", as_vec3(self.r0))
         object.__setattr__(self, "uf", as_vec3(self.uf))
-        # the kernels divide by eps^3 at the source centre
-        if not (self.eps > 0.0 and self.eps * self.eps * math.sqrt(self.eps * self.eps) > 0.0):
+        # the kernels divide qs / (4 pi) by eps^3 at the source centre
+        eps3 = self.eps * self.eps * math.sqrt(self.eps * self.eps)
+        if not (self.eps > 0.0 and eps3 > 0.0):
             raise ConfigError(f"eps: softening must be > 0 and eps^3 must not underflow, got {self.eps}")
+        if not math.isfinite(abs(self.qs / FOUR_PI) / eps3):
+            raise ConfigError(f"eps: |qs| / (4 pi eps^3) must not overflow, got eps = {self.eps} for qs = {self.qs}")
         speed = math.hypot(*self.uf.tolist())  # cannot overflow
         if not speed < 1.0:
             raise ConfigError(f"uf: source speed |uf| must be < 1, got {speed}")

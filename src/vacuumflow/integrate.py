@@ -59,7 +59,6 @@ from .core import (
 from .dynamics import point_rhs
 from .errors import ConfigError, NoConvergence, NonNegativeField, NoOverlap, SubluminalViolation
 from .fields import VacuumField, as_vec3
-from .linalg import lapack
 
 #: the most recorded steps one run may take: at this cap the (steps + 1, 7)
 #: float64 state array is 560 MB
@@ -167,8 +166,11 @@ class TrajectoryRecord:
             for row in rows:
                 fh.write(self._CSV_ROW % row)
 
-    def max_relative_energy_drift(self) -> float:
+    def max_relative_energy_drift(self) -> float | None:
+        """max |E - E0| / |E0| over the record; None where E0 = 0, which has no relative drift."""
         e0 = self.energy[0]
+        if e0 == 0.0:
+            return None
         return float(np.max(np.abs(self.energy - e0)) / abs(e0))
 
 
@@ -608,81 +610,40 @@ def _dense_fill(state, taus, steps):
 _RUNNERS = {RK4: _run_rk4, ImplicitMidpoint: _run_midpoint, RK45: _run_dopri5}
 
 
-def _not_a_knot(x, y, xs):
-    """The not-a-knot cubic spline through (x, y) at xs, y of shape (n,) or
-    (n, k): scipy's CubicSpline(x, y, axis=0)(xs) bit for bit (de Boor, A
-    Practical Guide to Splines, ch. IV).
-
-    The knot slopes solve scipy's banded system, with its not-a-knot end rows,
-    by LAPACK dgtsv (dgesv on scipy's parabola through three knots; two knots
-    clamp both ends to the chord slope).  The coefficients are those of
-    CubicHermiteSpline, and the evaluation takes PPoly's interval (the last
-    knot at or left of xs, clipped to [0, n - 2]) and its order of operations.
-    Raises ValueError where scipy does: fewer than 2 knots, a non-finite knot
-    or value, or knots that do not strictly increase.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(x)
-    if x.ndim != 1 or n < 2 or len(y) != n:
-        raise ValueError(f"spline: need 1-D knots, at least 2, and one value per knot; got {x.shape}, {y.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("spline: knots and values must be finite")
-    dx = np.diff(x)
-    if np.any(dx <= 0):
-        raise ValueError("spline: knots must strictly increase")
-    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / dxr
-    b = np.empty((n,) + y.shape[1:])
-    if n == 3:
-        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
-        b[0] = 2 * slope[0]
-        b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
-        b[2] = 2 * slope[1]
-        *_, s, info = lapack().dgesv(a, b.reshape(n, -1))
-    else:
-        diag, upper, lower = np.ones(n), np.zeros(n - 1), np.zeros(n - 1)
-        if n == 2:
-            b[:] = slope[0]
-        else:
-            diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-            upper[1:] = dx[:-1]
-            lower[:-1] = dx[1:]
-            b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-            diag[0] = dx[1]
-            upper[0] = d = x[2] - x[0]
-            b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
-            diag[-1] = dx[-2]
-            lower[-1] = d = x[-1] - x[-3]
-            b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-        *_, s, info = lapack().dgtsv(lower, diag, upper, b.reshape(n, -1))
-    if info != 0:
-        raise ValueError(f"spline: singular slope system (LAPACK info = {info})")
-    s = s.reshape(y.shape)
-    t = (s[:-1] + s[1:] - 2 * slope) / dxr
-    c0, c1 = t / dxr, (slope - s[:-1]) / dxr - t
-    i = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, n - 2)
-    z = (xs - x[i]).reshape((-1,) + (1,) * (y.ndim - 1))
-    res = 0.0 + y[i]
-    res += s[i] * z
-    zk = z * z
-    res += c1[i] * zk
-    res += c0[i] * (zk * z)
-    return res
+def _hermite(t, r, u, ts):
+    """The piecewise cubic Hermite interpolant of positions r (n, 3) with slopes
+    u = dr/dt at times t, at the times ts (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.6).  Each interval's cubic takes r and u at its two ends, so it
+    needs no solve; a time past the ends takes the nearest interval's cubic.
+    Raises ValueError unless there are n >= 2 finite, strictly increasing
+    times with finite positions and slopes."""
+    n = len(t)
+    if not (n >= 2 and t.shape == (n,) and r.shape == u.shape == (n, 3)
+            and np.isfinite(np.column_stack((t, r, u))).all() and (np.diff(t) > 0).all()):
+        raise ValueError(f"resample: need n >= 2 finite, strictly increasing times with finite (n, 3) "
+                         f"positions and slopes; got shapes {t.shape}, {r.shape}, {u.shape}")
+    dt = np.diff(t)[:, None]
+    chord = np.diff(r, axis=0) / dt
+    c3 = (u[:-1] + u[1:] - 2 * chord) / dt
+    c2 = (chord - u[:-1]) / dt - c3
+    c3 = c3 / dt
+    i = np.clip(np.searchsorted(t, ts, side="right") - 1, 0, n - 2)
+    z = (ts - t[i])[:, None]
+    return r[i] + z * (u[i] + z * (c2[i] + z * c3[i]))
 
 
-def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord) -> tuple[float, float]:
-    """Resample both records onto 2001 common lab times (not-a-knot cubic) and
-    report (max position deviation, max energy deviation)."""
+def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord) -> tuple[float, float | None]:
+    """Resample both records' positions onto 2001 common lab times (cubic
+    Hermite on t, r and u_lab): (max position deviation, the larger of the two
+    records' own relative energy drifts, None if either has none).  Each model
+    conserves its own energy, so the two energies are not subtracted."""
     lo = max(a.t[0], b.t[0])
     hi = min(a.t[-1], b.t[-1])
     if hi <= lo:
         raise NoOverlap(f"no common lab-time range: [{a.t[0]}, {a.t[-1]}] vs [{b.t[0]}, {b.t[-1]}]")
     grid = np.linspace(lo, hi, 2001)
-    ra = _not_a_knot(a.t, a.r, grid)
-    rb = _not_a_knot(b.t, b.r, grid)
-    ea = _not_a_knot(a.t, a.energy, grid)
-    eb = _not_a_knot(b.t, b.energy, grid)
+    ra = _hermite(a.t, a.r, a.u_lab, grid)
+    rb = _hermite(b.t, b.r, b.u_lab, grid)
     pos_dev = float(np.max(np.linalg.norm(ra - rb, axis=1)))
-    energy_dev = float(np.max(np.abs(ea - eb)))
-    return pos_dev, energy_dev
+    drifts = (a.max_relative_energy_drift(), b.max_relative_energy_drift())
+    return pos_dev, None if None in drifts else max(drifts)

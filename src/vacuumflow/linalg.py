@@ -1,8 +1,7 @@
 """LAPACK on first use: the package's one runtime scipy dependency.
 
 `import vacuumflow` loads no scipy module.  The first call of lapack() imports
-scipy.linalg.lapack; the Crank-Nicolson factor (quantum: zgttrf, zgttrs) and
-the trajectory spline (integrate: dgtsv, dgesv) share it.
+scipy.linalg.lapack, for the Crank-Nicolson factor (quantum: zgttrf, zgttrs).
 """
 
 from __future__ import annotations

@@ -304,6 +304,92 @@ def test_overflowing_baseline_is_rejected_at_load(tmp_path, capsys):
         validate_config(raw)
 
 
+def _strict_json(path):
+    """The JSON file at path, parsed as RFC 8259 JSON: a NaN or an Infinity raises."""
+    def refuse(constant):
+        raise ValueError(f"{path.name}: {constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _run_repro(tmp_path, capsys, command, scenario, edit):
+    """Run command on the shipped scenario as edit changes it: (exit code, stderr,
+    every JSON artifact parsed strictly).  No RuntimeWarning may be raised."""
+    raw = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    edit(raw)
+    path = tmp_path / "repro.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err, {p.name: _strict_json(p) for p in sorted(out.glob("*.json"))}
+
+
+def test_zero_start_energy_has_no_drift_exit_1(tmp_path, capsys):
+    """An M0 start whose energy cancels to 0.0 has no relative drift: the report
+    holds a JSON null, stderr says why and the check fails.  It used to divide
+    by zero and write a bare Infinity, which is not JSON."""
+    def edit(raw):
+        raw.update(models=["M0"], r0=[5e-101, 0, 0], tau_end=1, integrator={"kind": "rk4", "h": 0.1})
+        raw["field"]["sources"] = [{"qs": -0.5, "r0": [0, 0, 0], "eps": 1e-100}]
+
+    code, err, artifacts = _run_repro(tmp_path, capsys, "simulate", "flyby", edit)
+    assert code == 1
+    assert err.splitlines() == ["simulate M0: no relative energy drift: the start energy is 0"]
+    report = artifacts["flyby_M0_drift.json"]
+    assert report["energy_start"] == 0.0 and report["energy_drift"] is None and report["passed"] is False
+
+
+def test_gyration_radius_overflow_exit_2(tmp_path, capsys):
+    """b = 5e-324 makes the circle's radius u / b overflow; the config rejects it
+    naming field.b_uniform.  It used to warn twice and write NaN deviations."""
+    def edit(raw):
+        raw["field"]["b_uniform"] = [0, 0, 5e-324]
+        raw["tau_end"] = 50 * raw["integrator"]["h"]
+
+    code, err, artifacts = _run_repro(tmp_path, capsys, "compare", "gyration", edit)
+    assert code == 2 and not artifacts
+    assert err.startswith(f"config error: {_CIRCLE} field.b_uniform") and "5e-324" in err
+
+
+def test_compare_of_a_record_cut_at_its_start_exit_1(tmp_path, capsys):
+    """b = 1e300: RK45 spends its evaluation cap on the first step, so a record
+    holds one sample and spans no lab time.  compare exits 1 naming the empty
+    overlap, with no traceback."""
+    def edit(raw):
+        raw["field"]["b_uniform"] = [0, 0, 1e300]
+        raw["tau_end"] = 5 * raw["integrator"]["h"]
+
+    code, err, artifacts = _run_repro(tmp_path, capsys, "compare", "gyration", edit)
+    assert code == 1 and not artifacts
+    assert err.startswith("error: no common lab-time range")
+
+
+def test_overflowing_source_kernel_exit_2(tmp_path, capsys):
+    """A source of eps 1e-104, where qs / (4 pi eps^3) overflows, is rejected
+    naming eps.  It used to load, and the run ended on a NaN W at its first step."""
+    def edit(raw):
+        raw.update(models=["M0"], r0=[1e-104, 0, 0], integrator={"kind": "rk4", "h": 0.1})
+        raw["field"]["sources"] = [{"qs": 0.5, "r0": [0, 0, 0], "eps": 1e-104}]
+
+    code, err, artifacts = _run_repro(tmp_path, capsys, "simulate", "flyby", edit)
+    assert code == 2 and not artifacts
+    assert err.startswith("config error: field.sources[0].eps: |qs| / (4 pi eps^3) must not overflow")
+
+
+def test_write_json_refuses_non_finite_values(tmp_path):
+    """Artifacts are RFC 8259 JSON, which has no NaN or Infinity."""
+    from vacuumflow.cli import _write_json
+
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "x.json", {"value": value})
+
+
 def test_maxwell_grid_size_above_the_cap_exit_2(tmp_path, capsys):
     """n_fine = 100000 used to end in numpy's _ArrayMemoryError and exit 1; the
     cap rejects it at load (far above the cap, so nothing could allocate)."""
@@ -618,7 +704,7 @@ FLYBY_SHA256 = {
 }
 
 #: sha256 prefixes of the artifacts of `compare --config scenarios/gyration.json`
-GYRATION_SHA256 = {"gyration_M0.csv": "b155db63", "gyration_M3.csv": "0747d2f7", "gyration_compare.json": "563b2dcc"}
+GYRATION_SHA256 = {"gyration_M0.csv": "b155db63", "gyration_M3.csv": "0747d2f7", "gyration_compare.json": "67c01d79"}
 
 #: sha256 prefixes of the artifacts of `checks --config scenarios/verification.json`
 CHECKS_SHA256 = {"verification_checks.json": "3a55db1d"}
@@ -647,12 +733,12 @@ def test_flyby_artifacts_keep_their_bytes(tmp_path):
 
 def test_gyration_compare_artifacts_keep_their_bytes(tmp_path):
     """The three files of the shipped gyration comparison keep their bytes:
-    RK45, the cubic resampling and the writers change no bit.  Its values are
+    RK45, the Hermite resampling and the writers change no bit.  Its values are
     criterion 3's, bit for bit."""
     _assert_pinned("compare", "gyration", GYRATION_SHA256, tmp_path)
     report = json.loads((tmp_path / "gyration_compare.json").read_text())
     criterion = verify.gyration_deviations()
-    names = {"max_pos_dev": "m3_vs_m0", "max_energy_dev": "energy_dev",
+    names = {"max_pos_dev": "m3_vs_m0", "max_energy_drift": "energy_drift",
              "M3_vs_circle": "m3_vs_circle", "M0_vs_circle": "m0_vs_circle"}
     assert {k: report[k].hex() for k in names} == {k: criterion[v].hex() for k, v in names.items()}
 
@@ -676,12 +762,12 @@ def test_advected_and_dispersion_tables_keep_their_bytes(tmp_path, monkeypatch):
                    unpinned=("verification_quantum.json", "verification_snapshot.csv"))
 
 
-def test_only_compare_and_quantum_load_scipy(tmp_path):
+def test_only_quantum_loads_scipy(tmp_path):
     """In a fresh interpreter, importing vacuumflow and every submodule loads no
-    scipy module, nor do `simulate` on flyby.json and `forces`; `compare` and
-    `quantum` load scipy.linalg for LAPACK and no other scipy subpackage (no
-    scipy.interpolate, optimize, sparse, spatial or special), and both write
-    their artifacts."""
+    scipy module, nor do `simulate` on flyby.json, `forces` and `compare`;
+    `quantum` loads scipy.linalg for LAPACK and no other scipy subpackage (no
+    scipy.interpolate, optimize, sparse, spatial or special), and every command
+    writes its artifacts."""
     child = """
 import importlib, json, pkgutil, sys
 import vacuumflow
@@ -705,8 +791,8 @@ print(json.dumps(loaded))
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
     assert list(loaded) == ["import", "simulate 0", "forces 0", "compare 0", "quantum 0"]
-    assert loaded["import"] == loaded["simulate 0"] == loaded["forces 0"] == []
-    assert "scipy.linalg" in loaded["compare 0"] and "scipy.linalg" in loaded["quantum 0"]
+    assert loaded["import"] == loaded["simulate 0"] == loaded["forces 0"] == loaded["compare 0"] == []
+    assert "scipy.linalg" in loaded["quantum 0"]
     unused = ("scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special")
     for stage, modules in loaded.items():
         assert not set(unused) & set(modules), stage

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline  # the oracle of the package's spline
+from scipy.interpolate import CubicSpline  # the oracle of the resampler's refusals
 
 from vacuumflow import integrate, presets, verify
 from vacuumflow.config import load_config
@@ -20,7 +20,7 @@ from vacuumflow.integrate import (
     RK45,
     ImplicitMidpoint,
     TrajectoryRecord,
-    _not_a_knot,
+    _hermite,
     compare_trajectories,
     simulate,
     step,
@@ -131,10 +131,12 @@ def test_m3_zero_a_matches_m1_exactly(static_source_field):
 
 
 def test_compare_identical_is_zero(static_source_field):
+    """A record against itself: no position deviation, and the second slot is
+    the record's own relative energy drift."""
     sc = standard_flyby()
     traj = simulate(ModelKind.M1, sc.particle, static_source_field, sc.r0, 2.0, RK4(), 1e-2)
-    pos, en = compare_trajectories(traj, traj)
-    assert pos == 0.0 and en == 0.0
+    pos, drift = compare_trajectories(traj, traj)
+    assert pos == 0.0 and drift == traj.max_relative_energy_drift() > 0.0
 
 
 def test_compare_no_overlap(uniform_field):
@@ -145,40 +147,90 @@ def test_compare_no_overlap(uniform_field):
         compare_trajectories(a, b)
 
 
-@st.composite
-def spline_cases(draw):
-    """Strictly increasing knots (n = 2, 3 or 4..400), values of shape (n,) or
-    (n, 3), and probes at both ends, at the knots, inside and a little outside."""
-    n = draw(st.one_of(st.sampled_from((2, 3)), st.integers(4, 400)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = draw(st.floats(-1e3, 1e3)) + np.cumsum(rng.uniform(0.01, 1.0, n)) * 10.0 ** draw(st.integers(-4, 3))
-    assume(np.all(np.diff(x) > 0))
-    y = rng.normal(size=draw(st.sampled_from(((n,), (n, 3))))) * 10.0 ** draw(st.integers(-6, 6))
-    span = x[-1] - x[0]
-    xs = np.concatenate((x[[0, -1]], x, rng.uniform(x[0], x[-1], 64), [x[0] - 0.1 * span, x[-1] + 0.1 * span]))
-    return x, y, xs
+@settings(max_examples=200)
+@given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1), t0=st.floats(-1e3, 1e3),
+       scale=st.integers(-4, 3))
+def test_hermite_reproduces_a_cubic(n, seed, t0, scale):
+    """Fed a cubic's exact values and derivatives, the resampler gives the cubic
+    back to round-off, inside the samples and a little past either end."""
+    rng = np.random.default_rng(seed)
+    t = t0 + np.cumsum(rng.uniform(0.01, 1.0, n)) * 10.0 ** scale
+    assume(np.all(np.diff(t) > 0))
+    mid, half = 0.5 * (t[0] + t[-1]), 0.5 * (t[-1] - t[0])
+    coef = rng.normal(size=(4, 3))  # the cubic in x = (t - mid) / half, per component
+
+    def cubic(ts):
+        x = ((ts - mid) / half)[:, None]
+        return coef[0] + x * (coef[1] + x * (coef[2] + x * coef[3]))
+
+    def slope(ts):
+        x = ((ts - mid) / half)[:, None]
+        return (coef[1] + x * (2 * coef[2] + x * 3 * coef[3])) / half
+
+    ts = np.concatenate((t, rng.uniform(t[0], t[-1], 64), [t[0] - 0.1 * half, t[-1] + 0.1 * half]))
+    got = _hermite(t, cubic(t), slope(t), ts)
+    # the chord (r1 - r0) / dt loses |t| / dt digits of the times' rounding
+    tol = 1e-12 * (1.0 + np.max(np.abs(t - mid)) / np.min(np.diff(t)))
+    npt.assert_allclose(got, cubic(ts), rtol=0, atol=tol * np.max(np.abs(coef)))
 
 
-@settings(max_examples=300)
-@given(spline_cases())
-def test_spline_is_scipys_cubic_spline(case):
-    """The package's not-a-knot spline takes scipy's CubicSpline values bit for
-    bit (the criterion 3 and 4 resampling and the compare artifacts rest on it)."""
-    x, y, xs = case
-    got = _not_a_knot(x, y, xs)
-    want = CubicSpline(x, y, axis=0)(xs)
-    assert got.shape == want.shape and np.array_equal(got, want)
+def test_hermite_error_falls_16x_per_halving_on_the_gyration_circle():
+    """On samples of the gyration circle with its exact lab velocity, the
+    resampler's largest error falls by about 2^4 = 16 per halving of the
+    sample step: a fourth-order interpolant."""
+    b, u = 1.0, 0.6
+    fine = np.linspace(0.0, 4 * math.pi, 4001)
+
+    def circle_velocity(ts):
+        return np.stack([u * np.cos(b * ts), -u * np.sin(b * ts), np.zeros_like(ts)], axis=1)
+
+    errors = []
+    for steps in (40, 80, 160):
+        t = np.linspace(0.0, 4 * math.pi, steps + 1)
+        got = _hermite(t, presets.gyration_analytic(t, b=b, u=u), circle_velocity(t), fine)
+        errors.append(np.max(np.linalg.norm(got - presets.gyration_analytic(fine, b=b, u=u), axis=1)))
+    for coarse, finer in zip(errors, errors[1:]):
+        assert 15.0 <= coarse / finer <= 17.0, errors
+
+
+@pytest.mark.parametrize("model, fld", [(ModelKind.M0, presets.gyration().field),
+                                        *((m, presets.moving_source_field()) for m in presets.VACUUM_MODELS)],
+                         ids=lambda v: getattr(v, "value", ""))
+def test_u_lab_is_the_lab_velocity(model, fld):
+    """Every model's u_lab is dr/dt, which the resampler takes as its slopes: the
+    central difference of r over t meets it to O(h^2)."""
+    particle = Particle(q=1.0, u0=(0.3, 0.2, -0.1))
+
+    def gap(h):
+        rec = simulate(model, particle, fld, np.array([0.2, -0.1, 0.3]), 1.0, RK4(), h)
+        fd = (rec.r[2:] - rec.r[:-2]) / (rec.t[2:] - rec.t[:-2])[:, None]
+        return np.max(np.abs(fd - rec.u_lab[1:-1]))
+
+    g1, g2 = gap(2e-2), gap(1e-2)
+    assert g1 < 1e-3 and 3.5 <= g1 / g2 <= 4.5, (g1, g2)
 
 
 @pytest.mark.parametrize("x, y", [([0.0, np.nan, 2.0], [1.0, 2.0, 3.0]), ([0.0, 1.0, np.inf], [1.0, 2.0, 3.0]),
                                   ([0.0, 1.0, 2.0], [1.0, -np.inf, 3.0]), ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
                                   ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]), ([0.0], [1.0]), ([0.0, 1.0], [1.0, 2.0, 3.0])])
 def test_spline_refuses_what_scipy_refuses(x, y):
-    """Non-finite knots or values, knots that do not strictly increase, fewer
-    than two knots and a length mismatch raise ValueError, as in scipy."""
-    for spline in (_not_a_knot, lambda x, y, xs: CubicSpline(x, y, axis=0)(xs)):
-        with pytest.raises(ValueError):
-            spline(np.array(x), np.array(y), np.array([0.5]))
+    """The resampler refuses, as a ValueError, each record that scipy's
+    CubicSpline refuses: a non-finite time or position, times that do not
+    strictly increase, fewer than two samples and a length mismatch.
+    compare_trajectories passes the ValueError on, except for a record of one
+    sample: it spans no lab time, so no range is common (NoOverlap)."""
+    with pytest.raises(ValueError):
+        CubicSpline(np.array(x), np.array(y))
+    t, r = np.array(x), np.outer(y, [1.0, -1.0, 0.5])
+    with pytest.raises(ValueError):
+        _hermite(t, r, np.zeros_like(r), np.array([0.5]))
+    rec = TrajectoryRecord(tau=t, t=t, r=r, mom=np.zeros_like(r), energy=np.ones(len(t)),
+                           w=-np.ones(len(t)), u_lab=np.zeros_like(r))
+    good = TrajectoryRecord(tau=np.arange(3.0), t=np.arange(3.0), r=np.zeros((3, 3)), mom=np.zeros((3, 3)),
+                            energy=np.ones(3), w=-np.ones(3), u_lab=np.zeros((3, 3)))
+    for pair in ((rec, good), (good, rec)):
+        with pytest.raises(NoOverlap if len(t) == 1 else ValueError):
+            compare_trajectories(*pair)
 
 
 def test_rk45_agrees_with_midpoint(static_source_field):
