@@ -19,7 +19,7 @@ import numpy as np
 
 from . import verify
 from .config import ScenarioConfig, checked_seed, load_config
-from .errors import ConfigError, VacuumFlowError
+from .errors import ConfigError, NoOverlap, VacuumFlowError
 from .integrate import compare_trajectories, simulate
 from .maxwell import evolve_wave
 from .presets import dipole_grid
@@ -100,13 +100,20 @@ def cmd_compare(cfg: ScenarioConfig, out: Path, args) -> bool:
     trajs = verify.run_models(cfg.models, cfg.particle, cfg.field, cfg.r0, cfg.tau_end, cfg.integrator, cfg.h)
     for model, traj in zip(cfg.models, trajs):
         traj.to_csv(out / f"{cfg.name}_{model.value}.csv")
-    pos_dev, energy_drift = compare_trajectories(*trajs)
+    # a record that RK45 cut short fails the comparison, as it fails simulate
+    cut = [(model.value, traj.meta["termination"]) for model, traj in zip(cfg.models, trajs)
+           if traj.meta.get("termination")]
+    try:
+        pos_dev, energy_drift = compare_trajectories(*trajs)
+    except NoOverlap as exc:  # a record cut at its start spans no time: say why
+        raise NoOverlap("; ".join([str(exc)] + [f"{name} terminated early: {why}" for name, why in cut])) from exc
     # (report key, value, tolerance key) of every judged value
     judged = [("max_pos_dev", pos_dev, "compare_pos_dev")]
     if cfg.compare["analytic"] == "gyration_circle":
         judged += [(f"{model.value}_vs_circle", verify.circle_deviation(traj, cfg.particle, cfg.field, cfg.r0),
                     "gyration_pos_dev") for model, traj in zip(cfg.models, trajs)]
     failed = [name for name, value, key in judged if not verify.check(value, key, cfg.tolerance)[0]]
+    failed += [f"{name} terminated early" for name, _ in cut]
     report = {"models": [m.value for m in cfg.models], "max_energy_drift": energy_drift,
               "tolerance": cfg.tolerance("compare_pos_dev"), "passed": not failed,
               **{name: value for name, value, _ in judged}}
@@ -114,6 +121,8 @@ def cmd_compare(cfg: ScenarioConfig, out: Path, args) -> bool:
     values = " ".join(f"{name}={value:.3e}" for name, value, _ in judged)
     _info(args, f"compare {' vs '.join(report['models'])}: {values} "
                 f"{'FAIL: ' + ', '.join(failed) if failed else 'PASS'}")
+    for name, termination in cut:
+        print(f"compare {name}: terminated early: {termination}", file=sys.stderr)
     return report["passed"]
 
 

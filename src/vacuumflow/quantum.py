@@ -20,7 +20,9 @@ matrix is the same at every step, so each operator factors it once per dtau
 the cyclic corners go through a Sherman-Morrison correction (Numerical Recipes
 2.7) whose pieces are computed with the factor.  The result is bit-identical
 to 2 chi - psi with chi from a fresh banded solve at every step, and agrees
-with the (1 - zH) psi-then-solve form to round-off.
+with the (1 - zH) psi-then-solve form to round-off.  An operator with
+constant real bands on a fixed domain is diagonal in the sine basis, where
+cayley_power takes any number of steps as one phase per mode.
 """
 
 from __future__ import annotations
@@ -314,6 +316,41 @@ def evolve(op: TridiagonalOperator, state: WaveState, dtau: float, steps: int) -
     for _ in range(steps):
         psi = cn_step_psi(op, psi, dtau)
     return replace(state, psi=psi)
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Type-I sine transform, sum_j x_j sin(pi (j+1)(k+1)/(n+1)), from the FFT of
+    the odd extension [0, x, 0, -reversed x]; applied twice it gives (n+1)/2 x."""
+    n = x.size
+    ext = np.zeros(2 * n + 2, dtype=complex)
+    ext[1:n + 1] = x
+    ext[n + 2:] = -x[::-1]
+    return 0.5j * np.fft.fft(ext)[1:n + 1]
+
+
+def cayley_power(op: TridiagonalOperator, psi: np.ndarray, dtau: float, steps: int) -> np.ndarray:
+    """steps Cayley steps of the samples at once, for constant real bands on a fixed domain.
+
+    Such an H (diagonal d, both off-diagonals u) is symmetric Toeplitz
+    tridiagonal: the type-I sine transform diagonalizes it exactly, with
+    eigenvalues lambda_j = d + 2u cos(j pi/(n+1)), j = 1..n (Strang, SIAM Review
+    41, 135, 1999).  On mode j the Cayley factor (1 - z lambda_j)/(1 + z lambda_j),
+    z = i dtau/2hbar, is exp(-2i arctan(dtau lambda_j/2hbar)), so the whole run is
+    one phase per mode: no factor and no solve.  It agrees with steps calls of
+    cn_step_psi to round-off.  Any other operator raises ValueError.
+    """
+    if op.domain != "fixed":
+        raise ValueError("cayley_power needs a fixed domain: cyclic corners break the sine basis")
+    if np.any(op.diag.imag) or np.any(op.upper.imag) or np.any(op.lower.imag):
+        raise ValueError("cayley_power needs real bands: a complex band entry breaks the sine basis")
+    d = op.diag[0].real
+    u = op.upper[0].real if op.n > 1 else 0.0
+    if np.any(op.diag != d) or np.any(op.upper != u) or np.any(op.lower != u):
+        raise ValueError("cayley_power needs constant bands with upper == lower (a Toeplitz operator)")
+    lam = d + 2.0 * u * np.cos(math.pi * np.arange(1, op.n + 1) / (op.n + 1))
+    phase = np.exp(-2j * steps * np.arctan(dtau * lam / (2.0 * op.hbar)))
+    op.stats["cn_steps"] += steps
+    return _dst1(phase * _dst1(psi)) * (2.0 / (op.n + 1))
 
 
 # -- diagnostics ----------------------------------------------------------------

@@ -356,10 +356,31 @@ def test_gyration_radius_overflow_exit_2(tmp_path, capsys):
     assert err.startswith(f"config error: {_CIRCLE} field.b_uniform") and "5e-324" in err
 
 
+def test_compare_of_records_cut_short_exit_1(tmp_path, capsys):
+    """b = 1500 over 80 steps: RK45 reaches its evaluation cap in both records
+    (M3 at step 22, M0 at 32) while they still overlap.  compare fails the run,
+    names each termination on stderr and writes passed: false under the usual
+    keys.  It used to print PASS on the shorter range and exit 0."""
+    def edit(raw):
+        raw["field"]["b_uniform"] = [0, 0, 1500]
+        raw["tau_end"] = 80 * raw["integrator"]["h"]
+
+    code, err, artifacts = _run_repro(tmp_path, capsys, "compare", "gyration", edit)
+    assert code == 1
+    lines = err.splitlines()
+    assert [line.split(": ")[:3] for line in lines] == [["compare M3", "terminated early", "step 22"],
+                                                        ["compare M0", "terminated early", "step 32"]]
+    assert all("RK45 took more than" in line for line in lines)
+    report = artifacts["gyration_compare.json"]
+    assert report["passed"] is False
+    assert set(report) == {"M0_vs_circle", "M3_vs_circle", "max_energy_drift", "max_pos_dev", "models",
+                           "passed", "tolerance"}
+
+
 def test_compare_of_a_record_cut_at_its_start_exit_1(tmp_path, capsys):
     """b = 1e300: RK45 spends its evaluation cap on the first step, so a record
     holds one sample and spans no lab time.  compare exits 1 naming the empty
-    overlap, with no traceback."""
+    overlap and each record's termination, with no traceback."""
     def edit(raw):
         raw["field"]["b_uniform"] = [0, 0, 1e300]
         raw["tau_end"] = 5 * raw["integrator"]["h"]
@@ -367,6 +388,7 @@ def test_compare_of_a_record_cut_at_its_start_exit_1(tmp_path, capsys):
     code, err, artifacts = _run_repro(tmp_path, capsys, "compare", "gyration", edit)
     assert code == 1 and not artifacts
     assert err.startswith("error: no common lab-time range")
+    assert "; M3 terminated early: step 1: RK45 took more than" in err
 
 
 def test_overflowing_source_kernel_exit_2(tmp_path, capsys):
@@ -764,10 +786,11 @@ def test_advected_and_dispersion_tables_keep_their_bytes(tmp_path, monkeypatch):
 
 def test_only_quantum_loads_scipy(tmp_path):
     """In a fresh interpreter, importing vacuumflow and every submodule loads no
-    scipy module, nor do `simulate` on flyby.json, `forces` and `compare`;
-    `quantum` loads scipy.linalg for LAPACK and no other scipy subpackage (no
-    scipy.interpolate, optimize, sparse, spatial or special), and every command
-    writes its artifacts."""
+    scipy module and not numpy.fft, nor do `simulate` on flyby.json, `forces`
+    and `compare`; `quantum` loads scipy.linalg for LAPACK and numpy.fft for the
+    sine transform, and no other scipy subpackage (no scipy.fft, interpolate,
+    optimize, sparse, spatial or special), and every command writes its
+    artifacts.  So no FFT import lands in the start-up time."""
     child = """
 import importlib, json, pkgutil, sys
 import vacuumflow
@@ -777,7 +800,7 @@ for info in pkgutil.iter_modules(vacuumflow.__path__):
         importlib.import_module("vacuumflow." + info.name)
 loaded = {}
 def record(stage):
-    loaded[stage] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    loaded[stage] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.fft")
 record("import")
 for command, scenario in [("simulate", "flyby"), ("forces", "forces"), ("compare", "gyration"),
                           ("quantum", "verification")]:
@@ -792,8 +815,8 @@ print(json.dumps(loaded))
     loaded = json.loads(done.stdout)
     assert list(loaded) == ["import", "simulate 0", "forces 0", "compare 0", "quantum 0"]
     assert loaded["import"] == loaded["simulate 0"] == loaded["forces 0"] == loaded["compare 0"] == []
-    assert "scipy.linalg" in loaded["quantum 0"]
-    unused = ("scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special")
+    assert {"scipy.linalg", "numpy.fft"} <= set(loaded["quantum 0"])
+    unused = ("scipy.fft", "scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special")
     for stage, modules in loaded.items():
         assert not set(unused) & set(modules), stage
     for name in ("flyby_M1.csv", "forces_forces.csv", "gyration_M3.csv", "gyration_compare.json",

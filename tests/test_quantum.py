@@ -19,6 +19,7 @@ from vacuumflow.quantum import (
     TridiagonalOperator,
     WaveState,
     build_hamiltonian,
+    cayley_power,
     cn_step,
     cn_step_psi,
     dispersion_check,
@@ -425,9 +426,67 @@ def test_interleaved_dtau_match_fresh_operators():
     assert shared.stats == {"cn_steps": 10, "factorizations": 2}
 
 
+# -- many Cayley steps as one power in the sine basis ------------------------------
+
+
+@st.composite
+def toeplitz_problems(draw):
+    """A constant-mass free-vacuum operator on a fixed domain, a random state, dtau and steps."""
+    n = draw(st.integers(3, 300))
+    w = draw(st.floats(-3.0, -0.2))
+    op = build_hamiltonian(QuantumModel(QuantumKind.FreeVacuum, np.full(n, w), np.zeros(n)),
+                           draw(st.floats(0.01, 1.0)), HBAR_DEFAULT, "fixed")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return op, psi, draw(st.floats(1e-3, 10.0)), draw(st.integers(0, 300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(toeplitz_problems())
+def test_cayley_power_is_stepping(problem):
+    """cayley_power against steps calls of cn_step_psi, within 3e-14 (steps + 1)
+    max|psi| (a sweep of 1,500 draws: at most 6.5e-15 on that scale)."""
+    op, psi, dtau, steps = problem
+    want = psi
+    for _ in range(steps):
+        want = cn_step_psi(op, want, dtau)
+    got = cayley_power(op, psi, dtau, steps)
+    assert np.max(np.abs(got - want)) <= 3e-14 * (steps + 1) * np.max(np.abs(psi))
+    assert op.stats == {"cn_steps": 2 * steps, "factorizations": int(steps > 0)}
+
+
+def test_cayley_power_refuses_what_the_sine_basis_cannot_diagonalize():
+    n, dx = 32, 0.1
+    free = QuantumModel(QuantumKind.FreeVacuum, -np.ones(n), np.zeros(n))
+    varying = QuantumModel(QuantumKind.FreeVacuum, -np.linspace(1.0, 2.0, n), np.zeros(n))
+    coupled = QuantumModel(QuantumKind.MinimalCoupling, -np.ones(n), np.full(n, 0.3))
+    cases = [(build_hamiltonian(free, dx, HBAR_DEFAULT, "periodic"), "needs a fixed domain"),
+             (build_hamiltonian(varying, dx, HBAR_DEFAULT, "fixed"), "needs constant bands"),
+             (build_hamiltonian(coupled, dx, HBAR_DEFAULT, "fixed"), "needs real bands")]
+    for op, reason in cases:
+        with pytest.raises(ValueError, match=reason):
+            cayley_power(op, np.ones(n, dtype=complex), 0.01, 10)
+        assert op.stats == {"cn_steps": 0, "factorizations": 0}
+
+
+def test_packet_report_matches_the_stepped_loop():
+    """Criterion 10's packet: the one-power report against the 6,000-step cn_step
+    loop it replaced, within 1e-12 relative."""
+    op = build_hamiltonian(QuantumModel(QuantumKind.FreeVacuum, -np.ones(4096), np.zeros(4096)),
+                           40.0 / 4096, HBAR_DEFAULT, "fixed")
+    state = gaussian_packet(4096, 40.0 / 4096, x0=20.0, sigma0=0.5, k0=0.0, hbar=HBAR_DEFAULT, domain="fixed")
+    for _ in range(6000):
+        state = cn_step(op, state, 0.0025)
+    want = packet_sigma(state)
+    report = verify.packet_dispersion_report()
+    assert abs(report["measured"] - want) <= 1e-12 * want
+    assert report["stats"] == {"cn_steps": 6000, "factorizations": 0}
+
+
 def test_cli_snapshot_unchanged(tmp_path):
     """The `vacuumflow quantum` 200-step snapshot equals the fresh-solve oracle's,
-    and the packet report counts its steps and its one factorization."""
+    and the packet report counts its steps and, taking them in the sine basis,
+    no factorization."""
     from vacuumflow.cli import main
 
     cfg = tmp_path / "q.json"
@@ -441,7 +500,7 @@ def test_cli_snapshot_unchanged(tmp_path):
     snapshot_csv(state, tmp_path / "want.csv")
     assert (tmp_path / "q_snapshot.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     packet = json.loads((tmp_path / "q_quantum.json").read_text())["packet"]
-    assert packet["stats"] == {"cn_steps": 6000, "factorizations": 1}
+    assert packet["stats"] == {"cn_steps": 6000, "factorizations": 0}
 
 
 def test_snapshot_csv(tmp_path):
