@@ -55,8 +55,8 @@ _SOURCE_KEYS = ("qs", "r0", "uf", "eps")
 #: largest maxwell.n_fine, and so n_coarse: one 256^3 float64 array is
 #: 128 MiB.  Under tracemalloc at n = 128 a gauge-violated grid peaks at 15.3
 #: such arrays through evolve and report (3 levels of 4 potentials, 2 source
-#: profiles, slab residuals), and verify.prop1_suite(64, 128), which holds one
-#: grid at a time, at 19.1 (305 MiB): some 2.4 GiB at 256
+#: profiles, slab residuals), and verify.prop1_suite, which holds one grid at
+#: a time, at 15.3 fine-grid arrays at 64/128 (245 MiB) and 15.0 at 128/256 (1.9 GiB)
 MAX_GRID_N = 256
 #: largest forces.states: at this cap verify.force_gap_stats peaks at 368 MiB
 #: under tracemalloc (its (states, 14) table of rows alone is 107 MiB), and

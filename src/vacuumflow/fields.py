@@ -119,20 +119,18 @@ class VacuumField:
         "j" the Jacobian dA_i/dr_j; w has shape r.shape[:-1], the vectors
         (..., 3) and the Jacobian (..., 3, 3), all fresh arrays.  point_state computes
         only those parts on the coordinate columns, so each row is its float call
-        bit for bit; a single probe at a single time takes the float call itself.
+        bit for bit; a single probe at a single time runs on 0-d columns.
         A or its derivatives with q_test = 0 raise ZeroTestCharge.
         """
         if self.q_test == 0.0 and any(c in parts for c in "adj"):
             raise ZeroTestCharge("vector potential requested with q_test = 0")
         r = np.asarray(r, dtype=float)
         t = np.asarray(t, dtype=float)
-        if r.shape == (3,) and t.ndim == 0:
-            state = dict(zip("wgadj", self.point_state(*r.tolist(), float(t))))
-            return [np.array(state[c]) for c in parts]
         wanted = tuple(c in parts for c in "wgadj")
         # far from a source |r - R|^2 overflows to inf and its kernels go to their
-        # 0 limit: the float path does this silently, and so do the columns
-        with np.errstate(over="ignore"):
+        # 0 limit, and an overflowed difference times 0 is nan: the float path does
+        # this silently, and so do the columns
+        with np.errstate(over="ignore", invalid="ignore"):
             state = dict(zip("wgadj", self.point_state(r[..., 0], r[..., 1], r[..., 2], t, np.sqrt, wanted)))
 
         def stacked(v):  # a component no source reached is still the float it started as

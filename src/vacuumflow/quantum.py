@@ -30,11 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
 from .errors import NonPositiveMass, SolveFailure, SuperluminalMode
-from .linalg import lapack
 
 #: the boundary conditions of a grid and of an operator
 DOMAINS = ("periodic", "fixed")
@@ -62,7 +62,7 @@ class WaveState:
 
     def __post_init__(self):
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=complex))
-        if self.dx <= 0.0 or self.hbar <= 0.0:
+        if not (self.dx > 0.0 and self.hbar > 0.0):
             raise ValueError("WaveState needs dx > 0 and hbar > 0")
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
@@ -100,7 +100,7 @@ class QuantumModel:
         if self.w_profile.shape != self.a_profile.shape:
             raise ValueError("w_profile and a_profile must have the same length")
         m = -self.w_profile
-        if np.any(m <= 0.0):
+        if not np.all(m > 0.0):
             raise NonPositiveMass(f"mass profile min(-W) = {m.min():g} <= 0")
 
 
@@ -268,6 +268,14 @@ class _CayleyFactor:
         return x
 
 
+@cache
+def lapack():
+    """scipy.linalg.lapack, imported by the first call (`import vacuumflow` loads no scipy)."""
+    from scipy.linalg import lapack as module
+
+    return module
+
+
 def _gttrf(lower, diag, upper):
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
         raise SolveFailure("banded factor: the Cayley matrix has non-finite entries")
@@ -362,7 +370,7 @@ def dispersion_check(k: float, w_const: float, hbar: float) -> tuple[float, floa
     Returns (exact, truncated, |difference|); the difference is the quartic
     factorization remainder, ~ (hbar k)^4 / (8 |w|^3) for small hbar k.
     """
-    if w_const >= 0.0:
+    if not w_const < 0.0:
         raise ValueError(f"w_const must be negative, got {w_const}")
     hk = hbar * k
     if abs(hk) >= abs(w_const):

@@ -184,7 +184,7 @@ _ODD_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-3, 100),
 )
-_STDERR_LINE = re.compile(r"(config error|error): |simulate M[0-3]: terminated early: ")
+_STDERR_LINE = re.compile(r"(config error|error): |(simulate|compare) M[0-3]: terminated early: ")
 
 
 def _vec3(bound):
@@ -204,11 +204,29 @@ def _number_paths(node, path=()):
             yield (*path, key)
 
 
+#: each command's section, values in range and runs small: grids up to n = 16
+#: (mostly without the advected check), 20 quantum steps, 50 force states
+_SECTIONS = {
+    "maxwell": lambda draw: {"n_coarse": (n := draw(st.integers(7, 15))), "n_fine": draw(st.integers(n + 1, 16)),
+                             "advected": draw(st.integers(0, 4)) == 4, "dump_grids": draw(st.booleans())},
+    "quantum": lambda draw: {"steps": draw(st.integers(1, 20))},
+    "forces": lambda draw: {"states": draw(st.integers(1, 50))},
+    "compare": lambda draw: {"analytic": draw(st.sampled_from([None, "gyration_circle"]))},
+}
+#: (the largest value a fuzzed run takes, the config's cap) per section value; a
+#: mutated value above the first but within the cap is cut to the first
+_SECTION_MOST = {("maxwell", "n_coarse"): (15, MAX_GRID_N), ("maxwell", "n_fine"): (16, MAX_GRID_N),
+                 ("quantum", "steps"): (20, math.inf), ("forces", "states"): (50, MAX_FORCE_STATES)}
+GYRATION = json.loads((SCENARIOS / "gyration.json").read_text())
+
+
 @st.composite
-def fuzzed_simulate_configs(draw):
-    """A simulate config of the right shape with values in range, then up to two of
-    its numbers replaced by an odd value (zero, subnormal, huge, non-finite, not a
-    number) or scaled by a factor of either sign.  A run takes at most 200 steps."""
+def fuzzed_configs(draw, command="simulate"):
+    """A config of the right shape for command with values in range, then up to two
+    of its numbers replaced by an odd value (zero, subnormal, huge, non-finite, not
+    a number) or scaled by a factor of either sign.  A run takes at most 200 steps
+    and the section values in _SECTION_MOST.  compare runs two models, about half
+    the time on the shipped gyration scenario, which its circle describes."""
     kind = draw(st.sampled_from(["rk4", "implicit_midpoint", "rk45"]))
     h = draw(st.floats(1e-3, 0.2))
     integrator = {"kind": kind, "h": h}
@@ -229,6 +247,17 @@ def fuzzed_simulate_configs(draw):
         "integrator": integrator,
         "tau_end": h * draw(st.integers(1, 200)),
     }
+    if command == "compare":
+        if draw(st.booleans()):
+            raw = copy.deepcopy(GYRATION)
+            raw["tau_end"] = raw["integrator"]["h"] * draw(st.integers(1, 200))
+        else:
+            raw["models"] = draw(st.lists(st.sampled_from(["M0", "M1", "M2", "M3"]), min_size=2, max_size=2,
+                                          unique=True))
+    if command in _SECTIONS:
+        raw[command] = _SECTIONS[command](draw)
+    if command == "checks":
+        raw["seed"] = draw(st.integers(0, 2**32))
     paths = list(_number_paths(raw))
     for _ in range(draw(st.integers(0, 2))):
         *parents, key = draw(st.sampled_from(paths))
@@ -242,28 +271,50 @@ def fuzzed_simulate_configs(draw):
     h, tau_end = raw["integrator"]["h"], raw["tau_end"]
     if _is_number(h) and _is_number(tau_end) and h > 0.0 and tau_end > 200.0 * h:
         raw["tau_end"] = 200.0 * h
+    for (section, key), (most, cap) in _SECTION_MOST.items():
+        value = raw.get(section, {}).get(key)
+        if _is_number(value) and most < value <= cap:
+            raw[section][key] = most
     return raw
 
 
-@settings(max_examples=300, deadline=None)
-@given(fuzzed_simulate_configs())
-def test_simulate_exit_code_fuzz(raw):
-    """`vacuumflow simulate` on a fuzzed config exits 0, 1 or 2.  Its stderr holds
+def _fuzz_command(command, raw):
+    """`vacuumflow <command>` on a fuzzed config exits 0, 1 or 2.  Its stderr holds
     only its `config error:` or `error:` line and the `terminated early` line of a
-    truncated record: never a traceback, and no numpy or scipy warning."""
+    truncated record: never a traceback, and no numpy or scipy warning.  Every
+    JSON artifact is strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"
         path.write_text(json.dumps(raw))
+        out = Path(tmp) / "out"
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = main(["simulate", "--config", str(path), "--out", tmp, "--quiet"])
+            code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+        for artifact in sorted(out.glob("*.json")):
+            _strict_json(artifact)
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
     assert all(_STDERR_LINE.match(line) for line in lines), lines
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert not [w for w in caught if issubclass(w.category, (RuntimeWarning, UserWarning))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_configs())
+def test_simulate_exit_code_fuzz(raw):
+    _fuzz_command("simulate", raw)
+
+
+@pytest.mark.parametrize("command, examples", [("compare", 120), ("forces", 100), ("maxwell", 60),
+                                               ("quantum", 50), ("checks", 8)])
+def test_command_exit_code_fuzz(command, examples):
+    """The other five commands on fuzzed configs and section values, as
+    `test_simulate_exit_code_fuzz` runs simulate.  checks runs two flyby
+    simulations per example, so it gets few."""
+    settings(max_examples=examples, deadline=None)(given(fuzzed_configs(command))(
+        lambda raw: _fuzz_command(command, raw)))()
 
 
 def test_rk45_work_is_bounded(tmp_path, capsys):
@@ -559,7 +610,7 @@ def test_compare_subcommand_m3_vs_m1_zero_a(tmp_path):
 
 def _gyration_config(tmp_path, **overrides):
     """scenarios/gyration.json, one period long, with the given top-level keys replaced."""
-    raw = json.loads((SCENARIOS / "gyration.json").read_text())
+    raw = copy.deepcopy(GYRATION)
     raw.update(tau_end=raw["tau_end"] / 5.0, out_dir=str(tmp_path / "out"), **overrides)
     path = tmp_path / "gyration.json"
     path.write_text(json.dumps(raw))

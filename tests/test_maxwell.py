@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacuumflow import maxwell
-from vacuumflow.errors import BallExitsGrid, CFLViolation, InsufficientHistory
+from vacuumflow.errors import BallExitsGrid, CFLViolation, InsufficientHistory, NonPositiveMass
 from vacuumflow.maxwell import (
     AnalyticFarField,
     Ball,
@@ -32,6 +32,7 @@ from vacuumflow.maxwell import (
 )
 from vacuumflow.config import MAX_GRID_N
 from vacuumflow.presets import _grid_steps, advected_setup, dipole_grid, plane_wave_grid
+from vacuumflow.quantum import QuantumKind, QuantumModel, WaveState, dispersion_check
 from vacuumflow.verify import prop1_suite
 
 
@@ -57,6 +58,42 @@ def test_cfl_violation():
         evolve_wave(grid, 1)
 
 
+def _cfl_step(dt):
+    grid = GridField(16, 0.2, dt, SeparableSources(), AnalyticFarField())
+    evolve_wave(grid.seed_zero(), 1)
+
+
+def _advected_at(vx):
+    series = ScalarSeries(frames=[np.zeros((16, 16, 16))] * 2, times=[0.0, 0.1], origin=np.zeros(3), h=0.1)
+    advected_integral(series, [vx, 0.0, 0.0], Ball(np.full(3, 0.75), 0.1))
+
+
+#: (guard, error class, a finite bad value, the message it gets); NaN must fail each guard too
+_GUARDS = {
+    "QuantumModel mass": (lambda v: QuantumModel(QuantumKind.FreeVacuum, [-1.0, -v], [0.0, 0.0]),
+                          NonPositiveMass, -1.0, "mass profile min(-W) = -1 <= 0"),
+    "WaveState dx": (lambda v: WaveState(np.ones(4), v, 1.0), ValueError, 0.0,
+                     "WaveState needs dx > 0 and hbar > 0"),
+    "dispersion_check w_const": (lambda v: dispersion_check(0.1, v, 0.1), ValueError, 0.5,
+                                 "w_const must be negative, got 0.5"),
+    "Ball radius": (lambda v: Ball(np.zeros(3), v), ValueError, -1.0, "ball radius must be positive"),
+    "advected_integral v": (_advected_at, ValueError, 1.5, "|v| must be < 1, got 1.5"),
+    "evolve_wave CFL": (_cfl_step, CFLViolation, 0.2, "dt = 0.2 > h/sqrt(3) = 0.11547"),
+}
+
+
+@pytest.mark.parametrize("name", _GUARDS)
+def test_guards_reject_nan(name):
+    """Each guard is the negation of its positive test, so a NaN fails it with the
+    error a finite bad value gets, whose message is unchanged."""
+    build, error, bad, message = _GUARDS[name]
+    with pytest.raises(error) as finite:
+        build(bad)
+    assert str(finite.value) == message
+    with pytest.raises(error):
+        build(math.nan)
+
+
 def test_insufficient_history():
     grid = _empty_grid()
     with pytest.raises(InsufficientHistory):
@@ -74,6 +111,34 @@ def test_plane_wave_advances_as_analytic():
     rep = maxwell_residuals(grid, report)
     assert 0.0 < rep.gauss < 0.1
     assert rep.continuity == 0.0  # no sources
+
+
+def _whole_grid_solution_error(grid, t_index):
+    """solution_error as it was first written: the analytic (phi, A) and the
+    four differences on the whole cube, then the masked core's squares."""
+    lvl = grid.level_by_index(t_index)
+    margin = grid.interior_mask_margin()
+    pa = grid.analytic.phi(grid.X, grid.Y, grid.Z, lvl.time)
+    ax, ay, az = grid.analytic.a(grid.X, grid.Y, grid.Z, lvl.time)
+    core = (slice(margin, -margin),) * 3
+    diffs = [lvl.phi - pa, lvl.ax - ax, lvl.ay - ay, lvl.az - az]
+    total = 0.0
+    for d in diffs:
+        total += float(np.sum(d[core] ** 2))
+    return math.sqrt(total * grid.h ** 3)
+
+
+@pytest.mark.parametrize("preset", [plane_wave_grid, dipole_grid])
+@pytest.mark.parametrize("n", [16, 32])
+def test_solution_error_on_the_core_matches_the_whole_grid(preset, n):
+    """The exact solution formed on the masked core gives the whole-grid
+    computation's value bit for bit (the dipole has no analytic callable, so
+    its error is the norm of its potentials)."""
+    grid, steps, report = preset(n)
+    evolve_wave(grid, steps)
+    got = solution_error(grid, report)
+    assert got > 0.0
+    assert got.hex() == _whole_grid_solution_error(grid, report).hex()
 
 
 def test_dipole_gauge_residual_small():
@@ -609,6 +674,20 @@ def test_wave_step_and_residual_sources_allocate_no_extra_grid_arrays():
     finally:
         tracemalloc.stop()
     assert sourced - unsourced < 1.0, (sourced, unsourced)
+
+
+def test_solution_error_allocates_under_four_grid_arrays():
+    """The exact solution and the differences are formed on the masked core
+    only: on the whole cube they cost 9.1 grid arrays at n = 64."""
+    n = 64
+    grid, steps, report = plane_wave_grid(n)
+    evolve_wave(grid, steps)
+    tracemalloc.start()
+    try:
+        growth = _traced_growth(lambda: solution_error(grid, report), n)
+    finally:
+        tracemalloc.stop()
+    assert growth < 4.0, growth
 
 
 def test_preset_run_holds_three_levels_and_no_buffer_of_squares():

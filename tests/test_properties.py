@@ -125,6 +125,13 @@ def test_point_state_matches_batched_evaluators(fld, batch, parts):
         row = fld.point_state(*r[i].tolist(), float(t[i] if np.ndim(t) else t))
         for got, want in zip((w[i], gw[i], a[i], adot[i], jac[i]), row):
             assert np.array_equal(got, want)
+    # a single probe at a single time runs on 0-d columns: the float call's bits and shapes
+    t0 = float(t[0] if np.ndim(t) else t)
+    row = dict(zip("wgadj", fld.point_state(*r[0].tolist(), t0)))
+    for c, got in zip(parts, fld._eval(r[0], t0, parts), strict=True):
+        want = np.array(row[c])
+        assert got.shape == want.shape and got.shape in ((), (3,), (3, 3)) and got.dtype == np.float64
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     # the selections are the same rows, each computing only its own part
     assert np.array_equal(fld.w(r, t), w) and np.array_equal(fld.grad_w(r, t), gw)
     assert np.array_equal(fld.a(r, t), a) and np.array_equal(fld.a_dot(r, t), adot)
