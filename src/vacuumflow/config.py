@@ -62,6 +62,10 @@ MAX_GRID_N = 256
 #: under tracemalloc (its (states, 14) table of rows alone is 107 MiB), and
 #: the forces CSV holds about 290 MB
 MAX_FORCE_STATES = 10**6
+#: largest quantum.steps: verify.norm_drift_report takes 0.07 ms per step of its
+#: three n = 512 operators (20,000 steps in 1.34-1.56 s on a 2-core Xeon VM), so
+#: the cap is some 70 s of stepping; its memory does not grow with steps
+MAX_QUANTUM_STEPS = 10**6
 _MAXWELL_DEFAULTS = {"n_coarse": 48, "n_fine": 96, "advected": True, "dump_grids": False}
 _QUANTUM_DEFAULTS = {"steps": 1000}
 _FORCES_DEFAULTS = {"states": 1000}
@@ -239,6 +243,8 @@ def _build_maxwell(raw) -> dict:
 def _build_quantum(raw) -> dict:
     out = _section(raw, "quantum", _QUANTUM_DEFAULTS)
     out["steps"] = _positive_int(out["steps"], "quantum.steps")
+    _require(out["steps"] <= MAX_QUANTUM_STEPS,
+             f"quantum.steps: must be <= {MAX_QUANTUM_STEPS} (the step count cap), got {out['steps']}")
     return out
 
 

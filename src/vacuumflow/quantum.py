@@ -9,8 +9,11 @@ Three operators on a uniform grid (spacing dx, periodic or fixed ends):
 with m(x) = -W(x) > 0.  The quadratic-in-p pieces use the compact
 forward/backward divergence form (coefficients averaged onto bonds), the cross
 term uses the centered first difference symmetrized as p M + M p; everything is
-tridiagonal (plus cyclic corners) and Hermitian by construction, so the Cayley
-step (1 + i dtau H / 2 hbar) psi' = (1 - i dtau H / 2 hbar) psi is unitary.
+tridiagonal (plus cyclic corners).  Each term is written once, on the band of
+bond values H[j, j+1] (a periodic grid's wrap bond is the corner H[n-1, 0]),
+and the lower triangle is its conjugate, so every operator is Hermitian by
+construction and the Cayley step
+(1 + i dtau H / 2 hbar) psi' = (1 - i dtau H / 2 hbar) psi is unitary.
 
 Since (1 + zH)^-1 (1 - zH) = 2 (1 + zH)^-1 - 1 with z = i dtau / 2 hbar, a
 step is one solve and no product with H: psi' = 2 chi - psi, where
@@ -154,45 +157,32 @@ class TridiagonalOperator:
         return m
 
 
-def _bond_average(c: np.ndarray, periodic: bool) -> tuple[np.ndarray, float]:
-    """Coefficients on bonds j <-> j+1; also the wrap bond for periodic grids."""
-    bonds = 0.5 * (c[:-1] + c[1:])
-    wrap = 0.5 * (c[-1] + c[0]) if periodic else 0.0
-    return bonds, wrap
-
-
 def build_hamiltonian(model: QuantumModel, dx: float, hbar: float, domain: str = "periodic") -> TridiagonalOperator:
-    """Discrete Hamiltonian for the given model on an n-point grid."""
-    w = model.w_profile
-    a = model.a_profile
-    q = model.q
+    """Discrete Hamiltonian for the given model on an n-point grid.
+
+    Each term is written once, on the band of bond values off[j] = H[j, j+1]:
+    a periodic grid has n bonds, the last wrapping n-1 -> 0 as corner_lr, and a
+    fixed grid n-1.  The lower triangle is the conjugate of the band, so H is
+    Hermitian by construction.
+    """
+    w, a, q = model.w_profile, model.a_profile, model.q
     n = w.size
+    nb = n if domain == "periodic" else n - 1
+    r = np.arange(1, nb + 1) % n  # bond j < nb joins point j to point r[j]
     m = -w
-    periodic = domain == "periodic"
     c = 0.5 / m  # 1/(2m)
     k2 = hbar * hbar / (dx * dx)
+    diag = np.zeros(n)
+    off = np.zeros(nb, dtype=complex)
 
-    diag = np.zeros(n, dtype=complex)
-    upper = np.zeros(n - 1, dtype=complex)
-    lower = np.zeros(n - 1, dtype=complex)
-    c_ul = 0.0 + 0.0j
-    c_lr = 0.0 + 0.0j
-
-    # kinetic divergence form p c p
-    bonds, wrap = _bond_average(c, periodic)
-    diag[:-1] += k2 * bonds
-    diag[1:] += k2 * bonds
-    if periodic:
-        diag[0] += k2 * wrap
-        diag[-1] += k2 * wrap
-        c_ul += -k2 * wrap
-        c_lr += -k2 * wrap
-    else:
-        # one-sided wall bonds against the Dirichlet ghosts
-        diag[0] += k2 * c[0]
-        diag[-1] += k2 * c[-1]
-    upper += -k2 * bonds
-    lower += -k2 * bonds
+    # kinetic divergence form p c p, c averaged onto each bond
+    kin = k2 * (0.5 * (c[:nb] + c[r]))
+    diag[:nb] += kin
+    diag[r] += kin
+    off -= kin
+    if domain != "periodic":
+        # one-sided wall bonds against the Dirichlet ghosts (both on the one point when n = 1)
+        np.add.at(diag, [0, -1], k2 * c[[0, -1]])
 
     # potential
     diag += w
@@ -201,33 +191,26 @@ def build_hamiltonian(model: QuantumModel, dx: float, hbar: float, domain: str =
         # minimal coupling: -q (p cA + cA p) + q^2 A^2 c
         mprof = c * a
         coeff = q * hbar / (2.0 * dx)
-        upper += 1j * coeff * (mprof[:-1] + mprof[1:])
-        lower += -1j * coeff * (mprof[:-1] + mprof[1:])
-        if periodic:
-            c_lr += 1j * coeff * (mprof[-1] + mprof[0])
-            c_ul += -1j * coeff * (mprof[0] + mprof[-1])
+        off += 1j * coeff * (mprof[:nb] + mprof[r])
         diag += q * q * a * a * c
 
     if model.kind is QuantumKind.Modified:
         # -q^2 <A,A>/(2m): cancels the diagonal from the expanded square
         diag += -(q * q) * a * a * c
-        # -(q^2/2) (A p) m^-3 (p A), forward/backward sandwich: the bond terms of
-        # C^dag g C come with the opposite sign from its diagonal
+        # -(q^2/2) (A p) m^-3 (p A) as C^dag g C, C the forward difference of A psi:
+        # every point starts a forward bond (on a fixed grid the last one ends on
+        # the ghost); the bond term has the opposite sign from the diagonal
         g = 1.0 / (m * m * m)
         f = -(q * q) * 0.5 * k2
-        diag[:] += f * a * a * g
-        diag[1:] += f * a[1:] * a[1:] * g[:-1]
-        upper -= f * a[:-1] * a[1:] * g[:-1]
-        lower -= f * a[:-1] * a[1:] * g[:-1]
-        if periodic:
-            diag[0] += f * a[0] * a[0] * g[-1]
-            c_lr -= f * a[-1] * a[0] * g[-1]
-            c_ul -= f * a[-1] * a[0] * g[-1]
+        diag += f * a * a * g
+        ar = a[r]
+        diag[r] += f * ar * ar * g[:nb]
+        off -= f * a[:nb] * ar * g[:nb]
 
-    return TridiagonalOperator(
-        diag=diag, upper=upper, lower=lower, corner_ul=complex(c_ul), corner_lr=complex(c_lr),
-        dx=dx, hbar=hbar, domain=domain,
-    )
+    upper = off[:n - 1]
+    corner = complex(off[-1]) if domain == "periodic" else 0j
+    return TridiagonalOperator(diag=diag, upper=upper, lower=upper.conj(), corner_ul=corner.conjugate(),
+                               corner_lr=corner, dx=dx, hbar=hbar, domain=domain)
 
 
 # -- Crank-Nicolson ------------------------------------------------------------
@@ -345,8 +328,10 @@ def cayley_power(op: TridiagonalOperator, psi: np.ndarray, dtau: float, steps: i
     41, 135, 1999).  On mode j the Cayley factor (1 - z lambda_j)/(1 + z lambda_j),
     z = i dtau/2hbar, is exp(-2i arctan(dtau lambda_j/2hbar)), so the whole run is
     one phase per mode: no factor and no solve.  It agrees with steps calls of
-    cn_step_psi to round-off.  Any other operator raises ValueError.
+    cn_step_psi to round-off.  Any other operator, or steps < 0, raises ValueError.
     """
+    if steps < 0:
+        raise ValueError(f"cayley_power needs steps >= 0, got {steps}: a negative count would run backwards")
     if op.domain != "fixed":
         raise ValueError("cayley_power needs a fixed domain: cyclic corners break the sine basis")
     if np.any(op.diag.imag) or np.any(op.upper.imag) or np.any(op.lower.imag):

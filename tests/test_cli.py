@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 
 from vacuumflow import presets, verify
 from vacuumflow.cli import main
-from vacuumflow.config import DEFAULT_TOLERANCES, MAX_FORCE_STATES, MAX_GRID_N, load_config, validate_config
+from vacuumflow.config import (
+    DEFAULT_TOLERANCES,
+    MAX_FORCE_STATES,
+    MAX_GRID_N,
+    MAX_QUANTUM_STEPS,
+    load_config,
+    validate_config,
+)
 from vacuumflow.dynamics import ForceKind, force
 from vacuumflow.errors import ConfigError
 
@@ -157,6 +164,9 @@ _CIRCLE = "compare.analytic: 'gyration_circle' needs"
     ("out_dir", {"out_dir": "out\0dir"}),
     ("name", {"name": 5}),
     ("name", {"name": "\ud800"}),
+    # 1e300 loads as the 301-digit integer int(1e300): the quantum command would never end
+    ("quantum.steps: must be <= 1000000", {"quantum": {"steps": 1e300}}),
+    ("quantum.steps: must be <= 1000000", {"quantum": {"steps": MAX_QUANTUM_STEPS + 1}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
@@ -165,10 +175,10 @@ def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     non-positive tolerance, an inverted band, sources that are not a list, a
     softening too small for the kernels, a boolean number, a start state that
     breaks a model's square-root guard, huge speeds, a negative seed, a state
-    count above the cap, a scenario the gyration circle cannot describe, a
-    name or out_dir that is no path inside the output directory and each
-    invariant an owning type checks end in exit 2,
-    not a traceback or a numpy warning."""
+    or quantum step count above its cap, a scenario the gyration circle cannot
+    describe, a name or out_dir that is no path inside the output directory and
+    each invariant an owning type checks end in exit 2, not a traceback or a
+    numpy warning."""
     cfg = _free_config(tmp_path, **overrides)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -204,8 +214,8 @@ def _number_paths(node, path=()):
             yield (*path, key)
 
 
-#: each command's section, values in range and runs small: grids up to n = 16
-#: (mostly without the advected check), 20 quantum steps, 50 force states
+#: each command's section, values in range and, for run time, small: grids up
+#: to n = 16 (mostly without the advected check), 20 quantum steps, 50 force states
 _SECTIONS = {
     "maxwell": lambda draw: {"n_coarse": (n := draw(st.integers(7, 15))), "n_fine": draw(st.integers(n + 1, 16)),
                              "advected": draw(st.integers(0, 4)) == 4, "dump_grids": draw(st.booleans())},
@@ -216,7 +226,7 @@ _SECTIONS = {
 #: (the largest value a fuzzed run takes, the config's cap) per section value; a
 #: mutated value above the first but within the cap is cut to the first
 _SECTION_MOST = {("maxwell", "n_coarse"): (15, MAX_GRID_N), ("maxwell", "n_fine"): (16, MAX_GRID_N),
-                 ("quantum", "steps"): (20, math.inf), ("forces", "states"): (50, MAX_FORCE_STATES)}
+                 ("quantum", "steps"): (20, MAX_QUANTUM_STEPS), ("forces", "states"): (50, MAX_FORCE_STATES)}
 GYRATION = json.loads((SCENARIOS / "gyration.json").read_text())
 
 
@@ -475,13 +485,15 @@ def test_maxwell_grid_size_above_the_cap_exit_2(tmp_path, capsys):
 
 def test_negative_seed_option_exit_2(tmp_path, capsys):
     """--seed -1 used to reach numpy's generator and exit 1 with its ValueError;
-    it is checked like the config key.  The state count cap itself loads."""
+    it is checked like the config key.  The state and quantum step count caps
+    themselves load."""
     cfg = _free_config(tmp_path)
     for command in ("forces", "checks"):
         assert main([command, "--config", str(cfg), "--seed", "-1", "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "config error: --seed: must be a non-negative integer, got -1" in err and "Traceback" not in err
     assert load_config(_free_config(tmp_path, forces={"states": MAX_FORCE_STATES})).forces["states"] == MAX_FORCE_STATES
+    assert load_config(_free_config(tmp_path, quantum={"steps": MAX_QUANTUM_STEPS})).quantum["steps"] == MAX_QUANTUM_STEPS
 
 
 def test_checks_seeds_give_their_own_draws(tmp_path):

@@ -97,6 +97,114 @@ def test_hermiticity_all_models(problem):
     assert abs(l2_norm(cn_step_psi(op, psi, dtau), op.dx) - before) <= 1e-12 * before
 
 
+def _reference_bond_average(c: np.ndarray, periodic: bool) -> tuple[np.ndarray, float]:
+    """Coefficients on bonds j <-> j+1; also the wrap bond for periodic grids."""
+    bonds = 0.5 * (c[:-1] + c[1:])
+    wrap = 0.5 * (c[-1] + c[0]) if periodic else 0.0
+    return bonds, wrap
+
+
+def _reference_build_hamiltonian(model, dx, hbar, domain="periodic"):
+    """The builder that added each off-diagonal term into both triangles and
+    each term's wrap bond in a block of its own: the oracle of the bond band."""
+    w = model.w_profile
+    a = model.a_profile
+    q = model.q
+    n = w.size
+    m = -w
+    periodic = domain == "periodic"
+    c = 0.5 / m  # 1/(2m)
+    k2 = hbar * hbar / (dx * dx)
+
+    diag = np.zeros(n, dtype=complex)
+    upper = np.zeros(n - 1, dtype=complex)
+    lower = np.zeros(n - 1, dtype=complex)
+    c_ul = 0.0 + 0.0j
+    c_lr = 0.0 + 0.0j
+
+    bonds, wrap = _reference_bond_average(c, periodic)
+    diag[:-1] += k2 * bonds
+    diag[1:] += k2 * bonds
+    if periodic:
+        diag[0] += k2 * wrap
+        diag[-1] += k2 * wrap
+        c_ul += -k2 * wrap
+        c_lr += -k2 * wrap
+    else:
+        diag[0] += k2 * c[0]
+        diag[-1] += k2 * c[-1]
+    upper += -k2 * bonds
+    lower += -k2 * bonds
+
+    diag += w
+
+    if model.kind is not QuantumKind.FreeVacuum:
+        mprof = c * a
+        coeff = q * hbar / (2.0 * dx)
+        upper += 1j * coeff * (mprof[:-1] + mprof[1:])
+        lower += -1j * coeff * (mprof[:-1] + mprof[1:])
+        if periodic:
+            c_lr += 1j * coeff * (mprof[-1] + mprof[0])
+            c_ul += -1j * coeff * (mprof[0] + mprof[-1])
+        diag += q * q * a * a * c
+
+    if model.kind is QuantumKind.Modified:
+        diag += -(q * q) * a * a * c
+        g = 1.0 / (m * m * m)
+        f = -(q * q) * 0.5 * k2
+        diag[:] += f * a * a * g
+        diag[1:] += f * a[1:] * a[1:] * g[:-1]
+        upper -= f * a[:-1] * a[1:] * g[:-1]
+        lower -= f * a[:-1] * a[1:] * g[:-1]
+        if periodic:
+            diag[0] += f * a[0] * a[0] * g[-1]
+            c_lr -= f * a[-1] * a[0] * g[-1]
+            c_ul -= f * a[-1] * a[0] * g[-1]
+
+    return TridiagonalOperator(
+        diag=diag, upper=upper, lower=lower, corner_ul=complex(c_ul), corner_lr=complex(c_lr),
+        dx=dx, hbar=hbar, domain=domain,
+    )
+
+
+@st.composite
+def hamiltonian_inputs(draw):
+    """A model of every kind on random profiles with m = -W > 0, from n = 1 (at
+    n = 1 and 2 the wrap bond joins the same pair as an interior bond), a grid,
+    a domain and a dtau."""
+    n = draw(st.integers(1, 40))
+    m = np.array(draw(st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    model = QuantumModel(draw(st.sampled_from(QuantumKind)), -m, a, q=draw(st.floats(-3.0, 3.0)))
+    return (model, draw(st.floats(0.01, 1.0)), draw(st.floats(0.1, 2.0)), draw(st.sampled_from(DOMAINS)),
+            draw(st.floats(1e-3, 1.0)))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(hamiltonian_inputs())
+def test_bond_band_builder_matches_the_two_triangle_builder(inputs):
+    """diag, upper and corner_lr are byte-equal to the oracle's; lower,
+    corner_ul and z * lower (what zgttrf factors) are equal in value, where
+    conj turns the oracle's +0 imaginary parts into -0 and so, after z, the
+    sign of a zero real part; one Cayley step is byte-equal (zgttrf takes n >= 3)."""
+    model, dx, hbar, domain, dtau = inputs
+    want = _reference_build_hamiltonian(model, dx, hbar, domain)
+    got = build_hamiltonian(model, dx, hbar, domain)
+    assert _bits(got.diag) == _bits(want.diag)
+    assert _bits(got.upper) == _bits(want.upper)
+    assert _bits(got.corner_lr) == _bits(want.corner_lr)
+    assert np.array_equal(got.lower, want.lower) and got.corner_ul == want.corner_ul
+    z = 1j * dtau / (2.0 * hbar)
+    assert np.array_equal(z * got.lower, z * want.lower)
+    if model.w_profile.size >= 3:
+        psi = [1.0, 1j] @ np.random.default_rng(model.w_profile.size).normal(size=(2, model.w_profile.size))
+        assert _bits(cn_step_psi(got, psi, dtau)) == _bits(cn_step_psi(want, psi, dtau))
+
+
 def test_nonpositive_mass_rejected():
     with pytest.raises(NonPositiveMass):
         QuantumModel(QuantumKind.FreeVacuum, np.array([-1.0, 0.5, -1.0]), np.zeros(3))
@@ -460,13 +568,17 @@ def test_cayley_power_refuses_what_the_sine_basis_cannot_diagonalize():
     free = QuantumModel(QuantumKind.FreeVacuum, -np.ones(n), np.zeros(n))
     varying = QuantumModel(QuantumKind.FreeVacuum, -np.linspace(1.0, 2.0, n), np.zeros(n))
     coupled = QuantumModel(QuantumKind.MinimalCoupling, -np.ones(n), np.full(n, 0.3))
-    cases = [(build_hamiltonian(free, dx, HBAR_DEFAULT, "periodic"), "needs a fixed domain"),
-             (build_hamiltonian(varying, dx, HBAR_DEFAULT, "fixed"), "needs constant bands"),
-             (build_hamiltonian(coupled, dx, HBAR_DEFAULT, "fixed"), "needs real bands")]
-    for op, reason in cases:
+    cases = [(build_hamiltonian(free, dx, HBAR_DEFAULT, "periodic"), 10, "needs a fixed domain"),
+             (build_hamiltonian(varying, dx, HBAR_DEFAULT, "fixed"), 10, "needs constant bands"),
+             (build_hamiltonian(coupled, dx, HBAR_DEFAULT, "fixed"), 10, "needs real bands"),
+             # the phase of a negative count runs the packet backwards, where steps cn_step calls take none
+             (build_hamiltonian(free, dx, HBAR_DEFAULT, "fixed"), -1, "needs steps >= 0, got -1")]
+    for op, steps, reason in cases:
         with pytest.raises(ValueError, match=reason):
-            cayley_power(op, np.ones(n, dtype=complex), 0.01, 10)
+            cayley_power(op, np.ones(n, dtype=complex), 0.01, steps)
         assert op.stats == {"cn_steps": 0, "factorizations": 0}
+    with pytest.raises(ValueError, match="needs steps >= 0, got -6000"):
+        verify.packet_dispersion_report(tau_end=-15.0)
 
 
 def test_packet_report_matches_the_stepped_loop():
