@@ -15,12 +15,16 @@ may run on (``os.sched_getaffinity``, else ``os.cpu_count``; at least one
 span of about 37k cells each), and steps them concurrently on threads:
 numpy's float64 ufuncs release the interpreter lock.  A band works on the
 flattened array in spans of whole planes (about 37k cells, so the stencil's
-reads stay in cache), with the whole-grid step's operations in the same
-order, so every value is bit-identical to
-``2u - prev + dt^2 (laplacian2(u) + src)`` whatever the band count.  Each span
-forms its own part of ``src`` from the profiles, in the order
-``SeparableSources`` sums them, so no whole-grid source array is built.  The
-thread pool lives for one ``evolve_wave`` call.  A component is stepped only
+reads stay in cache), each cell's operations in one fixed order, so every
+value is bit-identical to the whole-grid ``c0 u - prev + (c1 S + dt^2 src)``
+whatever the band count, with ``c1 = dt^2/h^2``, ``c0 = 2 - 6 c1`` and ``S``
+the sum of the six neighbours: 10 passes over a span with no source term and
+no division (the textbook ``2u - prev + dt^2 (laplacian2(u) + src)`` took 13,
+and differs only by round-off).  Each span forms its own part of
+``dt^2 src`` from the profiles, in the order ``SeparableSources`` sums them,
+so no whole-grid source array is built, and then writes the y- and z-faces
+of its planes while they are in cache.  The thread pool lives for one
+``evolve_wave`` call.  A component is stepped only
 when the step can change it: one with no source terms, two all-zero newest
 levels and all-zero pinned faces at the new time gets a fresh zero array with
 those faces written (the plane wave's phi and az, whose polarization has a z
@@ -287,46 +291,62 @@ def _band_count(n: int) -> int:
     return min(cores, max(1, (n - 2) * n * n // _SPAN_CELLS))
 
 
-def _step_band(uf, pf, terms, of, n: int, hh: float, dt2: float, x0: int, x1: int) -> None:
+def _pin_faces(out: np.ndarray, faces, x0: int, x1: int) -> None:
+    """Write the faces' values on the x-planes x0 .. x1-1 of out, in order.
+
+    ``faces`` is ``[(index, values), ...]`` with index a y- or z-face of
+    ``GridField._faces`` (whole along x) and values broadcast to that face's
+    (n, n) cells."""
+    for face, values in faces:
+        out[(slice(x0, x1),) + face[1:]] = values[x0:x1]
+
+
+def _step_band(uf, pf, terms, of, n: int, c0: float, c1: float, x0: int, x1: int, faces) -> None:
     """Leapfrog update of the interior x-planes x0 .. x1-1 of the flat arrays.
 
-    It runs in spans of whole planes, about _SPAN_CELLS cells each, one ufunc
-    call per operation.  A span of k planes x .. x+k-1 is the flat range from
-    row j = 1 of plane x to row j = n-2 of plane x+k-1, so it also covers the
-    face rows j = n-1, j = 0 between its planes; the stencil reads the flat
-    offsets +-1 (z), +-n (y) and +-n*n (x), which stay inside the array for
-    1 <= x and x+k <= n-1.  ``terms`` is ``[(flat profile, g(t)), ...]``: each
-    span forms its source as ``SeparableSources`` sums it, the first product
-    and then each further one added; with no terms it adds the scalar 0.0.
+    Each cell gets ``c0*u - prev + (c1*S + src)``, with ``S`` the six
+    neighbours summed as ``(x+1 + x-1) + y+1 + y-1 + z+1 + z-1`` and ``src``
+    the source already scaled by dt^2.  It runs in spans of whole planes,
+    about _SPAN_CELLS cells each, one ufunc call per operation: 10 passes
+    with no source term, 11 with one.  A span of k planes x .. x+k-1 is the
+    flat range from row j = 1 of plane x to row j = n-2 of plane x+k-1, so it
+    also covers the face rows j = n-1, j = 0 between its planes; the stencil
+    reads the flat offsets +-1 (z), +-n (y) and +-n*n (x), which stay inside
+    the array for 1 <= x and x+k <= n-1.  ``terms`` is
+    ``[(flat profile, g(t)*dt^2), ...]``: each span forms its source as
+    ``SeparableSources`` sums it, the first product and then each further one
+    added; with no terms it adds the scalar 0.0.  Right after each span the
+    ``faces`` (see ``_pin_faces``) of its planes are written, while the span
+    is still in cache.
     """
     nn = n * n
     span = max(1, _SPAN_CELLS // nn)
     acc = np.empty(span * nn)
     tmp = np.empty(span * nn)
     more = np.empty(span * nn) if len(terms) > 1 else None
+    out = of.reshape(n, n, n)
     for x in range(x0, x1, span):
+        xe = min(x + span, x1)
         c = x * nn + n
-        e = min(x + span, x1) * nn - n
+        e = xe * nn - n
         a, t = acc[:e - c], tmp[:e - c]
-        np.multiply(uf[c:e], -6.0, out=a)
         np.add(uf[c + nn:e + nn], uf[c - nn:e - nn], out=t)
-        a += t
-        np.add(uf[c + n:e + n], uf[c - n:e - n], out=t)
-        a += t
-        np.add(uf[c + 1:e + 1], uf[c - 1:e - 1], out=t)
-        a += t
-        a /= hh
+        t += uf[c + n:e + n]
+        t += uf[c - n:e - n]
+        t += uf[c + 1:e + 1]
+        t += uf[c - 1:e - 1]
+        t *= c1
         if terms:
-            np.multiply(terms[0][0][c:e], terms[0][1], out=t)
+            np.multiply(terms[0][0][c:e], terms[0][1], out=a)
             for profile, g in terms[1:]:
-                t += np.multiply(profile[c:e], g, out=more[:e - c])
-            a += t
+                a += np.multiply(profile[c:e], g, out=more[:e - c])
+            t += a
         else:
-            a += 0.0
-        a *= dt2
-        np.multiply(uf[c:e], 2.0, out=t)
-        t -= pf[c:e]
-        np.add(t, a, out=of[c:e])
+            t += 0.0
+        np.multiply(uf[c:e], c0, out=a)
+        a -= pf[c:e]
+        np.add(a, t, out=of[c:e])
+        _pin_faces(out, faces, x, xe)
 
 
 def _run_shares(pool: ThreadPoolExecutor | None, share, count: int) -> None:
@@ -346,27 +366,35 @@ def _run_shares(pool: ThreadPoolExecutor | None, share, count: int) -> None:
             future.result()
 
 
-def _step_field(u: np.ndarray, prev: np.ndarray, terms, h: float, dt2: float,
+def _step_field(u: np.ndarray, prev: np.ndarray, terms, h: float, dt2: float, faces,
                 pool: ThreadPoolExecutor | None = None, bands: int = 1) -> np.ndarray:
     """One leapfrog update of one field, its interior x-planes split into bands.
 
     ``terms`` is the field's source as ``[(flat profile, g(t)), ...]``.  Every
     interior value is bit-identical to
-    ``2.0*u - prev + dt2*(laplacian2(u, h) + src)``, with ``src`` the
-    ``SeparableSources`` sum of the terms (0.0 for none), whatever the band
-    count: each cell's operations run in the same order.  The bands are
-    contiguous runs of x-planes, stepped by ``_run_shares`` on ``pool``.
-    The x = 0, x = n-1 planes stay unwritten and the other face cells get
-    wrap-around values: the caller pins all six faces.
+    ``c0*u - prev + (c1*S + src)``, with ``c1 = dt2/h^2``, ``c0 = 2 - 6*c1``,
+    ``S`` the six neighbours summed as ``_step_band`` sums them and ``src``
+    the sum of ``profile*(g*dt2)`` in ``SeparableSources`` order (0.0 for
+    none), whatever the band count: each cell's operations run in the same
+    order.  It differs from the textbook ``2u - prev + dt2*(laplacian2(u, h)
+    + src)`` by round-off only (at dt = h/2, c1 = 1/4 and c0 = 1/2 exactly).
+    ``faces`` is ``[(index, values), ...]`` for the y- and z-faces, in the
+    order of ``GridField._faces``.  The bands are contiguous runs of x-planes,
+    stepped by ``_run_shares`` on ``pool``; each band writes the faces on its
+    own planes (``_pin_faces``).  The x = 0, x = n-1 planes stay unwritten:
+    the caller pins them.
     """
     n = u.shape[0]
     uf, pf = u.reshape(-1), prev.reshape(-1)
     out = np.empty(u.shape)
     of = out.reshape(-1)
     edges = [1 + (n - 2) * b // bands for b in range(bands + 1)]
+    c1 = dt2 / (h * h)
+    c0 = 2.0 - 6.0 * c1
+    scaled = [(p, g * dt2) for p, g in terms]
 
     def band(b):
-        _step_band(uf, pf, terms, of, n, h * h, dt2, edges[b], edges[b + 1])
+        _step_band(uf, pf, scaled, of, n, c0, c1, edges[b], edges[b + 1], faces)
 
     _run_shares(pool, band, bands)
     return out
@@ -394,8 +422,8 @@ def evolve_wave(grid: GridField, steps: int) -> GridField:
     computes the pinned face values at the new time.  A component with no
     source terms, two all-zero newest levels and all-zero pinned faces is not
     stepped: its new level is ``np.zeros`` with the pinned faces written,
-    which is bit for bit what the step gives, since the scalar source 0.0
-    turns every interior -0.0 into +0.0.  With no analytic callable there are
+    which is bit for bit what the step gives, since adding the scalar source
+    0.0 makes ``c1 S + 0.0`` +0.0 and so turns every interior -0.0 into +0.0.  With no analytic callable there are
     no faces to write, and every such component gets the same read-only zero
     array, made once per call.  The levels' zero-ness is checked once per
     call; the first kernel step of a component marks it non-zero for the rest
@@ -403,9 +431,14 @@ def evolve_wave(grid: GridField, steps: int) -> GridField:
     inside the bands (``_step_band``) from the profiles, flattened once per
     call.  Each field update is split into ``_band_count(n)`` bands, all but
     the first stepped on a thread pool that lives for this call only (no pool
-    for one band).  The oldest level is dropped before the new one is
-    allocated, so a step holds at most ``grid.history`` (3) levels, the new
-    one included.
+    for one band).  A stepped component is ``c0 u - prev + (c1 S + dt^2 src)``
+    in its interior (``_step_field``), bit-identical for any band count and
+    within round-off of ``2u - prev + dt^2 (laplacian2(u) + src)``.  The bands
+    write the y- and z-faces of their planes; this call writes the x-faces and
+    then the y- and z-faces of planes 0 and n-1, so where faces meet the last
+    of the order x, y, z wins, as when the six faces are written whole.  The
+    oldest level is dropped before the new one is allocated, so a step holds
+    at most ``grid.history`` (3) levels, the new one included.
     ``grid.stats`` accumulates ``grid_steps`` and the sorted names of the
     components the kernel stepped.
     """
@@ -439,16 +472,23 @@ def evolve_wave(grid: GridField, steps: int) -> GridField:
                         still.flags.writeable = False
                     new_fields[name] = still
                     continue
-                if name in zero and not any(np.any(f[name]) for f in faces):
-                    new_fields[name] = np.zeros(shape)
+                values = [pinned.get(name, 0.0) for pinned in faces]
+                if name in zero and not any(np.any(v) for v in values):
+                    new = np.zeros(shape)
+                    for face, v in zip(grid._faces, values):
+                        new[face] = v
                 else:
                     terms = [(p, g(cur.time)) for p, g in profiles[name]]
-                    new_fields[name] = _step_field(cur.field(name), prev.field(name), terms,
-                                                   grid.h, dt2, pool, bands)
+                    yz = [(face, np.broadcast_to(v, shape[1:])) for face, v in zip(grid._faces[2:], values[2:])]
+                    new = _step_field(cur.field(name), prev.field(name), terms,
+                                      grid.h, dt2, yz, pool, bands)
+                    new[grid._faces[0]] = values[0]
+                    new[grid._faces[1]] = values[1]
+                    _pin_faces(new, yz, 0, 1)
+                    _pin_faces(new, yz, grid.n - 1, grid.n)
                     zero.discard(name)
                     evolved.add(name)
-                for face, pinned in zip(grid._faces, faces):
-                    new_fields[name][face] = pinned.get(name, 0.0)
+                new_fields[name] = new
             grid.levels.append(Level(cur.index + 1, t_new, new_fields["phi"],
                                      new_fields["ax"], new_fields["ay"], new_fields["az"]))
     if steps > 0:

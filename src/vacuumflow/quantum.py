@@ -221,6 +221,8 @@ class _CayleyFactor:
     the Sherman-Morrison pieces corr = A'^-1 u, c_ul/gamma and 1 + v.corr."""
 
     def __init__(self, op: TridiagonalOperator, z: complex):
+        if op.n < 3:  # scipy's zgttrf wrapper rejects off-diagonal bands under 2 entries
+            raise SolveFailure(f"banded factor needs a grid of at least 3 points, got {op.n}")
         diag = 1.0 + z * op.diag
         upper = z * op.upper
         lower = z * op.lower

@@ -167,6 +167,8 @@ _CIRCLE = "compare.analytic: 'gyration_circle' needs"
     # 1e300 loads as the 301-digit integer int(1e300): the quantum command would never end
     ("quantum.steps: must be <= 1000000", {"quantum": {"steps": 1e300}}),
     ("quantum.steps: must be <= 1000000", {"quantum": {"steps": MAX_QUANTUM_STEPS + 1}}),
+    ("forces.states: must be <= 1000000", {"forces": {"states": 1e300}}),
+    (f"maxwell.n_fine: must be <= {MAX_GRID_N}", {"maxwell": {"n_fine": 1e300}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
@@ -481,6 +483,25 @@ def test_maxwell_grid_size_above_the_cap_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"config error: maxwell.n_fine: must be <= {MAX_GRID_N}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("quantum", {"quantum": {"steps": 1e300}}, "quantum.steps: must be <= 1000000 (the step count cap), got 1e+300"),
+    ("forces", {"forces": {"states": 1e300}}, "forces.states: must be <= 1000000 (the state count cap), got 1e+300"),
+    ("maxwell", {"maxwell": {"n_fine": 1e300}},
+     f"maxwell.n_fine: must be <= {MAX_GRID_N} (the grid size cap), got 1e+300"),
+    ("maxwell", {"maxwell": {"n_coarse": -1e300}}, "maxwell.n_coarse: must be >= 7 to leave an interior, got -1e+300"),
+    ("checks", {"seed": -1e300}, "seed: must be a non-negative integer, got -1e+300"),
+    # a JSON integer literal past the float range
+    ("forces", {"forces": {"states": 10**400}}, "forces.states: expected a number, got an integer of 401 digits"),
+])
+def test_huge_integer_in_a_config_error_is_shown_briefly(tmp_path, capsys, command, overrides, message):
+    """1e300 loads as the 301-digit integer int(1e300); a config error shows it
+    in %g form, and an integer past the float range by its digit count, so
+    stderr is the one short line."""
+    cfg = _free_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_negative_seed_option_exit_2(tmp_path, capsys):

@@ -319,19 +319,53 @@ def _reference_residuals(grid, t_index=None):
     )
 
 
-def _reference_evolve(grid, steps):
-    """The whole-grid leapfrog step: every field, every step, through laplacian2."""
+def _field_sources(grid, t, dt2):
+    """Per field, its source as the kernel forms it: sum of profile * (g(t) * dt2)
+    in SeparableSources order, 0.0 for none."""
+    out = {}
+    for name, key in zip(grid.FIELD_NAMES, ("rho", "jx", "jy", "jz")):
+        out[name] = 0.0
+        for k, (profile, g) in enumerate(grid.sources._terms[key]):
+            term = np.broadcast_to(profile, (grid.n,) * 3) * (g(t) * dt2)
+            out[name] = term if k == 0 else out[name] + term
+    return out
+
+
+def _neighbours(u):
+    """The six neighbours of the interior cells, in the kernel's summation order."""
+    i = slice(1, -1)
+    return (u[2:, i, i], u[:-2, i, i], u[i, 2:, i], u[i, :-2, i], u[i, i, 2:], u[i, i, :-2])
+
+
+def _reference_evolve(grid, steps, textbook=False):
+    """The whole-grid leapfrog step: every field, every step.  By default in the
+    kernel's arithmetic, c0*u - prev + (c1*S + src) with c1 = dt2/h^2, c0 = 2 - 6*c1,
+    S = (x+1 + x-1) + y+1 + y-1 + z+1 + z-1 and src from _field_sources; with
+    textbook, 2u - prev + dt2*(laplacian2(u) + SeparableSources' sum)."""
     dt2 = grid.dt * grid.dt
+    c1 = dt2 / (grid.h * grid.h)
+    c0 = 2.0 - 6.0 * c1
+    core = (slice(1, -1),) * 3
     for _ in range(steps):
         cur, prev = grid.levels[-1], grid.levels[-2]
         t_new = cur.time + grid.dt
-        rho = grid.sources.rho(cur.time)
-        jx, jy, jz = grid.sources.j(cur.time)
-        srcs = {"phi": rho, "ax": jx, "ay": jy, "az": jz}
+        if textbook:
+            rho = grid.sources.rho(cur.time)
+            jx, jy, jz = grid.sources.j(cur.time)
+            srcs = {"phi": rho, "ax": jx, "ay": jy, "az": jz}
+        else:
+            srcs = _field_sources(grid, cur.time, dt2)
         new = {}
         for name in grid.FIELD_NAMES:
             u = cur.field(name)
-            new[name] = 2.0 * u - prev.field(name) + dt2 * (laplacian2(u, grid.h) + srcs[name])
+            if textbook:
+                new[name] = 2.0 * u - prev.field(name) + dt2 * (laplacian2(u, grid.h) + srcs[name])
+                continue
+            xp, xm, yp, ym, zp, zm = _neighbours(u)
+            s = (xp + xm) + yp + ym + zp + zm
+            src = srcs[name] if np.ndim(srcs[name]) == 0 else srcs[name][core]
+            new[name] = np.empty_like(u)
+            new[name][core] = c0 * u[core] - prev.field(name)[core] + (c1 * s + src)
         full = np.broadcast_arrays(grid.X, grid.Y, grid.Z)
         for face in grid._faces:
             xf, yf, zf = (c[face] for c in full)
@@ -469,19 +503,96 @@ def test_blocked_step_matches_whole_grid_step_on_random_grids(case):
 @given(random_grids(st.integers(5, 20)), st.integers(1, 4), st.integers(1, 4), st.booleans())
 def test_band_split_matches_whole_grid_step(case, bands, span_planes, threaded):
     """Any band count, span length and threading gives the whole-grid step's
-    interior bit for bit, signed zeros included."""
+    x-planes 1 .. n-2 bit for bit, signed zeros and the y- and z-faces that
+    the bands pin included."""
     grid, _, _ = case
     want = _reference_evolve(_copy_grid(grid), 1).levels[-1]
     cur, prev = grid.levels[-1], grid.levels[-2]
-    core = (slice(1, -1),) * 3
+    faces = maxwell._pinned_faces(grid, cur.time + grid.dt)
+    planes = slice(1, -1)
     with mock.patch.object(maxwell, "_SPAN_CELLS", span_planes * grid.n**2), \
             ThreadPoolExecutor(bands - 1) if threaded and bands > 1 else nullcontext() as pool:
         for name, key in zip(grid.FIELD_NAMES, ("rho", "jx", "jy", "jz")):
             terms = [(p.reshape(-1), g(cur.time)) for p, g in grid.sources._terms[key]]
+            yz = [(face, np.broadcast_to(pinned.get(name, 0.0), (grid.n,) * 2))
+                  for face, pinned in zip(grid._faces[2:], faces[2:])]
             got = maxwell._step_field(cur.field(name), prev.field(name), terms, grid.h,
-                                      grid.dt * grid.dt, pool, bands)[core]
-            assert np.array_equal(got, want.field(name)[core]), name
-            assert np.array_equal(np.signbit(got), np.signbit(want.field(name)[core])), name
+                                      grid.dt * grid.dt, yz, pool, bands)[planes]
+            assert np.array_equal(got, want.field(name)[planes]), name
+            assert np.array_equal(np.signbit(got), np.signbit(want.field(name)[planes])), name
+
+
+@pytest.mark.parametrize("bands, span_planes", [(1, 8), (3, 1), (2, 2)])
+def test_faces_meet_as_when_written_whole_in_order(bands, span_planes):
+    """phi's analytic value names the face it is taken on (the coordinate that
+    arrives as a single cell: 1 for x, 2 for y, 3 for z), so where faces meet
+    the shell shows which was written last: as when the six faces are written
+    whole in the order x, y, z, whatever the bands and spans."""
+    n = 8
+
+    def phi(x, y, z, t):
+        tag = 1.0 if np.size(x) == 1 else 2.0 if np.size(y) == 1 else 3.0
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)), tag)
+
+    grid = GridField(n, 0.2, 0.1, SeparableSources(), AnalyticFarField(phi=phi)).seed_zero()
+    with mock.patch.object(maxwell, "_SPAN_CELLS", span_planes * n * n), \
+            mock.patch.object(maxwell, "_band_count", lambda n: bands):
+        evolve_wave(grid, 1)
+    want = np.zeros((n,) * 3)
+    for face, tag in zip(grid._faces, (1.0, 1.0, 2.0, 2.0, 3.0, 3.0)):
+        want[face] = tag
+    shell = want != 0.0
+    assert np.array_equal(grid.levels[-1].phi[shell], want[shell])
+    assert grid.stats["evolved"] == ["phi"]
+
+
+#: one leapfrog step against the textbook update, in units of eps * M, with M
+#: the cell's sum of |2u|, |prev|, c1 (6|u| + sum of |neighbours|) and dt2
+#: sum_k |profile_k g_k|: both formulas compute the same real number, each
+#: with at most 24 roundings (three source terms) of partial results bounded
+#: by M, and the coefficients' roundings reach the result with a factor of at
+#: most 4 (c0 = 2 - 6 c1), so the two differ by less than 32 eps M
+_TEXTBOOK_BOUND = 32
+
+
+@settings(max_examples=100)
+@given(random_grids())
+def test_leapfrog_step_agrees_with_the_textbook_update(case):
+    """The kernel's c0*u - prev + (c1*S + src) is 2u - prev + dt2*(lap u + src)
+    up to round-off, bounded beforehand from float64 eps; faces are equal."""
+    grid, _, _ = case
+    want = _reference_evolve(_copy_grid(grid), 1, textbook=True).levels[-1]
+    cur, prev = grid.levels[-1], grid.levels[-2]
+    evolve_wave(grid, 1)
+    got = grid.levels[-1]
+    dt2 = grid.dt * grid.dt
+    c1 = dt2 / (grid.h * grid.h)
+    core = (slice(1, -1),) * 3
+    shell = np.ones((grid.n,) * 3, dtype=bool)
+    shell[core] = False
+    for name, key in zip(grid.FIELD_NAMES, ("rho", "jx", "jy", "jz")):
+        u = cur.field(name)
+        scale = (2.0 * np.abs(u[core]) + np.abs(prev.field(name)[core])
+                 + c1 * (6.0 * np.abs(u[core]) + sum(np.abs(v) for v in _neighbours(u))))
+        for profile, g in grid.sources._terms[key]:
+            scale = scale + dt2 * np.abs(np.broadcast_to(profile, u.shape)[core] * g(cur.time))
+        err = np.abs(got.field(name)[core] - want.field(name)[core])
+        assert np.all(err <= _TEXTBOOK_BOUND * np.finfo(float).eps * scale), (name, np.max(err / scale))
+        assert np.array_equal(got.field(name)[shell], want.field(name)[shell]), name
+
+
+@pytest.mark.parametrize("n", [16, 48])
+@pytest.mark.parametrize("preset", sorted(_PRESETS))
+def test_residual_reports_agree_with_the_textbook_leapfrog(preset, n):
+    """Each residual norm of a preset run is within 1e-12 relative of the one
+    taken on the grid the textbook update evolves."""
+    got, steps, report = _PRESETS[preset](n)
+    want, _, _ = _PRESETS[preset](n)
+    evolve_wave(got, steps)
+    _reference_evolve(want, steps, textbook=True)
+    fast, textbook = maxwell_residuals(got, report).to_dict(), _reference_residuals(want, report).to_dict()
+    for key, value in textbook.items():
+        assert abs(fast[key] - value) <= 1e-12 * abs(value), (key, fast[key], value)
 
 
 @pytest.mark.parametrize("cores, n, bands", [(8, 48, 2), (8, 96, 8), (2, 96, 2), (2, 16, 1), (1, 96, 1)])

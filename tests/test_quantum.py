@@ -365,6 +365,26 @@ def test_solver_failure_paths():
         assert op.stats == {"cn_steps": 0, "factorizations": 0}
 
 
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cn_step_on_the_smallest_grids(domain, n):
+    """Under 3 points the Cayley factor raises SolveFailure naming the point
+    count (scipy's zgttrf raised a bare ValueError), on each call, since a
+    failed factor is not kept; at 3 points the step runs."""
+    w = -np.ones(n)
+    op = build_hamiltonian(QuantumModel(QuantumKind.FreeVacuum, w, np.zeros(n)), 0.1, HBAR_DEFAULT, domain)
+    psi = np.ones(n, dtype=complex)
+    if n < 3:
+        for _ in range(2):
+            with pytest.raises(SolveFailure, match=f"at least 3 points, got {n}"):
+                cn_step_psi(op, psi, 0.01)
+        assert op.stats == {"cn_steps": 0, "factorizations": 0}
+    else:
+        out = cn_step_psi(op, psi, 0.01)
+        assert np.isclose(np.linalg.norm(out), np.linalg.norm(psi), rtol=1e-12)
+        assert op.stats == {"cn_steps": 1, "factorizations": 1}
+
+
 def test_non_finite_state_fails():
     op = _hand_built("periodic", np.ones(6), off=0.5, corner=0.5)
     for bad in (np.nan, complex(1.0, np.nan), complex(1.0, np.inf)):
