@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ModelKind, Particle, init_phase
-from .errors import ConfigError, VacuumFlowError
+from .errors import ConfigError, VacuumFlowError, shown_int
 from .fields import FieldSource, VacuumField
 from .integrate import RK4, RK45, ImplicitMidpoint, IntegratorKind, step_count
 
@@ -107,18 +107,6 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _shown(n: int) -> str:
-    """An integer for a message: in full up to 16 digits, else in %g form (a
-    float such as 1e300 loads as the 301-digit integer int(1e300)), or as its
-    digit count past the float range (a JSON integer literal may be that long)."""
-    if abs(n) < 10**16:
-        return str(n)
-    try:
-        return f"{n:g}"
-    except OverflowError:
-        return f"an integer of {len(str(abs(n)))} digits"
-
-
 def _number(value, where: str, kind=float):
     """value as a finite float (or a whole int); ConfigError naming where otherwise."""
     _require(not isinstance(value, bool), f"{where}: expected a number, got {value!r}")
@@ -126,7 +114,7 @@ def _number(value, where: str, kind=float):
         out = kind(value)
         whole = kind is float or out == float(value)
     except (TypeError, ValueError, OverflowError):
-        shown = _shown(value) if isinstance(value, int) else repr(value)
+        shown = shown_int(value) if isinstance(value, int) else repr(value)
         raise ConfigError(f"{where}: expected a number, got {shown}") from None
     _require(whole, f"{where}: expected an integer, got {value!r}")
     _require(math.isfinite(out), f"{where}: must be finite, got {out}")
@@ -207,12 +195,12 @@ def _section(raw, name: str, defaults: dict) -> dict:
 
 def _positive_int(value, where: str) -> int:
     out = _number(value, where, int)
-    _require(out >= 1, f"{where}: must be a positive integer, got {_shown(out)}")
+    _require(out >= 1, f"{where}: must be a positive integer, got {shown_int(out)}")
     return out
 
 
 def _capped(out: int, where: str, cap: int, what: str) -> int:
-    _require(out <= cap, f"{where}: must be <= {cap} ({what}), got {_shown(out)}")
+    _require(out <= cap, f"{where}: must be <= {cap} ({what}), got {shown_int(out)}")
     return out
 
 
@@ -239,7 +227,7 @@ def _checked_name(value) -> str:
 def checked_seed(value, where: str = "seed") -> int:
     """value as a seed numpy takes, a non-negative integer (the seed key and --seed)."""
     out = _number(value, where, int)
-    _require(out >= 0, f"{where}: must be a non-negative integer, got {_shown(out)}")
+    _require(out >= 0, f"{where}: must be a non-negative integer, got {shown_int(out)}")
     return out
 
 
@@ -251,8 +239,9 @@ def _build_maxwell(raw) -> dict:
     n_coarse = _number(out["n_coarse"], "maxwell.n_coarse", int)
     n_fine = _number(out["n_fine"], "maxwell.n_fine", int)
     # the residual norms skip a margin of max(3, n // 10) cells on each side
-    _require(n_coarse >= 7, f"maxwell.n_coarse: must be >= 7 to leave an interior, got {_shown(n_coarse)}")
-    _require(n_fine > n_coarse, f"maxwell.n_fine: must be > n_coarse = {_shown(n_coarse)}, got {_shown(n_fine)}")
+    _require(n_coarse >= 7, f"maxwell.n_coarse: must be >= 7 to leave an interior, got {shown_int(n_coarse)}")
+    _require(n_fine > n_coarse,
+             f"maxwell.n_fine: must be > n_coarse = {shown_int(n_coarse)}, got {shown_int(n_fine)}")
     _capped(n_fine, "maxwell.n_fine", MAX_GRID_N, "the grid size cap")
     out["n_coarse"], out["n_fine"] = n_coarse, n_fine
     return out

@@ -1,6 +1,18 @@
 """Exception hierarchy shared by all vacuumflow modules."""
 
 
+def shown_int(n: int) -> str:
+    """An integer for a message: in full up to 16 digits, else in %g form (a
+    float such as 1e300 loads as the 301-digit integer int(1e300)), or as its
+    digit count past the float range (a JSON integer literal may be that long)."""
+    if abs(n) < 10**16:
+        return str(n)
+    try:
+        return f"{n:g}"
+    except OverflowError:
+        return f"an integer of {len(str(abs(n)))} digits"
+
+
 class VacuumFlowError(Exception):
     """Base class for all library errors."""
 

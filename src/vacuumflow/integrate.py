@@ -57,12 +57,19 @@ from .core import (
     phase_terms,
 )
 from .dynamics import point_rhs
-from .errors import ConfigError, NoConvergence, NonNegativeField, NoOverlap, SubluminalViolation
+from .errors import ConfigError, NoConvergence, NonNegativeField, NoOverlap, SubluminalViolation, shown_int
 from .fields import VacuumField, as_vec3
 
 #: the most recorded steps one run may take: at this cap the (steps + 1, 7)
 #: float64 state array is 560 MB
 MAX_STEPS = 10**7
+
+#: the most fixed-point iterations one implicit-midpoint step may take.  On
+#: the flyby near miss (qs = -0.5, r0 = (-2, 0.01, 0), h = 0.1) a failing
+#: iteration takes 2.8 us on a 2-core Xeon VM (5-6 us beside a test run), and a
+#: failed step iterates twice (extrapolated start, then Euler start), so at
+#: this cap it gives up within 0.06 s; int(1e300) iterations would never end
+MAX_ITER = 10**4
 
 #: RK45 ends its record when its right-hand-side evaluations exceed this many
 #: per recorded step of the run; the shipped runs take 1-3
@@ -104,8 +111,9 @@ class ImplicitMidpoint:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ConfigError(f"tol: must be > 0, got {self.tol}")
-        if not self.max_iter >= 1:
-            raise ConfigError(f"max_iter: must be >= 1, got {self.max_iter}")
+        if not 1 <= self.max_iter <= MAX_ITER:
+            raise ConfigError(f"max_iter: must be in [1, {MAX_ITER}] (the iteration cap), "
+                              f"got {shown_int(self.max_iter)}")
 
 
 #: the smallest rtol RK45 accepts (scipy's floor): below it the error target

@@ -9,10 +9,11 @@ Three operators on a uniform grid (spacing dx, periodic or fixed ends):
 with m(x) = -W(x) > 0.  The quadratic-in-p pieces use the compact
 forward/backward divergence form (coefficients averaged onto bonds), the cross
 term uses the centered first difference symmetrized as p M + M p; everything is
-tridiagonal (plus cyclic corners).  Each term is written once, on the band of
-bond values H[j, j+1] (a periodic grid's wrap bond is the corner H[n-1, 0]),
-and the lower triangle is its conjugate, so every operator is Hermitian by
-construction and the Cayley step
+tridiagonal (plus cyclic corners).  An operator is its diagonal and one band
+of bond values off[j] = H[j, (j+1) mod n]: a periodic grid has n bonds, the
+last the corner H[n-1, 0], and a fixed grid n-1, so the band's length names
+the domain.  The lower triangle is the band's conjugate, so every operator is
+Hermitian by its type, each term is written once, and the Cayley step
 (1 + i dtau H / 2 hbar) psi' = (1 - i dtau H / 2 hbar) psi is unitary.
 
 Since (1 + zH)^-1 (1 - zH) = 2 (1 + zH)^-1 - 1 with z = i dtau / 2 hbar, a
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import NonPositiveMass, SolveFailure, SuperluminalMode
 
-#: the boundary conditions of a grid and of an operator
+#: the boundary conditions build_hamiltonian accepts
 DOMAINS = ("periodic", "fixed")
 
 
@@ -56,19 +57,16 @@ def l2_norm(psi: np.ndarray, dx: float) -> float:
 
 @dataclass(frozen=True)
 class WaveState:
-    """Complex samples on a uniform 1-D grid with hbar and grid metadata."""
+    """Complex samples on a uniform 1-D grid with hbar; the operator holds the boundary condition."""
 
     psi: np.ndarray
     dx: float
     hbar: float
-    domain: str = "periodic"  # "periodic" | "fixed"
 
     def __post_init__(self):
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=complex))
         if not (self.dx > 0.0 and self.hbar > 0.0):
             raise ValueError("WaveState needs dx > 0 and hbar > 0")
-        if self.domain not in DOMAINS:
-            raise ValueError(f"unknown domain {self.domain!r}")
 
     @property
     def n(self) -> int:
@@ -111,60 +109,69 @@ class QuantumModel:
 class TridiagonalOperator:
     """Hermitian tridiagonal operator, with cyclic corners on a periodic domain.
 
-    domain is one of DOMAINS.  The band arrays are read-only, so the
+    off[j] = H[j, (j+1) mod n] is the band of bond values and H[(j+1) mod n, j]
+    its conjugate: n bonds make the domain periodic (the last is the corner
+    H[n-1, 0]), n-1 make it fixed.  Both bands are read-only copies, so the
     Crank-Nicolson factors cached per dtau cannot go stale.  ``stats`` counts
     the Cayley steps taken and the factorizations made with this operator.
     """
 
     diag: np.ndarray        # (n,)
-    upper: np.ndarray       # (n-1,), element [j, j+1]
-    lower: np.ndarray       # (n-1,), element [j+1, j]
-    corner_ul: complex      # [0, n-1]
-    corner_lr: complex      # [n-1, 0]
+    off: np.ndarray         # (n,) periodic or (n-1,) fixed
     dx: float
     hbar: float
-    domain: str
     stats: dict = field(default_factory=lambda: {"cn_steps": 0, "factorizations": 0},
                         init=False, repr=False, compare=False)
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.domain not in DOMAINS:
-            raise ValueError(f"unknown domain {self.domain!r}")
-        for name in ("diag", "upper", "lower"):
-            band = np.asarray(getattr(self, name), dtype=complex)
+        for name in ("diag", "off"):
+            band = np.array(getattr(self, name), dtype=complex)
             band.setflags(write=False)
             object.__setattr__(self, name, band)
+        n = self.diag.size
+        if self.diag.ndim != 1 or n < 1 or self.off.shape not in ((n,), (n - 1,)):
+            raise ValueError(f"an operator on n >= 1 points needs n bonds (periodic) or n - 1 (fixed): "
+                             f"got diag of shape {self.diag.shape} and off of shape {self.off.shape}")
 
     @property
     def n(self) -> int:
         return self.diag.size
 
+    @property
+    def domain(self) -> str:
+        return "periodic" if self.off.size == self.n else "fixed"
+
     def apply(self, psi: np.ndarray) -> np.ndarray:
+        upper = self.off[:self.n - 1]
         out = self.diag * psi
-        out[:-1] += self.upper * psi[1:]
-        out[1:] += self.lower * psi[:-1]
+        out[:-1] += upper * psi[1:]
+        out[1:] += upper.conj() * psi[:-1]
         if self.domain == "periodic":
-            out[0] += self.corner_ul * psi[-1]
-            out[-1] += self.corner_lr * psi[0]
+            corner = complex(self.off[-1])
+            out[0] += corner.conjugate() * psi[-1]
+            out[-1] += corner * psi[0]
         return out
 
     def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diag) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
+        upper = self.off[:self.n - 1]
+        m = np.diag(self.diag) + np.diag(upper, 1) + np.diag(upper.conj(), -1)
         if self.domain == "periodic":
-            m[0, -1] += self.corner_ul
-            m[-1, 0] += self.corner_lr
+            corner = complex(self.off[-1])
+            m[0, -1] += corner.conjugate()
+            m[-1, 0] += corner
         return m
 
 
 def build_hamiltonian(model: QuantumModel, dx: float, hbar: float, domain: str = "periodic") -> TridiagonalOperator:
     """Discrete Hamiltonian for the given model on an n-point grid.
 
-    Each term is written once, on the band of bond values off[j] = H[j, j+1]:
-    a periodic grid has n bonds, the last wrapping n-1 -> 0 as corner_lr, and a
-    fixed grid n-1.  The lower triangle is the conjugate of the band, so H is
-    Hermitian by construction.
+    domain, one of DOMAINS, is the boundary condition.  Each term is written
+    once, on the band of bond values off[j] = H[j, (j+1) mod n]: a periodic grid
+    has n bonds, the last wrapping n-1 -> 0, and a fixed grid n-1.
     """
+    if domain not in DOMAINS:
+        raise ValueError(f"unknown domain {domain!r}: expected one of {DOMAINS}")
     w, a, q = model.w_profile, model.a_profile, model.q
     n = w.size
     nb = n if domain == "periodic" else n - 1
@@ -207,10 +214,7 @@ def build_hamiltonian(model: QuantumModel, dx: float, hbar: float, domain: str =
         diag[r] += f * ar * ar * g[:nb]
         off -= f * a[:nb] * ar * g[:nb]
 
-    upper = off[:n - 1]
-    corner = complex(off[-1]) if domain == "periodic" else 0j
-    return TridiagonalOperator(diag=diag, upper=upper, lower=upper.conj(), corner_ul=corner.conjugate(),
-                               corner_lr=corner, dx=dx, hbar=hbar, domain=domain)
+    return TridiagonalOperator(diag=diag, off=off, dx=dx, hbar=hbar)
 
 
 # -- Crank-Nicolson ------------------------------------------------------------
@@ -224,13 +228,15 @@ class _CayleyFactor:
         if op.n < 3:  # scipy's zgttrf wrapper rejects off-diagonal bands under 2 entries
             raise SolveFailure(f"banded factor needs a grid of at least 3 points, got {op.n}")
         diag = 1.0 + z * op.diag
-        upper = z * op.upper
-        lower = z * op.lower
+        off = op.off[:op.n - 1]
+        upper = z * off
+        lower = z * off.conj()
         self.corr = None
         if op.domain != "periodic":
             self.lu = _gttrf(lower, diag, upper)
             return
-        c_ul, c_lr = z * op.corner_ul, z * op.corner_lr
+        corner = complex(op.off[-1])
+        c_ul, c_lr = z * corner.conjugate(), z * corner
         gamma = -diag[0] if diag[0] != 0.0 else 1.0
         diag[0] -= gamma
         diag[-1] -= c_ul * c_lr / gamma
@@ -324,7 +330,7 @@ def _dst1(x: np.ndarray) -> np.ndarray:
 def cayley_power(op: TridiagonalOperator, psi: np.ndarray, dtau: float, steps: int) -> np.ndarray:
     """steps Cayley steps of the samples at once, for constant real bands on a fixed domain.
 
-    Such an H (diagonal d, both off-diagonals u) is symmetric Toeplitz
+    Such an H (diagonal d, every bond u) is symmetric Toeplitz
     tridiagonal: the type-I sine transform diagonalizes it exactly, with
     eigenvalues lambda_j = d + 2u cos(j pi/(n+1)), j = 1..n (Strang, SIAM Review
     41, 135, 1999).  On mode j the Cayley factor (1 - z lambda_j)/(1 + z lambda_j),
@@ -336,12 +342,12 @@ def cayley_power(op: TridiagonalOperator, psi: np.ndarray, dtau: float, steps: i
         raise ValueError(f"cayley_power needs steps >= 0, got {steps}: a negative count would run backwards")
     if op.domain != "fixed":
         raise ValueError("cayley_power needs a fixed domain: cyclic corners break the sine basis")
-    if np.any(op.diag.imag) or np.any(op.upper.imag) or np.any(op.lower.imag):
+    if np.any(op.diag.imag) or np.any(op.off.imag):
         raise ValueError("cayley_power needs real bands: a complex band entry breaks the sine basis")
     d = op.diag[0].real
-    u = op.upper[0].real if op.n > 1 else 0.0
-    if np.any(op.diag != d) or np.any(op.upper != u) or np.any(op.lower != u):
-        raise ValueError("cayley_power needs constant bands with upper == lower (a Toeplitz operator)")
+    u = op.off[0].real if op.n > 1 else 0.0
+    if np.any(op.diag != d) or np.any(op.off != u):
+        raise ValueError("cayley_power needs constant bands (a Toeplitz operator)")
     lam = d + 2.0 * u * np.cos(math.pi * np.arange(1, op.n + 1) / (op.n + 1))
     phase = np.exp(-2j * steps * np.arctan(dtau * lam / (2.0 * op.hbar)))
     op.stats["cn_steps"] += steps
@@ -368,15 +374,9 @@ def dispersion_check(k: float, w_const: float, hbar: float) -> tuple[float, floa
 
 
 def model_gap(state: WaveState, w_profile, a_profile, q: float) -> float:
-    """||(H_modified - H_minimal) psi|| / ||psi|| on identical profiles."""
-    h_min = build_hamiltonian(
-        QuantumModel(QuantumKind.MinimalCoupling, w_profile, a_profile, q),
-        state.dx, state.hbar, state.domain,
-    )
-    h_mod = build_hamiltonian(
-        QuantumModel(QuantumKind.Modified, w_profile, a_profile, q),
-        state.dx, state.hbar, state.domain,
-    )
+    """||(H_modified - H_minimal) psi|| / ||psi|| on identical profiles, periodic grid."""
+    h_min, h_mod = (build_hamiltonian(QuantumModel(kind, w_profile, a_profile, q), state.dx, state.hbar, "periodic")
+                    for kind in (QuantumKind.MinimalCoupling, QuantumKind.Modified))
     diff = h_mod.apply(state.psi) - h_min.apply(state.psi)
     return l2_norm(diff, 1.0) / l2_norm(state.psi, 1.0)
 
@@ -384,20 +384,17 @@ def model_gap(state: WaveState, w_profile, a_profile, q: float) -> float:
 # -- common states ---------------------------------------------------------------
 
 
-def gaussian_packet(
-    n: int, dx: float, x0: float, sigma0: float, k0: float, hbar: float,
-    domain: str = "periodic",
-) -> WaveState:
+def gaussian_packet(n: int, dx: float, x0: float, sigma0: float, k0: float, hbar: float) -> WaveState:
     x = dx * np.arange(n)
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma0 * sigma0)) * np.exp(1j * k0 * x)
-    return WaveState(psi=psi, dx=dx, hbar=hbar, domain=domain).normalized()
+    return WaveState(psi=psi, dx=dx, hbar=hbar).normalized()
 
 
 def plane_wave(n: int, dx: float, mode: int, hbar: float) -> WaveState:
     """exp(i k x) with k = 2 pi mode / (n dx): an exact periodic grid eigenmode."""
     k = 2.0 * math.pi * mode / (n * dx)
     x = dx * np.arange(n)
-    return WaveState(psi=np.exp(1j * k * x), dx=dx, hbar=hbar, domain="periodic").normalized()
+    return WaveState(psi=np.exp(1j * k * x), dx=dx, hbar=hbar).normalized()
 
 
 def packet_sigma(state: WaveState) -> float:

@@ -160,11 +160,23 @@ def uniform_a_deviation() -> dict:
 # -- criterion 5: Legendre / Hamiltonian consistency -------------------------------
 
 
-def _random_states(rng, n_states: int, v_max: float):
-    """(r, v, t) columns of n_states draws made in the per-state order r, t, v:
-    r in [-1.5, 1.5]^3, t in [0, 2] and v in [-v_max, v_max]^3."""
-    x = rng.uniform([-1.5] * 3 + [0.0] + [-v_max] * 3, [1.5] * 3 + [2.0] + [v_max] * 3, (n_states, 7))
-    return x[:, 0:3], x[:, 4:7], x[:, 3]
+#: the rest mass criterion 5 gives M0, and its finite-difference step
+_REST_MASS = 0.8
+_FD_STEP = 1e-6
+
+
+def _model_states(seed, n_states: int, v_max: float):
+    """(model, field, r, v, t) for each of presets.ALL_MODELS in turn: M0 on the
+    source-free gyration field, the vacuum models on the moving-source field,
+    and columns of n_states states drawn from one generator of seed, in the
+    per-state order r, t, v: r in [-1.5, 1.5]^3, t in [0, 2] and v in
+    [-v_max, v_max]^3."""
+    rng = np.random.default_rng(seed)
+    field_vac = presets.moving_source_field()
+    field_m0 = presets.gyration().field
+    for model in presets.ALL_MODELS:
+        x = rng.uniform([-1.5] * 3 + [0.0] + [-v_max] * 3, [1.5] * 3 + [2.0] + [v_max] * 3, (n_states, 7))
+        yield model, field_m0 if model is ModelKind.M0 else field_vac, x[:, 0:3], x[:, 4:7], x[:, 3]
 
 
 def _probes(step: float) -> np.ndarray:
@@ -189,25 +201,18 @@ def legendre_consistency(seed: int | np.random.SeedSequence = 1, n_states: int =
     the generic moving-source field.  Each model draws all its states, then
     evaluates them and their velocity probes in column calls.
     """
-    rng = np.random.default_rng(seed)
-    field_vac = presets.moving_source_field()
-    field_m0 = presets.gyration().field
-    rest_mass = 0.8
-    step = 1e-6
     out = {}
-    for model in presets.ALL_MODELS:
-        fld = field_m0 if model is ModelKind.M0 else field_vac
-        r, rdot, t = _random_states(rng, n_states, 1.5)
+    for model, fld, r, rdot, t in _model_states(seed, n_states, 1.5):
         if model is ModelKind.M0:
             nu = np.sqrt(dot3(rdot, rdot))
             fast = nu >= 0.85
             rdot[fast] *= (0.8 / nu[fast])[:, None]
-        lag, mom, _ = _lagrangian_eval(model, r, rdot, t, fld, rest_mass, derivatives=True)
-        ham = _hamiltonian_eval(model, r, mom, t, fld, rest_mass)
+        lag, mom, _ = _lagrangian_eval(model, r, rdot, t, fld, _REST_MASS, derivatives=True)
+        ham = _hamiltonian_eval(model, r, mom, t, fld, _REST_MASS)
         gap = np.abs(dot3(mom, rdot) - lag - ham) / np.maximum(np.abs(ham), 1e-12)
         # the M2 mover data is external under velocity variations: freeze it
         xidot = m2_xidot(r, rdot, fld, t) if model is ModelKind.M2 else None
-        fd = _central_diff(_lagrangian_eval(model, r, rdot + _probes(step), t, fld, rest_mass, xidot), step)
+        fd = _central_diff(_lagrangian_eval(model, r, rdot + _probes(_FD_STEP), t, fld, _REST_MASS, xidot), _FD_STEP)
         perr = _row_max(mom - fd) / np.maximum(_row_max(mom), 1.0)
         out[model.value] = {"hamiltonian_rel": float(np.max(gap, initial=0.0)),
                             "momentum_fd_rel": float(np.max(perr, initial=0.0))}
@@ -221,27 +226,20 @@ def vector_field_fd(seed: int | np.random.SeedSequence = 2, n_states: int = 200)
     through one column Hamiltonian call, and the right-hand side of every state
     through one column call of point_rhs (_rhs_eval).
     """
-    rng = np.random.default_rng(seed)
-    field_vac = presets.moving_source_field()
-    field_m0 = presets.gyration().field
-    rest_mass = 0.8
-    step = 1e-6
     out = {}
-    for model in presets.ALL_MODELS:
-        fld = field_m0 if model is ModelKind.M0 else field_vac
-        r, mom, t = _random_states(rng, n_states, 0.5)
+    for model, fld, r, mom, t in _model_states(seed, n_states, 0.5):
         mom *= np.abs(fld._eval(r, t, "w")[0])[:, None]
         if model is ModelKind.M2:
             # keep the guard healthy after the qA shift
             mom *= 0.8
-        rdot, momdot, _rate = _rhs_eval(model, r, mom, t, fld, rest_mass)
-        probes = _probes(step)
+        rdot, momdot, _rate = _rhs_eval(model, r, mom, t, fld, _REST_MASS)
+        probes = _probes(_FD_STEP)
         r6, mom6 = np.broadcast_to(r, (6, *r.shape)), np.broadcast_to(mom, (6, *mom.shape))
         ham = _hamiltonian_eval(model, np.concatenate([r6, r + probes]), np.concatenate([mom + probes, mom6]),
-                                t, fld, rest_mass)
-        dev = _row_max(rdot - _central_diff(ham[:6], step)) / np.maximum(_row_max(rdot), 1.0)
+                                t, fld, _REST_MASS)
+        dev = _row_max(rdot - _central_diff(ham[:6], _FD_STEP)) / np.maximum(_row_max(rdot), 1.0)
         if model is not ModelKind.M0:  # M0 momdot is the Lorentz force, not -dH/dr
-            dev_m = _row_max(momdot + _central_diff(ham[6:], step)) / np.maximum(_row_max(momdot), 1.0)
+            dev_m = _row_max(momdot + _central_diff(ham[6:], _FD_STEP)) / np.maximum(_row_max(momdot), 1.0)
             dev = np.maximum(dev, dev_m)
         out[model.value] = float(np.max(dev, initial=0.0))
     return out
@@ -380,7 +378,7 @@ def packet_dispersion_report(tau_end: float = 15.0, dtau: float = 0.0025) -> dic
     w = -np.ones(n)
     model = QuantumModel(QuantumKind.FreeVacuum, w, np.zeros(n), q=1.0)
     op = build_hamiltonian(model, dx, hbar, "fixed")
-    state = gaussian_packet(n, dx, x0=0.5 * length, sigma0=sigma0, k0=0.0, hbar=hbar, domain="fixed")
+    state = gaussian_packet(n, dx, x0=0.5 * length, sigma0=sigma0, k0=0.0, hbar=hbar)
     steps = int(round(tau_end / dtau))
     state = replace(state, psi=cayley_power(op, state.psi, dtau, steps))
     measured = packet_sigma(state)

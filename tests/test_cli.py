@@ -30,6 +30,7 @@ from vacuumflow.config import (
 )
 from vacuumflow.dynamics import ForceKind, force
 from vacuumflow.errors import ConfigError
+from vacuumflow.integrate import MAX_ITER
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SRC = SCENARIOS.parent / "src"
@@ -169,10 +170,14 @@ _CIRCLE = "compare.analytic: 'gyration_circle' needs"
     ("quantum.steps: must be <= 1000000", {"quantum": {"steps": MAX_QUANTUM_STEPS + 1}}),
     ("forces.states: must be <= 1000000", {"forces": {"states": 1e300}}),
     (f"maxwell.n_fine: must be <= {MAX_GRID_N}", {"maxwell": {"n_fine": 1e300}}),
+    (f"integrator.max_iter: must be in [1, {MAX_ITER}]",
+     {"integrator": {"kind": "implicit_midpoint", "max_iter": 1e300}}),
+    (f"integrator.max_iter: must be in [1, {MAX_ITER}]",
+     {"integrator": {"kind": "implicit_midpoint", "max_iter": MAX_ITER + 1}}),
 ])
 def test_bad_input_exit_2_names_key(tmp_path, capsys, key, overrides):
     """Non-finite vectors, non-numeric scalars, a missing qs, bad maxwell, quantum,
-    forces and compare sections, an unbounded step count, an unknown key at the
+    forces and compare sections, an unbounded step or iteration count, an unknown key at the
     top level or in a section (integrator keys depend on the kind), a
     non-positive tolerance, an inverted band, sources that are not a list, a
     softening too small for the kernels, a boolean number, a start state that
@@ -494,6 +499,8 @@ def test_maxwell_grid_size_above_the_cap_exit_2(tmp_path, capsys):
     ("checks", {"seed": -1e300}, "seed: must be a non-negative integer, got -1e+300"),
     # a JSON integer literal past the float range
     ("forces", {"forces": {"states": 10**400}}, "forces.states: expected a number, got an integer of 401 digits"),
+    ("simulate", {"integrator": {"kind": "implicit_midpoint", "max_iter": 1e300}},
+     f"integrator.max_iter: must be in [1, {MAX_ITER}] (the iteration cap), got 1e+300"),
 ])
 def test_huge_integer_in_a_config_error_is_shown_briefly(tmp_path, capsys, command, overrides, message):
     """1e300 loads as the 301-digit integer int(1e300); a config error shows it
@@ -507,7 +514,7 @@ def test_huge_integer_in_a_config_error_is_shown_briefly(tmp_path, capsys, comma
 def test_negative_seed_option_exit_2(tmp_path, capsys):
     """--seed -1 used to reach numpy's generator and exit 1 with its ValueError;
     it is checked like the config key.  The state and quantum step count caps
-    themselves load."""
+    and the iteration cap themselves load."""
     cfg = _free_config(tmp_path)
     for command in ("forces", "checks"):
         assert main([command, "--config", str(cfg), "--seed", "-1", "--quiet"]) == 2
@@ -515,6 +522,8 @@ def test_negative_seed_option_exit_2(tmp_path, capsys):
         assert "config error: --seed: must be a non-negative integer, got -1" in err and "Traceback" not in err
     assert load_config(_free_config(tmp_path, forces={"states": MAX_FORCE_STATES})).forces["states"] == MAX_FORCE_STATES
     assert load_config(_free_config(tmp_path, quantum={"steps": MAX_QUANTUM_STEPS})).quantum["steps"] == MAX_QUANTUM_STEPS
+    capped = {"kind": "implicit_midpoint", "h": 0.01, "max_iter": MAX_ITER}
+    assert load_config(_free_config(tmp_path, integrator=capped)).integrator.max_iter == MAX_ITER
 
 
 def test_checks_seeds_give_their_own_draws(tmp_path):
@@ -690,6 +699,17 @@ def test_shipped_scenarios_validate():
     for path in sorted(SCENARIOS.glob("*.json")):
         cfg = load_config(path)
         assert cfg.models and cfg.tau_end > 0
+
+
+@pytest.mark.parametrize("scenario, preset", [("flyby", presets.standard_flyby), ("gyration", presets.gyration)])
+def test_shipped_scenarios_are_their_presets(scenario, preset):
+    """The CLI's flyby and gyration runs are criteria 1 and 3's: the same
+    particle, field, start, span and step, float for float."""
+    cfg, sc = load_config(SCENARIOS / f"{scenario}.json"), preset()
+    assert cfg.particle.q == sc.particle.q and cfg.particle.u0.tobytes() == sc.particle.u0.tobytes()
+    assert cfg.field.describe() == sc.field.describe()
+    assert cfg.r0.tobytes() == sc.r0.tobytes()
+    assert (cfg.tau_end.hex(), cfg.h.hex()) == (sc.tau_end.hex(), sc.h.hex())
 
 
 def test_validate_rejects_source_invariants():

@@ -18,6 +18,7 @@ from vacuumflow.fields import FieldSource, VacuumField, jac_t_dot
 from vacuumflow.integrate import (
     RK4,
     RK45,
+    MAX_ITER,
     ImplicitMidpoint,
     TrajectoryRecord,
     _hermite,
@@ -484,7 +485,7 @@ def test_meta_names_the_integrator_and_its_parameters(uniform_field):
     """meta["integrator"] is the config kind with the dataclass's fields, floats as :g."""
     names = {RK4(): "rk4", ImplicitMidpoint(): "implicit_midpoint(tol=1e-12,max_iter=50)",
              RK45(): "rk45(atol=1e-10,rtol=1e-10)",
-             ImplicitMidpoint(tol=2.5e-9, max_iter=1234567): "implicit_midpoint(tol=2.5e-09,max_iter=1234567)"}
+             ImplicitMidpoint(tol=2.5e-9, max_iter=MAX_ITER): f"implicit_midpoint(tol=2.5e-09,max_iter={MAX_ITER})"}
     for integ, name in names.items():
         rec = simulate(ModelKind.M1, Particle(q=1.0, u0=(0.5, 0, 0)), uniform_field, ORIGIN, 0.1, integ, 0.01)
         assert rec.meta["integrator"] == name

@@ -106,7 +106,9 @@ def _reference_bond_average(c: np.ndarray, periodic: bool) -> tuple[np.ndarray, 
 
 def _reference_build_hamiltonian(model, dx, hbar, domain="periodic"):
     """The builder that added each off-diagonal term into both triangles and
-    each term's wrap bond in a block of its own: the oracle of the bond band."""
+    each term's wrap bond in a block of its own: the oracle of the bond band.
+    Returns its bands diag, upper, lower, corner_ul = H[0, n-1] and corner_lr =
+    H[n-1, 0] (both corners 0 on a fixed domain)."""
     w = model.w_profile
     a = model.a_profile
     q = model.q
@@ -161,10 +163,7 @@ def _reference_build_hamiltonian(model, dx, hbar, domain="periodic"):
             c_lr -= f * a[-1] * a[0] * g[-1]
             c_ul -= f * a[-1] * a[0] * g[-1]
 
-    return TridiagonalOperator(
-        diag=diag, upper=upper, lower=lower, corner_ul=complex(c_ul), corner_lr=complex(c_lr),
-        dx=dx, hbar=hbar, domain=domain,
-    )
+    return diag, upper, lower, complex(c_ul), complex(c_lr)
 
 
 @st.composite
@@ -187,22 +186,29 @@ def _bits(x) -> bytes:
 @settings(max_examples=400, deadline=None)
 @given(hamiltonian_inputs())
 def test_bond_band_builder_matches_the_two_triangle_builder(inputs):
-    """diag, upper and corner_lr are byte-equal to the oracle's; lower,
-    corner_ul and z * lower (what zgttrf factors) are equal in value, where
-    conj turns the oracle's +0 imaginary parts into -0 and so, after z, the
-    sign of a zero real part; one Cayley step is byte-equal (zgttrf takes n >= 3)."""
+    """diag, off[:n-1] and (periodic) off[-1] are byte-equal to the oracle's
+    diag, upper and corner_lr; their conjugates, and z times them (what zgttrf
+    factors), equal its lower and corner_ul in value, where conj turns the
+    oracle's +0 imaginary parts into -0 and so, after z, the sign of a zero real
+    part.  One Cayley step is byte-equal to the oracle's bands factored by the
+    same LAPACK calls (zgttrf takes n >= 3)."""
     model, dx, hbar, domain, dtau = inputs
     want = _reference_build_hamiltonian(model, dx, hbar, domain)
+    diag, upper, lower, corner_ul, corner_lr = want
     got = build_hamiltonian(model, dx, hbar, domain)
-    assert _bits(got.diag) == _bits(want.diag)
-    assert _bits(got.upper) == _bits(want.upper)
-    assert _bits(got.corner_lr) == _bits(want.corner_lr)
-    assert np.array_equal(got.lower, want.lower) and got.corner_ul == want.corner_ul
+    n = got.n
+    assert got.domain == domain and got.off.size == (n if domain == "periodic" else n - 1)
+    assert _bits(got.diag) == _bits(diag)
+    assert _bits(got.off[:n - 1]) == _bits(upper)
+    if domain == "periodic":
+        assert _bits(got.off[-1]) == _bits(corner_lr) and complex(got.off[-1]).conjugate() == corner_ul
+    assert np.array_equal(got.off[:n - 1].conj(), lower)
     z = 1j * dtau / (2.0 * hbar)
-    assert np.array_equal(z * got.lower, z * want.lower)
-    if model.w_profile.size >= 3:
-        psi = [1.0, 1j] @ np.random.default_rng(model.w_profile.size).normal(size=(2, model.w_profile.size))
-        assert _bits(cn_step_psi(got, psi, dtau)) == _bits(cn_step_psi(want, psi, dtau))
+    assert np.array_equal(z * got.off[:n - 1].conj(), z * lower)
+    if n >= 3:
+        psi = [1.0, 1j] @ np.random.default_rng(n).normal(size=(2, n))
+        chi = _reference_cayley_solve(want, domain == "periodic", z, psi, solve=_lapack_solve)
+        assert _bits(cn_step_psi(got, psi, dtau)) == _bits(2.0 * chi - psi)
 
 
 def test_nonpositive_mass_rejected():
@@ -225,12 +231,19 @@ def test_model_keeps_read_only_copies_of_its_profiles():
 
 
 def test_operator_rejects_an_unknown_domain():
+    """build_hamiltonian is the one place a domain is named; an operator's band
+    length is its domain, so a band of any other length is refused."""
     model = QuantumModel(QuantumKind.FreeVacuum, -np.ones(8), np.zeros(8))
     for domain in ("perodic", "Fixed", ""):
         with pytest.raises(ValueError, match="unknown domain"):
             build_hamiltonian(model, 0.1, HBAR_DEFAULT, domain)
-        with pytest.raises(ValueError, match="unknown domain"):
-            WaveState(psi=np.ones(8), dx=0.1, hbar=HBAR_DEFAULT, domain=domain)
+    for diag, off in ((np.ones(8), np.ones(6)), (np.ones(8), np.ones(9)), (np.ones(8), np.ones((2, 4))),
+                      (np.ones(0), np.ones(0)), (np.ones((2, 2)), np.ones(4))):
+        with pytest.raises(ValueError, match=r"needs n bonds \(periodic\) or n - 1 \(fixed\)"):
+            TridiagonalOperator(diag=diag, off=off, dx=0.1, hbar=HBAR_DEFAULT)
+    for n, domain in ((8, "periodic"), (7, "fixed"), (1, "periodic"), (0, "fixed")):
+        op = TridiagonalOperator(diag=np.ones(1 if n < 2 else 8), off=np.ones(n), dx=0.1, hbar=HBAR_DEFAULT)
+        assert op.domain == domain
 
 
 def test_constant_mass_reduces_to_textbook_operator():
@@ -281,7 +294,7 @@ def test_fixed_domain_norm_preserved():
     dx = 0.05
     w = -np.ones(n)
     op = build_hamiltonian(QuantumModel(QuantumKind.FreeVacuum, w, np.zeros(n)), dx, HBAR_DEFAULT, "fixed")
-    state = gaussian_packet(n, dx, x0=0.5 * n * dx, sigma0=0.5, k0=0.0, hbar=HBAR_DEFAULT, domain="fixed")
+    state = gaussian_packet(n, dx, x0=0.5 * n * dx, sigma0=0.5, k0=0.0, hbar=HBAR_DEFAULT)
     out = evolve(op, state, 0.01, 100)
     assert abs(out.norm() - 1.0) <= 1e-12
 
@@ -294,7 +307,7 @@ def test_free_packet_dispersion_short():
     op = build_hamiltonian(
         QuantumModel(QuantumKind.FreeVacuum, -np.ones(n), np.zeros(n)), dx, HBAR_DEFAULT, "fixed"
     )
-    state = gaussian_packet(n, dx, x0=15.0, sigma0=sigma0, k0=0.0, hbar=HBAR_DEFAULT, domain="fixed")
+    state = gaussian_packet(n, dx, x0=15.0, sigma0=sigma0, k0=0.0, hbar=HBAR_DEFAULT)
     tau = 8.0
     out = evolve(op, state, 0.0025, int(tau / 0.0025))
     predicted = free_packet_sigma(tau, sigma0, 1.0, HBAR_DEFAULT)
@@ -343,10 +356,12 @@ def test_model_gap_plane_wave_closed_form():
 
 
 def _hand_built(domain, diag, off=0.0, corner=0.0):
+    """An operator with every interior bond off and, on a periodic domain, the wrap bond corner."""
     n = len(diag)
-    offs = np.full(n - 1, off, dtype=complex)
-    return TridiagonalOperator(diag=diag, upper=offs, lower=offs.copy(),
-                               corner_ul=corner, corner_lr=corner, dx=0.1, hbar=1.0, domain=domain)
+    offs = np.full(n if domain == "periodic" else n - 1, off, dtype=complex)
+    if domain == "periodic":
+        offs[-1] = corner
+    return TridiagonalOperator(diag=diag, off=offs, dx=0.1, hbar=1.0)
 
 
 def test_solver_failure_paths():
@@ -354,13 +369,15 @@ def test_solver_failure_paths():
     n, dtau = 8, 2.0
     # diag i: the Cayley matrix is all zeros and its banded factor is singular
     singular = _hand_built("fixed", np.full(n, 1j))
-    # diag 0, corners 1/z: rows 0 and n-1 of 1 + z H are equal, so the
-    # Sherman-Morrison denominator is exactly zero
-    cyclic = _hand_built("periodic", np.zeros(n), corner=-1j)
-    for op in (singular, cyclic):
-        state = WaveState(psi=np.ones(n), dx=op.dx, hbar=op.hbar, domain=op.domain)
+    # diag ends 1 + i, wrap bond 1: rows 0 and n-1 of 1 + z H are both
+    # (i, 0, ..., 0, i), so the Sherman-Morrison denominator is exactly zero
+    ends = np.zeros(n, dtype=complex)
+    ends[[0, -1]] = 1.0 + 1.0j
+    cyclic = _hand_built("periodic", ends, corner=1.0)
+    for op, reason in ((singular, "banded factor failed"), (cyclic, "cyclic correction singular")):
+        state = WaveState(psi=np.ones(n), dx=op.dx, hbar=op.hbar)
         for _ in range(2):  # a failed factor is not cached: the second call fails as well
-            with pytest.raises(SolveFailure):
+            with pytest.raises(SolveFailure, match=reason):
                 cn_step(op, state, dtau)
         assert op.stats == {"cn_steps": 0, "factorizations": 0}
 
@@ -410,16 +427,23 @@ def test_non_finite_imaginary_part_fails(monkeypatch, bad):
     monkeypatch.setattr(quantum, "lapack", lambda: SimpleNamespace(zgttrf=lapack.zgttrf, zgttrs=zgttrs))
     op = _hand_built("fixed", np.ones(6), off=0.5)
     with pytest.raises(SolveFailure):
-        cn_step(op, WaveState(psi=np.ones(6), dx=op.dx, hbar=op.hbar, domain="fixed"), 0.1)
+        cn_step(op, WaveState(psi=np.ones(6), dx=op.dx, hbar=op.hbar), 0.1)
     assert op.stats == {"cn_steps": 0, "factorizations": 1}
 
 
 def test_operator_bands_are_read_only():
+    """Both bands are read-only copies: a caller's later write to the array it
+    passed (a view of a writable array included) cannot reach the operator, whose factors it caches."""
     dx, w, a = quantum_profiles(n=32)
     op = build_hamiltonian(QuantumModel(QuantumKind.Modified, w, a), dx, HBAR_DEFAULT)
-    for band in (op.diag, op.upper, op.lower):
+    for band in (op.diag, op.off):
         with pytest.raises(ValueError):
             band[0] = 1.0
+    base = np.ones(8, dtype=complex)
+    diag = np.full(8, 2.0 + 0j)
+    op = TridiagonalOperator(diag=diag, off=base[:7], dx=0.1, hbar=1.0)
+    base[:], diag[:] = 5.0, 3.0
+    assert np.all(op.off == 1.0) and np.all(op.diag == 2.0)
 
 
 # -- the cached factor against a fresh banded solve per step ----------------------
@@ -439,24 +463,39 @@ def _reference_solve(lower, diag, upper, rhs):
     return x
 
 
-def _reference_cayley_solve(op, z, rhs):
-    """x with (1 + zH) x = rhs, assembled and solved afresh: one banded solve, and
-    on a periodic domain a second one for the Sherman-Morrison corner correction."""
-    diag = 1.0 + z * op.diag
-    upper = z * op.upper
-    lower = z * op.lower
-    if op.domain != "periodic":
-        return _reference_solve(lower, diag, upper, rhs)
-    c_ul, c_lr = z * op.corner_ul, z * op.corner_lr
+def _lapack_solve(lower, diag, upper, rhs):
+    """The banded factor and solve of quantum's Cayley factor, made afresh."""
+    return quantum._gttrs(quantum._gttrf(lower, diag, upper), rhs)
+
+
+def _two_triangles(op):
+    """An operator's off band read as the two-triangle bands diag, upper,
+    lower, corner_ul and corner_lr (the corners 0 on a fixed domain)."""
+    upper = op.off[:op.n - 1]
+    corner = complex(op.off[-1]) if op.domain == "periodic" else 0j
+    return op.diag, upper, upper.conj(), corner.conjugate(), corner
+
+
+def _reference_cayley_solve(bands, periodic, z, rhs, solve=_reference_solve):
+    """x with (1 + zH) x = rhs for the two-triangle bands of H, assembled and
+    solved afresh: one banded solve, and on a periodic domain a second one for
+    the Sherman-Morrison corner correction."""
+    diag, upper, lower, corner_ul, corner_lr = bands
+    diag = 1.0 + z * diag
+    upper = z * upper
+    lower = z * lower
+    if not periodic:
+        return solve(lower, diag, upper, rhs)
+    c_ul, c_lr = z * corner_ul, z * corner_lr
     gamma = -diag[0] if diag[0] != 0.0 else 1.0
     d = diag.copy()
     d[0] -= gamma
     d[-1] -= c_ul * c_lr / gamma
-    y = _reference_solve(lower, d, upper, rhs)
+    y = solve(lower, d, upper, rhs)
     u = np.zeros(diag.size, dtype=complex)
     u[0] = gamma
     u[-1] = c_lr
-    zz = _reference_solve(lower, d, upper, u)
+    zz = solve(lower, d, upper, u)
     vy = y[0] + (c_ul / gamma) * y[-1]
     vz = zz[0] + (c_ul / gamma) * zz[-1]
     denom = 1.0 + vz
@@ -468,7 +507,8 @@ def _reference_cayley_solve(op, z, rhs):
 def _reference_cn_step(op, state, dtau):
     """The Cayley step as 2 chi - psi, with (1 + zH) chi = psi solved afresh."""
     z = 1j * dtau / (2.0 * op.hbar)
-    return replace(state, psi=2.0 * _reference_cayley_solve(op, z, state.psi) - state.psi)
+    chi = _reference_cayley_solve(_two_triangles(op), op.domain == "periodic", z, state.psi)
+    return replace(state, psi=2.0 * chi - state.psi)
 
 
 @st.composite
@@ -480,14 +520,11 @@ def hermitian_problems(draw):
     dtau = draw(st.floats(1e-3, 10.0))
     steps = draw(st.integers(1, 4))
     rng = np.random.default_rng(seed)
-    upper = scale * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
-    corner = complex(scale * (rng.normal() + 1j * rng.normal()))
-    op = TridiagonalOperator(
-        diag=scale * rng.normal(size=n), upper=upper, lower=upper.conj(),
-        corner_ul=corner, corner_lr=corner.conjugate(), dx=0.1, hbar=HBAR_DEFAULT, domain=domain,
-    )
+    bonds = n if domain == "periodic" else n - 1
+    off = scale * (rng.normal(size=bonds) + 1j * rng.normal(size=bonds))
+    op = TridiagonalOperator(diag=scale * rng.normal(size=n), off=off, dx=0.1, hbar=HBAR_DEFAULT)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return op, WaveState(psi=psi, dx=0.1, hbar=HBAR_DEFAULT, domain=domain), dtau, steps
+    return op, WaveState(psi=psi, dx=0.1, hbar=HBAR_DEFAULT), dtau, steps
 
 
 @settings(max_examples=200)
@@ -514,7 +551,7 @@ def test_cn_step_matches_the_right_hand_side_form(problem):
     h_inf = np.abs(op.to_dense()).sum(axis=1).max()
     psi = state.psi
     for _ in range(steps):
-        want = _reference_cayley_solve(op, z, psi - z * op.apply(psi))
+        want = _reference_cayley_solve(_two_triangles(op), op.domain == "periodic", z, psi - z * op.apply(psi))
         got = cn_step_psi(op, psi, dtau)
         assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + abs(z) * h_inf) * np.max(np.abs(psi))
         psi = got
@@ -606,7 +643,7 @@ def test_packet_report_matches_the_stepped_loop():
     loop it replaced, within 1e-12 relative."""
     op = build_hamiltonian(QuantumModel(QuantumKind.FreeVacuum, -np.ones(4096), np.zeros(4096)),
                            40.0 / 4096, HBAR_DEFAULT, "fixed")
-    state = gaussian_packet(4096, 40.0 / 4096, x0=20.0, sigma0=0.5, k0=0.0, hbar=HBAR_DEFAULT, domain="fixed")
+    state = gaussian_packet(4096, 40.0 / 4096, x0=20.0, sigma0=0.5, k0=0.0, hbar=HBAR_DEFAULT)
     for _ in range(6000):
         state = cn_step(op, state, 0.0025)
     want = packet_sigma(state)
@@ -663,5 +700,5 @@ def test_snapshot_csv(tmp_path):
 def test_wave_state_normalization():
     state = WaveState(psi=np.full(100, 3.0 + 0j), dx=0.01, hbar=0.05)
     assert abs(state.normalized().norm() - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        WaveState(psi=np.ones(4), dx=0.1, hbar=0.05, domain="weird")
+    with pytest.raises(ValueError, match="unknown domain 'weird'"):
+        build_hamiltonian(QuantumModel(QuantumKind.FreeVacuum, -np.ones(4), np.zeros(4)), 0.1, 0.05, "weird")
